@@ -38,7 +38,6 @@
 
 #include "BenchUtil.h"
 
-#include "jit/Jit.h"
 #include "net/NetServer.h"
 #include "service/Protocol.h"
 #include "service/Service.h"
@@ -156,42 +155,6 @@ void runColdVsHit(BenchJson &Json) {
   Json.config("hit_p50_seconds", std::to_string(HitP50));
   Json.config("cold_over_hit_p50",
               std::to_string(HitP50 > 0 ? ColdP50 / HitP50 : 0.0));
-
-  // Native-tier stitch cost: what a cold request would additionally pay
-  // (once per chunk, cached across every later frame and warm restart)
-  // if the service rendered on ExecTier::Native. Measured directly on
-  // each gallery reader chunk, outside the serve loop.
-  if (jit::available()) {
-    ShaderLab Lab(W, H, 2);
-    std::vector<double> StitchSeconds;
-    uint64_t StitchBytes = 0;
-    for (const ShaderInfo &Info : shaderGallery()) {
-      auto Spec = Lab.specializePartition(Info, 0);
-      if (!Spec)
-        continue;
-      auto Prog = jit::compileChunk(Spec->compiled().ReaderChunk);
-      if (!Prog)
-        continue;
-      StitchSeconds.push_back(Prog->compileSeconds());
-      StitchBytes += Prog->codeBytes();
-    }
-    double StitchP50 = p50(StitchSeconds);
-    std::printf("native stitch: p50 %.3f ms per reader (%zu of %zu "
-                "stitched, %llu code bytes total) — %.2f%% of a cold "
-                "build, paid once per chunk\n",
-                StitchP50 * 1e3, StitchSeconds.size(),
-                shaderGallery().size(),
-                static_cast<unsigned long long>(StitchBytes),
-                ColdP50 > 0 ? StitchP50 / ColdP50 * 100.0 : 0.0);
-    Json.config("native_stitch_p50_seconds", std::to_string(StitchP50));
-    Json.configUnsigned("native_stitch_code_bytes",
-                        static_cast<unsigned>(StitchBytes));
-    Json.configUnsigned("native_stitched_readers",
-                        static_cast<unsigned>(StitchSeconds.size()));
-  } else {
-    std::printf("native stitch: unavailable in this build (fallback tier "
-                "serves native requests)\n");
-  }
 
   if (Stats.Cache.Misses != shaderGallery().size() ||
       Stats.Cache.Hits !=
@@ -523,7 +486,7 @@ void runHotVsFair(BenchJson &Json) {
   double SoloP99 = p99(Solo), BesideP99 = p99(Beside);
   // Sub-millisecond p99s wobble with scheduler noise; the fairness claim
   // is judged against a 2 ms floor so the ratio measures interference,
-  // not jitter.
+  // not that wobble.
   double Ratio = BesideP99 / std::max(SoloP99, 0.002);
   std::printf("victim p99 solo %.3f ms, beside hot client %.3f ms "
               "(%.2fx; hot client shed %llu of %u)\n",

@@ -10,10 +10,11 @@
 ///   auto Unit = parseUnit(Source);                     // parse + Sema
 ///   auto Spec = specializeAndCompile(*Unit, "dotprod",
 ///                                    {"z1", "z2"});    // split + compile
+///   std::vector<unsigned char> Bytes(Spec->Spec.Layout.totalBytes());
+///   CacheView View(Bytes.data(), static_cast<unsigned>(Bytes.size()));
 ///   VM Machine;
-///   Cache PixelCache;
-///   Machine.run(Spec->LoaderChunk, Args, &PixelCache); // early phase
-///   Machine.run(Spec->ReaderChunk, Args, &PixelCache); // late phase(s)
+///   Machine.run(Spec->LoaderChunk, Args, View);        // early phase
+///   Machine.run(Spec->ReaderChunk, Args, View);        // late phase(s)
 ///
 /// Everything below is a thin composition of the lang / specialize / vm
 /// libraries; nothing here adds semantics.

@@ -100,8 +100,8 @@ public:
     return Config.PackCold ? Shape.hotBytes() : Stride;
   }
 
-  /// True when views are map-free (physical == canonical) — the JIT's
-  /// stitched cache fragments require this.
+  /// True when views are map-free (physical == canonical), so a pass can
+  /// address pixel I at raw() + I * strideBytes().
   bool denseViews() const { return Map.empty(); }
   /// Pixels per physical block (1 for dense/pixel-major arrangements).
   unsigned blockPixels() const { return BlockPx; }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The four ways the render engine can execute a chunk over a pass, in
+/// The three ways the render engine can execute a chunk over a pass, in
 /// increasing order of specialization (see docs/ENGINE.md, "Execution
 /// tiers"). Tiers are an A/B knob: every tier produces bit-identical
 /// framebuffers; only the speed differs.
@@ -33,13 +33,6 @@ enum class ExecTier {
   /// control flow diverges at an unmaskable branch re-runs per-pixel on
   /// the threaded tier. Effectful chunks run per-pixel up front.
   Batched,
-  /// Per-pixel execution of copy-and-patch stitched machine code
-  /// (VM::runJit): the verified ExecChunk is compiled once per
-  /// specialization unit into executable memory (src/jit/), then every
-  /// pixel runs native. Falls back to the threaded tier whenever the
-  /// chunk cannot be stitched — non-x86-64 hosts, DSPEC_FORCE_NO_JIT
-  /// builds, W^X allocation failure, or an inexpressible opcode.
-  Native,
 };
 
 inline const char *execTierName(ExecTier Tier) {
@@ -50,14 +43,12 @@ inline const char *execTierName(ExecTier Tier) {
     return "threaded";
   case ExecTier::Batched:
     return "batched";
-  case ExecTier::Native:
-    return "native";
   }
   return "?";
 }
 
-/// Parses "switch" / "threaded" / "batched" / "native"; returns false
-/// (leaving \p Out untouched) on anything else.
+/// Parses "switch" / "threaded" / "batched"; returns false (leaving
+/// \p Out untouched) on anything else.
 inline bool parseExecTier(std::string_view Text, ExecTier &Out) {
   if (Text == "switch") {
     Out = ExecTier::Switch;
@@ -69,10 +60,6 @@ inline bool parseExecTier(std::string_view Text, ExecTier &Out) {
   }
   if (Text == "batched") {
     Out = ExecTier::Batched;
-    return true;
-  }
-  if (Text == "native") {
-    Out = ExecTier::Native;
     return true;
   }
   return false;

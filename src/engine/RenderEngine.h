@@ -64,10 +64,7 @@ public:
   /// control flow diverges at an unmaskable branch re-runs per-pixel on
   /// the threaded tier, effectful chunks run per-pixel up front, and
   /// chunks that fail decoding fall back to the classic switch
-  /// interpreter. Native stitches the chunk to machine code once per
-  /// specialization unit (src/jit/) and deopts to Threaded when the host
-  /// or chunk cannot be stitched. Every tier produces bit-identical
-  /// framebuffers
+  /// interpreter. Every tier produces bit-identical framebuffers
   /// (tests/TestExecTiers.cpp pins this over the whole gallery); the
   /// knob exists for A/B measurement (`bench_exec_tier`, `dspec serve
   /// --exec-tier`).
@@ -91,17 +88,6 @@ public:
     uint64_t BailedTiles = 0; ///< tiles that diverged and re-ran per-pixel
     uint64_t BatchDispatchLanes = 0; ///< sum over tiles: dispatches x lanes
     uint64_t BatchActiveLanes = 0;   ///< sum: active-lane instructions
-    /// Native tier only (zero elsewhere): 1 when this pass stitched fresh
-    /// code, 0 when the chunk's JitSlot already held it — so warm starts
-    /// that reuse snapshot-cached code are observable as zero compiles.
-    uint64_t NativeCompiles = 0;
-    /// Executable bytes of the stitched program this pass ran (0 when the
-    /// native tier deopted to threaded).
-    uint64_t NativeCodeBytes = 0;
-    /// Pixels executed through stitched code.
-    uint64_t NativePixels = 0;
-    /// Seconds spent stitching during this pass (0 on a slot hit).
-    double NativeCompileSeconds = 0.0;
     /// Average active-lane fraction per dispatched batch instruction
     /// (1.0 = no masking ever engaged).
     double activeFraction() const {

@@ -45,15 +45,6 @@ std::string MetricsSnapshot::toJson() const {
         static_cast<unsigned long long>(V.Misses));
   }
   VariantsJson += "}";
-  std::string TiersJson = "{";
-  for (size_t I = 0; I < ExecTiers.size(); ++I) {
-    if (I != 0)
-      TiersJson += ",";
-    TiersJson += formatString(
-        "\"%s\":%llu", ExecTiers[I].first.c_str(),
-        static_cast<unsigned long long>(ExecTiers[I].second));
-  }
-  TiersJson += "}";
   std::string SpillJson;
   if (SpillEnabled)
     SpillJson = formatString(
@@ -87,8 +78,7 @@ std::string MetricsSnapshot::toJson() const {
       "\"coalesced_waits\":%llu,\"build_failures\":%llu,\"entries\":%llu,"
       "\"capacity\":%llu,\"hit_rate\":%.4f}%s,"
       "\"variants\":%s,"
-      "\"exec_tiers\":%s,"
-      "\"jit\":{\"compiles\":%llu,\"code_bytes\":%llu},"
+      "\"exec_tier\":\"%s\","
       "%s,"
       "\"queue_depth\":%llu,"
       "\"latency_seconds\":{\"samples\":%llu,\"p50\":%.9f,\"p95\":%.9f,"
@@ -110,9 +100,8 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(Cache.BuildFailures),
       static_cast<unsigned long long>(Cache.Entries),
       static_cast<unsigned long long>(CacheCapacity), cacheHitRate(),
-      SpillJson.c_str(), VariantsJson.c_str(), TiersJson.c_str(),
-      static_cast<unsigned long long>(JitCompiles),
-      static_cast<unsigned long long>(JitCodeBytes), ArenaJson.c_str(),
+      SpillJson.c_str(), VariantsJson.c_str(), ExecTier.c_str(),
+      ArenaJson.c_str(),
       static_cast<unsigned long long>(QueueDepth),
       static_cast<unsigned long long>(LatencySamples), LatencyP50, LatencyP95,
       LatencyP99, NetSection.c_str());
@@ -136,11 +125,6 @@ void ServiceMetrics::recordVariant(const std::string &Label, bool CacheHit) {
     ++Counts.first;
   else
     ++Counts.second;
-}
-
-void ServiceMetrics::recordExecTier(const std::string &TierName) {
-  std::lock_guard<std::mutex> Lock(TierMutex);
-  ++TierCounts[TierName];
 }
 
 void ServiceMetrics::recordOk(double LatencySeconds, bool CacheHit) {
@@ -192,12 +176,6 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
     Out.Variants.reserve(VariantCounts.size());
     for (const auto &[Label, Counts] : VariantCounts)
       Out.Variants.push_back({Label, Counts.first, Counts.second});
-  }
-  {
-    std::lock_guard<std::mutex> Lock(TierMutex);
-    Out.ExecTiers.reserve(TierCounts.size());
-    for (const auto &[Name, Count] : TierCounts)
-      Out.ExecTiers.emplace_back(Name, Count);
   }
   return Out;
 }

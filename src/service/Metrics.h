@@ -72,15 +72,9 @@ struct MetricsSnapshot {
   /// when present only by accident of ordering — labels sort lexically).
   std::vector<VariantStat> Variants;
 
-  /// Requests served per execution tier ("switch"/"threaded"/"batched"/
-  /// "native"), sorted by tier name. Only tiers that served at least one
-  /// request appear.
-  std::vector<std::pair<std::string, uint64_t>> ExecTiers;
-  /// Native-tier stitching totals (jit::stats()); zero in fallback
-  /// builds, where ExecTiers still reports "native" requests — they just
-  /// ran the threaded deopt path.
-  uint64_t JitCompiles = 0;
-  uint64_t JitCodeBytes = 0;
+  /// The execution tier every dispatcher's engine runs (the configured
+  /// ServiceConfig::Tier).
+  std::string ExecTier = "batched";
 
   /// Arena accounting, aggregated over the live unit cache at snapshot
   /// time: the configured physical layout, bytes actually allocated
@@ -131,9 +125,6 @@ public:
   /// Attributes one served request to the property variant it rendered
   /// with. \p CacheHit mirrors the reply's cache-hit flag.
   void recordVariant(const std::string &Label, bool CacheHit);
-  /// Attributes one served request to the execution tier that rendered it
-  /// (the service's configured tier at finish time).
-  void recordExecTier(const std::string &TierName);
   void recordBadRequest() { ++RequestsTotal; ++BadRequests; }
   void recordSpecializeError(double LatencySeconds);
   void recordRenderTrap(double LatencySeconds);
@@ -168,9 +159,6 @@ private:
   mutable std::mutex VariantMutex;
   /// Ordered so the snapshot comes out sorted without an extra pass.
   std::map<std::string, std::pair<uint64_t, uint64_t>> VariantCounts;
-
-  mutable std::mutex TierMutex;
-  std::map<std::string, uint64_t> TierCounts; // likewise ordered
 };
 
 } // namespace dspec

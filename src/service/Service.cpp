@@ -7,7 +7,6 @@
 #include "service/Service.h"
 
 #include "driver/Pipeline.h"
-#include "jit/Jit.h"
 #include "service/Transport.h"
 #include "shading/ShaderGallery.h"
 #include "shading/ShaderLab.h"
@@ -348,7 +347,6 @@ void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
   Reply.ServiceMicros = static_cast<uint64_t>(Latency * 1e6);
   Metrics.recordOk(Latency, CacheHit);
   Metrics.recordVariant(Unit->VariantLabel, CacheHit);
-  Metrics.recordExecTier(execTierName(Engine.execTier()));
   P.Done(std::move(Reply));
 }
 
@@ -437,9 +435,7 @@ MetricsSnapshot SpecializationService::statsz() const {
     Out.SpillFiles = S.Files;
     Out.SpillBytes = S.Bytes;
   }
-  jit::JitStatsSnapshot J = jit::stats();
-  Out.JitCompiles = J.Compiles;
-  Out.JitCodeBytes = J.CodeBytes;
+  Out.ExecTier = execTierName(Config.Tier);
   Out.ArenaLayout = arenaLayoutName(Config.ArenaLayout.Layout);
   Out.ArenaLlcBytes = Config.LlcBytes;
   Cache.forEachUnit([&Out](const UnitPtr &Unit) {

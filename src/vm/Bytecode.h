@@ -19,53 +19,10 @@
 #include "vm/Value.h"
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace dspec {
-
-namespace jit {
-struct JitProgram;
-
-/// Per-chunk cache of the native tier's stitched code, shared across
-/// copies of the owning Chunk (and across UnitCache / snapshot warm
-/// starts, which copy chunks by value). Keyed by jit::chunkFingerprint
-/// so a chunk mutated after stitching can never run stale code, and a
-/// chunk that failed to stitch is not retried per pixel. The slot knows
-/// nothing about code generation; src/jit/ fills it via
-/// jit::ensureCompiled.
-class JitSlot {
-public:
-  std::shared_ptr<const JitProgram> get(uint64_t Key) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return ProgKey == Key ? Prog : nullptr;
-  }
-  void put(uint64_t Key, std::shared_ptr<const JitProgram> P) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Prog = std::move(P);
-    ProgKey = Key;
-  }
-  bool failedFor(uint64_t Key) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return HasFailed && FailKey == Key;
-  }
-  void markFailed(uint64_t Key) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    HasFailed = true;
-    FailKey = Key;
-  }
-
-private:
-  mutable std::mutex Mu;
-  std::shared_ptr<const JitProgram> Prog;
-  uint64_t ProgKey = 0;
-  uint64_t FailKey = 0;
-  bool HasFailed = false;
-};
-
-} // namespace jit
 
 /// VM operation codes.
 enum class OpCode : uint8_t {
@@ -131,11 +88,6 @@ struct Chunk {
   /// access past it; packed CacheViews must span CacheBytes.
   unsigned CacheSlotCount = 0;
   unsigned CacheBytes = 0;
-
-  /// Native-tier code cache (see jit::JitSlot). A shared_ptr so chunk
-  /// copies — UnitCache hits, snapshot warm starts — reuse already
-  /// stitched code instead of re-stitching per copy. Always non-null.
-  std::shared_ptr<jit::JitSlot> Jit = std::make_shared<jit::JitSlot>();
 
   unsigned numLocals() const {
     return static_cast<unsigned>(LocalTypes.size());

@@ -97,9 +97,6 @@ public:
   bool valid() const { return Bytes != nullptr || Size == 0; }
   /// True when stores must trap: the view was built over const bytes.
   bool readOnly() const { return Mut == nullptr && Bytes != nullptr; }
-  /// True when offsets resolve through an arena address map (the native
-  /// tier refuses such views; it only stitches dense addressing).
-  bool mappedAddressing() const { return Map != nullptr; }
   unsigned sizeInBytes() const { return Size; }
   const unsigned char *data() const { return Bytes; }
   /// Store-side base pointer; null on read-only views.

@@ -62,7 +62,7 @@ std::vector<unsigned char> canonical(const CacheArena &Arena) {
 }
 
 constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched, ExecTier::Native};
+                               ExecTier::Batched};
 
 struct NamedLayout {
   const char *Name;
@@ -517,12 +517,6 @@ TEST(ArenaLayout, LlcDetectionNeverReportsZero) {
 }
 
 TEST(ArenaLayout, CandidateSetsMatchTierConstraints) {
-  // Native must not be offered a mapped arena: it would deopt per chunk
-  // and the measurement would grade the deopt path.
-  auto Native = arenaLayoutCandidates(ExecTier::Native, 128);
-  ASSERT_EQ(Native.size(), 1u);
-  EXPECT_EQ(Native[0], ArenaLayoutConfig{});
-
   for (ExecTier Tier :
        {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched}) {
     auto Set = arenaLayoutCandidates(Tier, 128);

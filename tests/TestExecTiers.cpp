@@ -6,13 +6,11 @@
 ///
 /// \file
 /// The fast execution tiers' contract (docs/ENGINE.md, "Execution
-/// tiers"): the decoded/fused ExecChunk and the threaded, batched, and
-/// native (copy-and-patch JIT) tiers are pure speed — every gallery
-/// shader renders bit-identical framebuffers and loads bit-identical
-/// cache arenas under every tier and thread count, traps carry the same
-/// message everywhere, and superinstruction fusion never crosses a jump
-/// target. (On hosts where the native tier cannot stitch it runs its
-/// threaded deopt path, so these tests still pin the fallback.)
+/// tiers"): the decoded/fused ExecChunk and the threaded and batched
+/// tiers are pure speed — every gallery shader renders bit-identical
+/// framebuffers and loads bit-identical cache arenas under every tier
+/// and thread count, traps carry the same message everywhere, and
+/// superinstruction fusion never crosses a jump target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +58,7 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
 }
 
 constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched, ExecTier::Native};
+                               ExecTier::Batched};
 
 //===----------------------------------------------------------------------===//
 // ExecChunk: decoding, fusion, flags
@@ -331,6 +329,50 @@ TEST(ExecTiers, TrapMessagesIdenticalAcrossTiers) {
     else
       EXPECT_EQ(Engine.lastTrap(), FirstMessage)
           << "trap message differs under " << execTierName(Tier);
+  }
+}
+
+/// A reader pass binds its arena read-only: a chunk that stores to an
+/// in-bounds slot traps on every tier and thread count with the same
+/// message, and the arena keeps every byte it held before the pass.
+TEST(ExecTiers, ReaderPassRejectsCacheStoresOnEveryTier) {
+  Chunk Store;
+  Store.Name = "store";
+  Store.NumParams = 4;
+  Store.LocalTypes = {TypeKind::TK_Vec2, TypeKind::TK_Vec3,
+                      TypeKind::TK_Vec3, TypeKind::TK_Vec3};
+  Store.ReturnType = Type(TypeKind::TK_Float);
+  Store.Constants = {Value::makeFloat(1.0f)};
+  Store.Code = {{OpCode::OC_Const, 0, 0, 0},
+                {OpCode::OC_CacheStore, 0, 0,
+                 static_cast<int32_t>(TypeKind::TK_Float)},
+                {OpCode::OC_Return, 0, 0, 0}};
+  Store.CacheSlotCount = 1;
+  Store.CacheBytes = 4;
+  ASSERT_TRUE(buildExecChunk(Store).BatchSafe);
+
+  CacheLayout Layout;
+  Layout.addSlot(Type(TypeKind::TK_Float));
+  RenderGrid Grid(16, 12);
+  CacheArena Arena(Grid.pixelCount(), Layout);
+  for (unsigned Pixel = 0; Pixel < Arena.pixelCount(); ++Pixel)
+    Arena.view(Pixel).store(0, Value::makeFloat(0.5f + Pixel));
+  const ArenaBuffer Before = Arena.canonicalBytes();
+
+  for (ExecTier Tier : kTiers) {
+    for (unsigned Threads : {1u, 4u}) {
+      RenderEngine Engine(Threads, 16);
+      Engine.setExecTier(Tier);
+      std::string Tag = std::string(execTierName(Tier)) + " @" +
+                        std::to_string(Threads) + "t";
+      EXPECT_FALSE(Engine.readerPass(Store, Grid, /*Controls=*/{}, Arena))
+          << Tag;
+      EXPECT_EQ(Engine.lastTrap(),
+                "pixel 0: cache store to a read-only cache in 'store'")
+          << Tag;
+      EXPECT_TRUE(Arena.canonicalBytes() == Before)
+          << Tag << ": the reader pass wrote the arena";
+    }
   }
 }
 

@@ -390,6 +390,7 @@ TEST(ServiceLoopback, StatszReportsJsonSnapshot) {
   EXPECT_NE(Json->find("\"unit_cache\""), std::string::npos);
   EXPECT_NE(Json->find("\"latency_seconds\""), std::string::npos);
   EXPECT_NE(Json->find("\"total\":1"), std::string::npos);
+  EXPECT_NE(Json->find("\"exec_tier\":\"batched\""), std::string::npos);
 }
 
 TEST(ServiceLoopback, BadRequestGetsStructuredErrorNotDisconnect) {

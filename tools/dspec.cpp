@@ -28,7 +28,7 @@
 ///
 ///   dspec serve (--socket PATH | --listen HOST:PORT) [--io-threads N]
 ///         [--threads N] [--tile PIXELS] [--cache-units N] [--queue N]
-///         [--dispatchers N] [--exec-tier switch|threaded|batched|native]
+///         [--dispatchers N] [--exec-tier switch|threaded|batched]
 ///         [--quota-rps R] [--quota-burst B] [--client-queue N]
 ///         [--read-deadline MS] [--stream-chunk PIXELS]
 ///         [--spill-dir PATH] [--spill-cap-mb N]
@@ -47,7 +47,6 @@
 
 #include "driver/Pipeline.h"
 #include "engine/RenderEngine.h"
-#include "jit/Jit.h"
 #include "lang/ASTPrinter.h"
 #include "net/Acceptor.h"
 #include "net/NetServer.h"
@@ -100,7 +99,7 @@ void usage(const char *Argv0) {
       "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
       "            [--variants N]\n"
-      "            [--exec-tier switch|threaded|batched|native] [--quota-rps R]\n"
+      "            [--exec-tier switch|threaded|batched] [--quota-rps R]\n"
       "            [--arena-layout pixel-major|slot-major|tile-blocked|auto]\n"
       "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
@@ -507,8 +506,8 @@ int serveMain(int Argc, char **Argv) {
       const char *Name = NextValue();
       if (!parseExecTier(Name, Config.Tier)) {
         std::fprintf(stderr,
-                     "error: --exec-tier expects switch, threaded, batched, "
-                     "or native (got '%s')\n",
+                     "error: --exec-tier expects switch, threaded, or "
+                     "batched (got '%s')\n",
                      Name);
         return kExitUsage;
       }
@@ -995,17 +994,6 @@ int main(int Argc, char **Argv) {
         std::printf("  (no fusible pairs)\n");
       for (const auto &Row : Fused)
         std::printf("  %-12s x%u\n", Row.first, Row.second);
-
-      // The native tier's view: what the copy-and-patch JIT stitches the
-      // same reader into (docs/ENGINE.md, "Native tier").
-      if (!jit::available()) {
-        std::printf("reader native code: unavailable in this build\n");
-      } else if (auto Prog = jit::compileChunk(Spec->ReaderChunk)) {
-        std::printf("reader native code: %zu byte(s), stitched in %.3f ms\n",
-                    Prog->codeBytes(), Prog->compileSeconds() * 1e3);
-      } else {
-        std::printf("reader native code: deopt (cannot stitch)\n");
-      }
     }
   }
 
