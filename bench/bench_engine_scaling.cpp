@@ -126,9 +126,8 @@ void printScaling(const char *OutPath) {
   // Packed: the engine over the CacheArena at 1/2/4/8 threads, per
   // execution tier (see docs/ENGINE.md, "Execution tiers"). The historic
   // packed-* rows stay pinned to the switch tier so their trajectory is
-  // comparable across PRs; the threaded/batched rows track the fast tiers.
-  for (ExecTier Tier :
-       {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched}) {
+  // comparable over time; the batched rows track the fast tier.
+  for (ExecTier Tier : {ExecTier::Switch, ExecTier::Batched}) {
     for (unsigned Threads : {1u, 2u, 4u, 8u}) {
       RenderEngine Engine(Threads);
       Engine.setExecTier(Tier);

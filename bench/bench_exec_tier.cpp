@@ -6,18 +6,17 @@
 ///
 /// \file
 /// Measures the reader pass of every gallery shader under the engine's
-/// three execution tiers:
+/// two execution tiers:
 ///
 ///   switch     the classic per-pixel switch interpreter (VM::run);
-///   threaded   per-pixel direct-threaded dispatch over the decoded,
-///              superinstruction-fused ExecChunk;
-///   batched    one instruction dispatch executes a whole tile of pixels
-///              against strided CacheArena slots; uniform branches run
-///              in lockstep, divergent maskable diamonds run both arms
+///   batched    one instruction dispatch over the decoded,
+///              superinstruction-fused ExecChunk executes a whole tile of
+///              pixels against strided CacheArena slots; uniform branches
+///              run in lockstep, divergent maskable diamonds run both arms
 ///              under per-lane masks, and a tile diverging at an
-///              unmaskable branch re-runs per-pixel threaded.
+///              unmaskable branch re-runs per-pixel on the switch tier.
 ///
-/// All tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
+/// Both tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
 /// so the only difference is speed. Emits one row per (shader, tier) with
 /// the p50 reader frame time, the speedup over the switch tier, and — for
 /// the batched tier — the average active-lane fraction per dispatched
@@ -44,8 +43,7 @@ double timeSeconds(const std::function<void()> &Body) {
       .count();
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 struct TierRow {
   std::string Shader;
@@ -54,18 +52,18 @@ struct TierRow {
   double PixelsPerSecond = 0.0;
   double SpeedupVsSwitch = 1.0;
   /// Average active-lane fraction per dispatched batch instruction over
-  /// the last frame (RenderEngine::PassExecStats). 1.0 on the scalar
-  /// tiers and for tiles that never engage a mask; below 1.0 means
+  /// the last frame (RenderEngine::PassExecStats). 1.0 on the switch
+  /// tier and for tiles that never engage a mask; below 1.0 means
   /// divergent diamonds ran masked.
   double ActiveLaneFraction = 1.0;
 };
 
 void printTierSweep(const char *OutPath) {
   banner("Execution tiers: reader p50 per gallery shader, "
-         "switch vs threaded vs batched",
-         "specializing the executor to the residual program — threaded "
-         "dispatch and pixel batching — multiplies the paper's reader "
-         "speedup without changing a single output bit");
+         "switch vs batched",
+         "specializing the executor to the residual program — fused "
+         "superinstructions and pixel batching — multiplies the paper's "
+         "reader speedup without changing a single output bit");
 
   ShaderLab Lab(benchWidth(), benchHeight(), benchFrames());
   const unsigned Frames = benchFrames();
@@ -172,7 +170,6 @@ void BM_ReaderFrameTier(benchmark::State &State) {
 BENCHMARK(BM_ReaderFrameTier)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -134,8 +134,7 @@ ArenaLayoutConfig dspec::chooseArenaLayout(ExecTier Tier,
     break;
   }
   case ExecTier::Switch:
-  case ExecTier::Threaded:
-    // Per-pixel tiers walk one stride at a time.
+    // The per-pixel tier walks one stride at a time.
     Cfg.Layout = ArenaLayout::PixelMajor;
     break;
   }

@@ -88,8 +88,8 @@ uint64_t detectLlcBytes(uint64_t Fallback = 32ull << 20);
 /// with work tiles of \p EngineTilePixels:
 ///  - Batched wants TileBlocked with PackCold: unit-stride lane loops and
 ///    a hot stride below the pixel stride.
-///  - Switch/Threaded want PixelMajor: per-pixel execution already walks
-///    one stride at a time, and identity keeps views map-free.
+///  - Switch wants PixelMajor: per-pixel execution already walks one
+///    stride at a time, and identity keeps views map-free.
 /// Where reader frames can actually be timed, prefer the measured policy
 /// (arenaLayoutCandidates + pickArenaLayout) over this prior — layout
 /// wins are memory-hierarchy effects that a static rule cannot rank.

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The three ways the render engine can execute a chunk over a pass, in
-/// increasing order of specialization (see docs/ENGINE.md, "Execution
-/// tiers"). Tiers are an A/B knob: every tier produces bit-identical
-/// framebuffers; only the speed differs.
+/// The two ways the render engine can execute a chunk over a pass (see
+/// docs/ENGINE.md, "Execution tiers"): the switch interpreter, which is
+/// the reference oracle and the per-pixel path, and the batched tier.
+/// Tiers are an A/B knob: both produce bit-identical framebuffers; only
+/// the speed differs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,16 +23,15 @@ namespace dspec {
 /// How the engine executes chunks.
 enum class ExecTier {
   /// The classic per-pixel switch interpreter (VM::run). The reference
-  /// semantics and the fallback when a chunk fails decoding.
+  /// semantics, and the batched tier's only fallback.
   Switch,
-  /// Per-pixel direct-threaded execution of the decoded, fused ExecChunk
-  /// (VM::runThreaded).
-  Threaded,
-  /// Tile-at-a-time SoA execution (VM::runBatch) for effect-free chunks.
-  /// Uniform branches run in lockstep, divergent maskable diamonds run
-  /// both arms under a per-lane mask (GPU-warp style), and a tile whose
-  /// control flow diverges at an unmaskable branch re-runs per-pixel on
-  /// the threaded tier. Effectful chunks run per-pixel up front.
+  /// Tile-at-a-time SoA execution (VM::runBatch) of the decoded, fused
+  /// ExecChunk. Uniform branches run in lockstep and divergent maskable
+  /// diamonds run both arms under a per-lane mask (GPU-warp style).
+  /// Everything it cannot batch runs per-pixel on the switch tier:
+  /// effectful or undecodable chunks and arenas that are not batch-
+  /// compatible for the whole pass, and a tile that diverges at an
+  /// unmaskable branch or traps.
   Batched,
 };
 
@@ -39,23 +39,17 @@ inline const char *execTierName(ExecTier Tier) {
   switch (Tier) {
   case ExecTier::Switch:
     return "switch";
-  case ExecTier::Threaded:
-    return "threaded";
   case ExecTier::Batched:
     return "batched";
   }
   return "?";
 }
 
-/// Parses "switch" / "threaded" / "batched"; returns false (leaving
-/// \p Out untouched) on anything else.
+/// Parses "switch" / "batched"; returns false (leaving \p Out
+/// untouched) on anything else.
 inline bool parseExecTier(std::string_view Text, ExecTier &Out) {
   if (Text == "switch") {
     Out = ExecTier::Switch;
-    return true;
-  }
-  if (Text == "threaded") {
-    Out = ExecTier::Threaded;
     return true;
   }
   if (Text == "batched") {

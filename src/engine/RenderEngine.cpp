@@ -34,18 +34,17 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   const unsigned NumArgs =
       NumPixelParams + static_cast<unsigned>(Controls.size());
 
-  // Decode (and fuse) once per pass; the cost is one linear scan of the
-  // chunk, negligible against per-pixel execution, and rebuilding here
-  // is what keeps snapshots format-stable: files persist the plain Chunk
-  // and every load re-fuses. An invalid decode (hand-built or hostile
-  // bytecode) silently falls back to the switch tier, whose dynamic
-  // checks produce the canonical diagnostics.
+  // Decode (and fuse) once per batched pass; the cost is one linear scan
+  // of the chunk, negligible against per-pixel execution, and rebuilding
+  // here is what keeps snapshots format-stable: files persist the plain
+  // Chunk and every load re-fuses. Whatever the batched tier cannot run
+  // — an invalid decode (hand-built or hostile bytecode), an effectful
+  // chunk, or an arena whose blocks a work tile would straddle — runs
+  // per-pixel on the switch interpreter, whose dynamic checks produce
+  // the canonical diagnostics and whose views resolve any arena map.
   ExecChunk Decoded;
-  if (Tier != ExecTier::Switch)
+  if (Tier == ExecTier::Batched)
     Decoded = buildExecChunk(Code);
-  const bool UseThreaded = Tier != ExecTier::Switch && Decoded.Valid;
-  // The batched tier needs every work tile inside one arena block;
-  // otherwise it runs threaded, which resolves the map per view.
   const bool UseBatched = Tier == ExecTier::Batched && Decoded.Valid &&
                           Decoded.BatchSafe &&
                           (!Arena || Arena->batchCompatible(TileSize));
@@ -88,11 +87,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     VM &Machine = Machines[Worker];
     const size_t Begin = Tile * TileSize;
     const size_t End = Begin + TileSize < Count ? Begin + TileSize : Count;
-
-    // Which scalar interpreter a per-pixel fallback uses: threaded by
-    // default; a real batch *trap* pins it to the classic switch so the
-    // reported message names the canonical lowest trapping pixel.
-    bool PerPixelThreaded = UseThreaded;
 
     if (UseBatched) {
       const unsigned Lanes = static_cast<unsigned>(End - Begin);
@@ -141,18 +135,13 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
           }
         return;
       }
-      if (R.Diverged) {
-        // Unmaskable control flow diverged across the tile's lanes — not
-        // an error. Re-run per-pixel on the threaded tier (bit-identical
-        // by construction, and much faster than the switch).
+      // Either unmaskable control flow diverged across the tile's lanes
+      // (not an error), or the batch trapped, which carries no lane
+      // attribution. Both re-run the tile per-pixel below, so the result
+      // — or the canonical lowest-pixel diagnostic — is the switch
+      // tier's own.
+      if (R.Diverged)
         ++S.Stats.BailedTiles;
-      } else {
-        // A batch trap carries no lane attribution: re-run the tile
-        // per-pixel through the classic switch interpreter so the
-        // canonical lowest-pixel diagnostic comes out identical to the
-        // scalar tiers.
-        PerPixelThreaded = false;
-      }
     }
 
     for (size_t Index = Begin; Index < End; ++Index) {
@@ -162,15 +151,13 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
       S.Args[2] = In.N;
       S.Args[3] = In.I;
       // The const accessor yields a read-only view: reader passes cannot
-      // write the arena, any tier's cache store against it traps.
+      // write the arena, any tier's cache store against it traps. Plain
+      // passes bind no cache.
       CacheView View =
           MutArena ? MutArena->view(static_cast<unsigned>(Index))
                    : (ROArena ? ROArena->view(static_cast<unsigned>(Index))
                               : CacheView());
-      ExecResult R = PerPixelThreaded
-                         ? Machine.runThreaded(Decoded, S.Args, View)
-                         : (Arena ? Machine.run(Code, S.Args, View)
-                                  : Machine.run(Code, S.Args));
+      ExecResult R = Machine.run(Code, S.Args, View);
       if (!R.ok()) {
         if (Index < S.TrapPixel) {
           S.TrapPixel = Index;

@@ -58,16 +58,16 @@ public:
   unsigned tilePixels() const { return TileSize; }
 
   /// Selects how passes execute chunks. The default is Batched — the
-  /// fastest tier — which degrades gracefully: branchy chunks execute
+  /// fast tier — which degrades gracefully: branchy chunks execute
   /// batched under per-lane masks (uniform branches run in lockstep;
-  /// divergent maskable diamonds run both arms masked), a tile whose
-  /// control flow diverges at an unmaskable branch re-runs per-pixel on
-  /// the threaded tier, effectful chunks run per-pixel up front, and
-  /// chunks that fail decoding fall back to the classic switch
-  /// interpreter. Every tier produces bit-identical framebuffers
-  /// (tests/TestExecTiers.cpp pins this over the whole gallery); the
-  /// knob exists for A/B measurement (`bench_exec_tier`, `dspec serve
-  /// --exec-tier`).
+  /// divergent maskable diamonds run both arms masked), and everything
+  /// else runs per-pixel on the switch interpreter: a tile whose control
+  /// flow diverges at an unmaskable branch or traps, and for the whole
+  /// pass an effectful chunk, a chunk that fails decoding, or an arena
+  /// that is not batch-compatible. Both tiers produce bit-identical
+  /// framebuffers (tests/TestExecTiers.cpp pins this over the whole
+  /// gallery); the knob exists for A/B measurement (`bench_exec_tier`,
+  /// `dspec serve --exec-tier`).
   void setExecTier(ExecTier NewTier) { Tier = NewTier; }
   ExecTier execTier() const { return Tier; }
 
@@ -81,7 +81,7 @@ public:
   const ArenaLayoutConfig &arenaLayout() const { return ArenaCfg; }
 
   /// Execution statistics of the last completed pass; the batch figures
-  /// cover runBatch attempts only (zero under the scalar tiers), so the
+  /// cover runBatch attempts only (zero under the switch tier), so the
   /// exec-tier bench can report a divergence column.
   struct PassExecStats {
     uint64_t BatchTiles = 0;  ///< tiles fully retired by runBatch

@@ -164,7 +164,7 @@ void DataSpecializer::runPipeline(Function *Work,
           std::to_string(St.ReaderUnmaskableBranches) +
           " unmaskable loop(s)/return(s)) — batched tier masks divergent "
           "diamonds; divergence at an unmaskable branch re-runs the tile "
-          "per-pixel (threaded tier)\n";
+          "per-pixel (switch tier)\n";
     }
   }
 }
@@ -372,7 +372,7 @@ std::string dspec::formatVariantTable(const VariantSetResult &Set) {
   for (const SpecializedVariant &V : Set.Variants) {
     const SpecializationStats &St = V.Result.Stats;
     // Every effect-free reader starts batched; unmaskable branches mean
-    // a divergent tile bails to the threaded tier at runtime.
+    // a divergent tile bails to the switch tier at runtime.
     const char *TierName = St.ReaderUnmaskableBranches
                                ? "batched/bail"
                                : "batched";

@@ -68,7 +68,7 @@ struct SpecializationStats {
   /// Reader branches split by divergence handling: maskable diamonds
   /// execute both arms under a per-lane mask; unmaskable branches
   /// (loops, return-carrying ifs) batch only while uniform — a
-  /// divergent tile bails to per-pixel threaded execution.
+  /// divergent tile bails to per-pixel execution on the switch tier.
   unsigned ReaderMaskableBranches = 0;
   unsigned ReaderUnmaskableBranches = 0;
 };

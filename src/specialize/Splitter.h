@@ -54,9 +54,10 @@ public:
   /// means the function compiles to straight-line bytecode: control flow
   /// cannot diverge between pixels, so the render engine's batched tier
   /// executes it a whole tile per instruction fetch. (dsc's ?: is strict
-  /// — OC_Select — and does not branch.) The bytecode-level
-  /// ExecChunk::StraightLine flag remains authoritative at runtime; this
-  /// AST-level count feeds the stats and the explain report.
+  /// — OC_Select — and does not branch.) At runtime the batched tier
+  /// goes by the bytecode-level classification in ExecChunk (BranchJoin,
+  /// censused as MaskableBranches / UnmaskableBranches); this AST-level
+  /// count feeds the stats and the explain report.
   static unsigned countBranchStmts(Function *F);
 
   /// Splits countBranchStmts by how the batched tier handles divergence

@@ -442,7 +442,7 @@ bool classifyDiamond(const ExecChunk &C, const std::vector<int> &Depth,
 
 } // namespace
 
-ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
+ExecChunk dspec::buildExecChunk(const Chunk &C) {
   ExecChunk Out;
   std::string Error;
   if (!verifyChunk(C, Error))
@@ -460,12 +460,9 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
 
   // Jump-target set and the static safety flags.
   std::vector<bool> IsTarget(N + 1, false);
-  Out.StraightLine = true;
   for (const Instr &In : C.Code) {
-    if (In.Op == OpCode::OC_Jump || In.Op == OpCode::OC_JumpIfFalse) {
-      Out.StraightLine = false;
+    if (In.Op == OpCode::OC_Jump || In.Op == OpCode::OC_JumpIfFalse)
       IsTarget[static_cast<size_t>(In.A)] = true;
-    }
     if (In.Op == OpCode::OC_CallBuiltin &&
         getBuiltinInfo(static_cast<BuiltinId>(In.A)).HasGlobalEffect)
       Out.HasEffects = true;
@@ -488,7 +485,7 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
     E.B = In.B;
     E.C = In.C;
     OldToNew[I] = static_cast<int32_t>(Out.Code.size());
-    if (Fuse && I + 1 < N && !IsTarget[I + 1] &&
+    if (I + 1 < N && !IsTarget[I + 1] &&
         fusePair(In, C.Code[I + 1], E)) {
       I += 2;
     } else {

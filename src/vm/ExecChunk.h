@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fast tiers' execution form of a Chunk: a decoded, flattened
+/// The batched tier's execution form of a Chunk: a decoded, flattened
 /// instruction stream with pre-resolved constant-pool pointers,
 /// pre-remapped jump targets, a precomputed maximum stack depth, and
 /// superinstructions fused over the dominant reader idioms. An ExecChunk
@@ -15,12 +15,12 @@
 /// keep working.
 ///
 /// The FusedOp numbering mirrors OpCode one-to-one for the first
-/// kNumBaseOps values, so a non-fused decode is a plain widening copy and
-/// dispatch tables can be indexed directly. Fused opcodes append after
-/// the mirror range; buildExecChunk chooses them with a peephole pass
-/// that never fuses across a jump target (entering the middle of a pair
-/// must stay addressable) and remaps every jump operand from old to new
-/// indices afterward.
+/// kNumBaseOps values, so decoding an unfused instruction is a plain
+/// widening cast. Fused opcodes append after the mirror range;
+/// buildExecChunk chooses them with a peephole pass that never fuses
+/// across a jump target (entering the middle of a pair must stay
+/// addressable) and remaps every jump operand from old to new indices
+/// afterward.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +112,7 @@ struct ExecInstr {
   const Value *K = nullptr;
 };
 
-/// A Chunk decoded for the fast execution tiers. Self-contained (owns
+/// A Chunk decoded for the batched execution tier. Self-contained (owns
 /// copies of the constant pool and frame description) so the source
 /// Chunk may be freed or mutated; non-copyable because ExecInstr::K
 /// points into Constants (moving is fine — the vector's heap buffer
@@ -127,18 +127,15 @@ struct ExecChunk {
   unsigned CacheBytes = 0;
 
   /// Maximum operand-stack depth over every execution path, computed by
-  /// the same abstract interpretation the serde verifier runs. The fast
-  /// tiers pre-size a flat stack to this and never bounds-check pushes.
+  /// the same abstract interpretation the serde verifier runs. The
+  /// batched tier pre-sizes its stack rows to this and never
+  /// bounds-checks pushes.
   unsigned MaxStack = 0;
 
   /// False if the source chunk failed verification or decoding; callers
   /// must fall back to the classic switch interpreter (which performs
   /// its own dynamic checks) instead of executing Code.
   bool Valid = false;
-  /// No jumps anywhere in the source chunk: control flow cannot diverge
-  /// between pixels, so a whole batch retires every instruction in
-  /// lockstep and the first Return stops all lanes together.
-  bool StraightLine = false;
   /// Calls at least one builtin with a global effect (dsc_trace /
   /// dsc_clock), whose call order is observable.
   bool HasEffects = false;
@@ -190,12 +187,12 @@ struct ExecChunk {
   std::string disassemble() const;
 };
 
-/// Decodes (and, when \p Fuse is set, superinstruction-fuses) \p C. On
-/// any verification failure the result has Valid == false and empty
-/// Code. Fusion never changes observable behavior: a fused pair performs
-/// exactly the two source operations in order, and pairs whose second
-/// instruction is a jump target are left unfused.
-ExecChunk buildExecChunk(const Chunk &C, bool Fuse = true);
+/// Decodes and superinstruction-fuses \p C. On any verification failure
+/// the result has Valid == false and empty Code. Fusion never changes
+/// observable behavior: a fused pair performs exactly the two source
+/// operations in order, and pairs whose second instruction is a jump
+/// target are left unfused.
+ExecChunk buildExecChunk(const Chunk &C);
 
 /// Occurrence count per opcode in \p C's decoded stream, superinstruction
 /// entries included, in FusedOp order (dense, size kNumFusedOps).

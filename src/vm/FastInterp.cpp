@@ -1,16 +1,10 @@
-//===- vm/FastInterp.cpp - Threaded and batched interpreters -----------------===//
+//===- vm/FastInterp.cpp - Pixel-batched interpreter ----------------------===//
 //
 // Part of the dataspec project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The two fast execution tiers over the decoded ExecChunk form:
-//
-//   runThreaded  direct-threaded dispatch (computed goto where the
-//                compiler supports it, a token-threaded switch loop
-//                otherwise or under DSPEC_FORCE_SWITCH_DISPATCH), a flat
-//                pre-sized operand stack instead of push_back/pop_back,
-//                pre-resolved constant pointers, and superinstructions.
+// The fast execution tier over the decoded ExecChunk form:
 //
 //   runBatch     one instruction fetch drives a whole tile: every opcode
 //                loops over the lanes against slot-major (SoA) stack and
@@ -22,12 +16,12 @@
 //                maskable diamonds execute both arms under a per-lane
 //                mask stack, and divergence at an unmaskable branch
 //                bails out of the tile (ExecResult::Diverged) for a
-//                per-pixel re-run by the caller.
+//                per-pixel re-run on the switch interpreter (VM::run).
 //
-// Both tiers call the shared semantics in vm/InterpOps.h — the same
-// functions the classic switch interpreter uses — which is what makes
-// framebuffers bit-identical across tiers. Trap messages replicate
-// VM.cpp verbatim; keep them in sync.
+// It calls the shared semantics in vm/InterpOps.h — the same functions
+// the classic switch interpreter uses — which is what makes framebuffers
+// bit-identical across tiers. Trap messages replicate VM.cpp verbatim;
+// keep them in sync.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,414 +37,6 @@ namespace dspec {
 /// Implemented in Builtins.cpp.
 Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
 } // namespace dspec
-
-// Dispatch selection: computed goto is a GNU extension (GCC and Clang
-// both define __GNUC__); DSPEC_FORCE_SWITCH_DISPATCH pins the portable
-// fallback so CI can keep it honest.
-#if defined(DSPEC_FORCE_SWITCH_DISPATCH) || !defined(__GNUC__)
-#define DSPEC_SWITCH_DISPATCH 1
-#else
-#define DSPEC_SWITCH_DISPATCH 0
-#endif
-
-#define TRAP(MSG)                                                              \
-  do {                                                                         \
-    Result.Trapped = true;                                                     \
-    Result.TrapMessage = (MSG);                                                \
-    Result.InstructionsExecuted = Executed;                                    \
-    return Result;                                                             \
-  } while (0)
-
-ExecResult VM::runThreaded(const ExecChunk &C, const std::vector<Value> &Args,
-                           CacheView Packed) {
-  ExecResult Result;
-  uint64_t Executed = 0;
-
-  if (!C.Valid)
-    TRAP("invalid decoded chunk '" + C.Name + "'");
-  if (Args.size() != C.NumParams)
-    TRAP("argument count mismatch calling '" + C.Name + "'");
-
-  std::vector<Value> &Locals = LocalsScratch;
-  Locals.resize(C.numLocals());
-  for (unsigned I = 0; I < C.numLocals(); ++I)
-    Locals[I] = Value::zeroOf(Type(C.LocalTypes[I]));
-  for (unsigned I = 0; I < C.NumParams; ++I) {
-    Value Arg = Args[I];
-    if (Arg.Kind != C.LocalTypes[I]) {
-      if (Arg.isInt() && C.LocalTypes[I] == TypeKind::TK_Float)
-        Arg = Value::makeFloat(static_cast<float>(Arg.I));
-      else
-        TRAP("argument type mismatch calling '" + C.Name + "'");
-    }
-    Locals[I] = Arg;
-  }
-
-  // Flat operand stack, pre-sized to the verified maximum depth: pushes
-  // and pops are raw indexed writes, never bounds-checked or allocating.
-  if (StackScratch.size() < C.MaxStack)
-    StackScratch.resize(C.MaxStack);
-  Value *Stack = StackScratch.data();
-  Value *Lp = Locals.data();
-  unsigned SP = 0;
-
-  const ExecInstr *Code = C.Code.data();
-  const ExecInstr *End = Code + C.Code.size();
-  const ExecInstr *Ip = Code;
-  const ExecInstr *In = nullptr;
-  const bool UsePacked = Packed.data() != nullptr;
-
-// The handler bodies below are written once and compiled under either
-// dispatch regime: CASE expands to a goto label or a switch case, NEXT
-// to an indirect goto through the label table or a break back to the
-// fetch loop.
-#if DSPEC_SWITCH_DISPATCH
-
-#define CASE(NAME) case FusedOp::F_##NAME:
-#define NEXT() break
-
-  for (;;) {
-    if (Ip == End)
-      goto halt;
-    if (++Executed > InstructionBudget)
-      TRAP("instruction budget exceeded in '" + C.Name + "'");
-    In = Ip++;
-    switch (In->Op) {
-
-#else // computed goto
-
-#define CASE(NAME) L_##NAME:
-#define NEXT() goto dispatch
-
-  // Function-local so the table lives in this translation unit only;
-  // the ExecChunk itself stays position-independent and shareable
-  // across threads and processes.
-  static const void *Table[kNumFusedOps] = {
-      &&L_Const,        &&L_LoadLocal,    &&L_StoreLocal, &&L_Convert,
-      &&L_Pop,          &&L_Neg,          &&L_Not,        &&L_Add,
-      &&L_Sub,          &&L_Mul,          &&L_Div,        &&L_Mod,
-      &&L_Lt,           &&L_Le,           &&L_Gt,         &&L_Ge,
-      &&L_Eq,           &&L_Ne,           &&L_And,        &&L_Or,
-      &&L_Select,       &&L_Jump,         &&L_JumpIfFalse,
-      &&L_CallBuiltin,  &&L_Member,       &&L_CacheLoad,  &&L_CacheStore,
-      &&L_Return,       &&L_ReturnVoid,   &&L_ConstAdd,   &&L_ConstMul,
-      &&L_LoadLoad,     &&L_StoreLoad,    &&L_LoadCall,   &&L_CacheLoadAdd,
-      &&L_CacheLoadMul, &&L_CacheLoadStore, &&L_CacheLoadRet,
-      &&L_LtJf,         &&L_LeJf,         &&L_GtJf,       &&L_GeJf};
-
-dispatch:
-  if (Ip == End)
-    goto halt;
-  if (++Executed > InstructionBudget)
-    TRAP("instruction budget exceeded in '" + C.Name + "'");
-  In = Ip++;
-  goto *Table[static_cast<unsigned>(In->Op)];
-
-#endif
-
-  CASE(Const) {
-    Stack[SP++] = *In->K;
-    NEXT();
-  }
-  CASE(LoadLocal) {
-    Stack[SP++] = Lp[In->A];
-    NEXT();
-  }
-  CASE(StoreLocal) {
-    Lp[In->A] = Stack[--SP];
-    NEXT();
-  }
-  CASE(Convert) {
-    Value &V = Stack[SP - 1];
-    V = V.convertTo(Type(static_cast<TypeKind>(In->A)));
-    NEXT();
-  }
-  CASE(Pop) {
-    --SP;
-    NEXT();
-  }
-  CASE(Neg) {
-    Value &V = Stack[SP - 1];
-    V = interp::opNeg(V);
-    NEXT();
-  }
-  CASE(Not) {
-    Value &V = Stack[SP - 1];
-    V = Value::makeBool(!V.asBool());
-    NEXT();
-  }
-  CASE(Add) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opAdd(Lv, Rv);
-    NEXT();
-  }
-  CASE(Sub) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opSub(Lv, Rv);
-    NEXT();
-  }
-  CASE(Mul) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opMul(Lv, Rv);
-    NEXT();
-  }
-  CASE(Div) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    if (Lv.isInt() && Rv.isInt() && Rv.I == 0)
-      TRAP("integer division by zero in '" + C.Name + "'" +
-           interp::srcLocSuffix(In->A, In->B));
-    Lv = interp::opDiv(Lv, Rv);
-    NEXT();
-  }
-  CASE(Mod) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    if (Rv.I == 0)
-      TRAP("integer modulo by zero in '" + C.Name + "'" +
-           interp::srcLocSuffix(In->A, In->B));
-    Lv = Value::makeInt(Lv.I % Rv.I);
-    NEXT();
-  }
-  CASE(Lt) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opLt(Lv, Rv);
-    NEXT();
-  }
-  CASE(Le) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opLe(Lv, Rv);
-    NEXT();
-  }
-  CASE(Gt) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opGt(Lv, Rv);
-    NEXT();
-  }
-  CASE(Ge) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opGe(Lv, Rv);
-    NEXT();
-  }
-  CASE(Eq) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opEq(Lv, Rv);
-    NEXT();
-  }
-  CASE(Ne) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opNe(Lv, Rv);
-    NEXT();
-  }
-  CASE(And) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = Value::makeBool(Lv.asBool() && Rv.asBool());
-    NEXT();
-  }
-  CASE(Or) {
-    const Value &Rv = Stack[--SP];
-    Value &Lv = Stack[SP - 1];
-    Lv = Value::makeBool(Lv.asBool() || Rv.asBool());
-    NEXT();
-  }
-  CASE(Select) {
-    // Stack bottom-to-top: condition, then-value, else-value.
-    SP -= 2;
-    Value &Cond = Stack[SP - 1];
-    Cond = Cond.asBool() ? Stack[SP] : Stack[SP + 1];
-    NEXT();
-  }
-  CASE(Jump) {
-    Ip = Code + In->A;
-    NEXT();
-  }
-  CASE(JumpIfFalse) {
-    if (!Stack[--SP].asBool())
-      Ip = Code + In->A;
-    NEXT();
-  }
-  CASE(CallBuiltin) {
-    SP -= static_cast<unsigned>(In->B);
-    Stack[SP] =
-        callBuiltinImpl(static_cast<uint16_t>(In->A), Stack + SP, *this);
-    ++SP;
-    NEXT();
-  }
-  CASE(Member) {
-    Value &V = Stack[SP - 1];
-    V = Value::makeFloat(V.F[In->A]);
-    NEXT();
-  }
-  CASE(CacheLoad) {
-    if (!UsePacked)
-      TRAP("cache read without a loaded cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache read past the layout in '" + C.Name + "'");
-    Stack[SP++] = Packed.load(Offset, Kind);
-    NEXT();
-  }
-  CASE(CacheStore) {
-    // The stored value stays on the stack.
-    if (!UsePacked)
-      TRAP("cache write without cache storage in '" + C.Name + "'");
-    if (Packed.readOnly())
-      TRAP("cache store to a read-only cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    const Value &V = Stack[SP - 1];
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache store past the layout in '" + C.Name + "'");
-    if (V.Kind != Kind)
-      TRAP("cache store type mismatch in '" + C.Name + "': slot is " +
-           Type(Kind).name() + ", value is " + Type(V.Kind).name());
-    Packed.store(Offset, V);
-    NEXT();
-  }
-  CASE(Return) {
-    Result.Result = Stack[--SP];
-    Result.InstructionsExecuted = Executed;
-    return Result;
-  }
-  CASE(ReturnVoid) {
-    Result.Result = Value::makeVoid();
-    Result.InstructionsExecuted = Executed;
-    return Result;
-  }
-
-  // Superinstructions: each performs exactly its two source operations
-  // in order, skipping the intermediate push/pop where it cancels out.
-  CASE(ConstAdd) {
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opAdd(Lv, *In->K);
-    NEXT();
-  }
-  CASE(ConstMul) {
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opMul(Lv, *In->K);
-    NEXT();
-  }
-  CASE(LoadLoad) {
-    Stack[SP] = Lp[In->A];
-    Stack[SP + 1] = Lp[In->A2];
-    SP += 2;
-    NEXT();
-  }
-  CASE(StoreLoad) {
-    Lp[In->A] = Stack[SP - 1];
-    Stack[SP - 1] = Lp[In->A2];
-    NEXT();
-  }
-  CASE(LoadCall) {
-    Stack[SP++] = Lp[In->A];
-    SP -= static_cast<unsigned>(In->B2);
-    Stack[SP] =
-        callBuiltinImpl(static_cast<uint16_t>(In->A2), Stack + SP, *this);
-    ++SP;
-    NEXT();
-  }
-  CASE(CacheLoadAdd) {
-    if (!UsePacked)
-      TRAP("cache read without a loaded cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache read past the layout in '" + C.Name + "'");
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opAdd(Lv, Packed.load(Offset, Kind));
-    NEXT();
-  }
-  CASE(CacheLoadMul) {
-    if (!UsePacked)
-      TRAP("cache read without a loaded cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache read past the layout in '" + C.Name + "'");
-    Value &Lv = Stack[SP - 1];
-    Lv = interp::opMul(Lv, Packed.load(Offset, Kind));
-    NEXT();
-  }
-  CASE(CacheLoadStore) {
-    if (!UsePacked)
-      TRAP("cache read without a loaded cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache read past the layout in '" + C.Name + "'");
-    Lp[In->A2] = Packed.load(Offset, Kind);
-    NEXT();
-  }
-  CASE(CacheLoadRet) {
-    if (!UsePacked)
-      TRAP("cache read without a loaded cache in '" + C.Name + "'");
-    TypeKind Kind = static_cast<TypeKind>(In->C);
-    unsigned Offset = static_cast<unsigned>(In->B);
-    if (!Packed.inBounds(Offset, Kind))
-      TRAP("cache read past the layout in '" + C.Name + "'");
-    Result.Result = Packed.load(Offset, Kind);
-    Result.InstructionsExecuted = Executed;
-    return Result;
-  }
-  CASE(LtJf) {
-    const Value &Rv = Stack[SP - 1];
-    const Value &Lv = Stack[SP - 2];
-    SP -= 2;
-    if (!interp::cmpLt(Lv, Rv))
-      Ip = Code + In->A2;
-    NEXT();
-  }
-  CASE(LeJf) {
-    const Value &Rv = Stack[SP - 1];
-    const Value &Lv = Stack[SP - 2];
-    SP -= 2;
-    if (!interp::cmpLe(Lv, Rv))
-      Ip = Code + In->A2;
-    NEXT();
-  }
-  CASE(GtJf) {
-    const Value &Rv = Stack[SP - 1];
-    const Value &Lv = Stack[SP - 2];
-    SP -= 2;
-    if (!interp::cmpGt(Lv, Rv))
-      Ip = Code + In->A2;
-    NEXT();
-  }
-  CASE(GeJf) {
-    const Value &Rv = Stack[SP - 1];
-    const Value &Lv = Stack[SP - 2];
-    SP -= 2;
-    if (!interp::cmpGe(Lv, Rv))
-      Ip = Code + In->A2;
-    NEXT();
-  }
-
-#if DSPEC_SWITCH_DISPATCH
-    case FusedOp::F_OpCount:
-    default:
-      TRAP("corrupt opcode in decoded chunk '" + C.Name + "'");
-    }
-  }
-#endif
-
-halt:
-  Result.InstructionsExecuted = Executed;
-  return Result;
-
-#undef CASE
-#undef NEXT
-}
 
 //===----------------------------------------------------------------------===//
 // Pixel-batched execution
@@ -487,7 +73,7 @@ inline bool uniformKind(const Value *RowData, unsigned Lanes) {
 /// updates preserve the zeroed padding `interp::arith` produces (every
 /// value reaching a row was built by a factory/arith/cache load, all of
 /// which zero F[width..4) and I), so results stay bit-identical to the
-/// scalar tiers. Returns false for kind mixes left to the generic loop
+/// switch interpreter. Returns false for kind mixes left to the generic loop
 /// (ints, bools, voids).
 template <typename FOp>
 inline bool arithRows(Value *Lv, const Value *Rv, unsigned Lanes, FOp F) {
@@ -672,9 +258,8 @@ inline void cacheLoadRow(Value *Dest, const unsigned char *Base,
 
 } // namespace
 
-// Batch traps also record the dispatch count so the caller's divergence
+// Traps also record the dispatch count so the caller's divergence
 // accounting stays consistent on every exit path.
-#undef TRAP
 #define TRAP(MSG)                                                              \
   do {                                                                         \
     Result.Trapped = true;                                                     \
@@ -1309,7 +894,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
   }
 
   // Fell off the end: every lane halts with a void result, matching the
-  // scalar interpreters. (Reconvergence at an end-of-code join needs no
+  // switch interpreter. (Reconvergence at an end-of-code join needs no
   // pops — every lane gets the same void result regardless of masks.)
   for (unsigned L = 0; L < Lanes; ++L)
     Req.Results[L] = Value::makeVoid();

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The value-level semantics of the arithmetic and comparison opcodes,
-/// shared by every execution tier (the classic switch interpreter in
-/// VM.cpp and the threaded/batched fast tiers in FastInterp.cpp). The
-/// bit-identical-framebuffer guarantee across tiers rests on all of them
+/// shared by both execution tiers (the classic switch interpreter in
+/// VM.cpp and the batched tier in FastInterp.cpp). The
+/// bit-identical-framebuffer guarantee across tiers rests on both
 /// calling exactly these functions in exactly the same operand order, so
 /// do not duplicate or "optimize" these per tier.
 ///
@@ -134,10 +134,10 @@ inline Value opNe(const Value &L, const Value &R) {
   return compare(L, R, [](float A, float B) { return A != B; });
 }
 
-/// Branch-condition truth of the fused compare+JumpIfFalse pairs, shared
-/// by the threaded tier's scalar jumps and the batched tier's per-lane
-/// uniformity/divergence decisions so both agree bit-for-bit with the
-/// boxed compare + OC_JumpIfFalse sequence they replace.
+/// Branch-condition truth of the fused compare+JumpIfFalse pairs, used
+/// by the batched tier's per-lane uniformity/divergence decisions so
+/// they agree bit-for-bit with the boxed compare + OC_JumpIfFalse
+/// sequence they replace.
 inline bool cmpLt(const Value &L, const Value &R) { return opLt(L, R).I != 0; }
 inline bool cmpLe(const Value &L, const Value &R) { return opLe(L, R).I != 0; }
 inline bool cmpGt(const Value &L, const Value &R) { return opGt(L, R).I != 0; }

@@ -14,7 +14,7 @@
 using namespace dspec;
 
 // The arith/compare semantics live in vm/InterpOps.h, shared with the
-// fast tiers in FastInterp.cpp so every tier computes bit-identical
+// batched tier in FastInterp.cpp so both tiers compute bit-identical
 // results.
 using dspec::interp::arith;
 using dspec::interp::compare;

@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The stack-machine interpreter that executes compiled fragments. A run
-/// optionally binds a cache: loaders write it, readers read it, plain
-/// fragments ignore it. Two cache representations are supported: the
-/// packed CacheView (typed slots at byte offsets, the render engine's
-/// native format) and the boxed Cache (one tagged Value per slot, kept as
-/// a thin compatibility adapter for single-pixel callers). Both are
-/// pre-sized from the chunk's CacheLayout-derived requirements and trap
-/// on accesses past the layout. Runaway programs are stopped by an
-/// instruction budget; errors (division by zero, missing cache) trap with
-/// a message instead of crashing.
+/// The stack-machine interpreters that execute compiled fragments: the
+/// per-invocation switch interpreter (run(), the reference semantics)
+/// and the tile-at-a-time batched interpreter over a decoded ExecChunk
+/// (runBatch(), in FastInterp.cpp). A run optionally binds a cache:
+/// loaders write it, readers read it, plain fragments ignore it. Two
+/// cache representations are supported: the packed CacheView (typed
+/// slots at byte offsets, the render engine's native format) and the
+/// boxed Cache (one tagged Value per slot, kept as a thin compatibility
+/// adapter for single-pixel callers). Both are pre-sized from the
+/// chunk's CacheLayout-derived requirements and trap on accesses past
+/// the layout. Runaway programs are stopped by an instruction budget;
+/// errors (division by zero, missing cache) trap with a message instead
+/// of crashing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +43,7 @@ struct ExecResult {
   Value Result;
   bool Trapped = false;
   std::string TrapMessage;
-  /// Scalar tiers: instructions retired. Batched tier: *active lanes*
+  /// Switch tier: instructions retired. Batched tier: *active lanes*
   /// summed per retired instruction — a lane masked off by divergence is
   /// not billed, so the instruction budget charges a divergent tile the
   /// same work a per-pixel run would have done.
@@ -63,7 +66,7 @@ struct ExecResult {
 /// One tile's worth of pixels for the batched interpreter: lane-major
 /// argument values, strided packed caches, and a result slot per lane.
 /// The caller (the render engine) fills identical per-lane arguments to
-/// what it would pass the scalar tiers.
+/// what it would pass the switch tier.
 struct BatchRequest {
   /// Lanes x NumArgs values, lane-major: lane L's arguments start at
   /// LaneArgs + L * NumArgs.
@@ -117,22 +120,15 @@ public:
   ExecResult run(const Chunk &C, const std::vector<Value> &Args,
                  CacheView View);
 
-  /// Fast tier 1: executes a decoded (and typically superinstruction-
-  /// fused) chunk with direct-threaded dispatch (computed goto on
-  /// GCC/Clang; a token-threaded switch under DSPEC_FORCE_SWITCH_DISPATCH
-  /// or other compilers). \p C must be Valid. Bit-identical results and
-  /// trap messages to the classic run() — both call the shared semantics
-  /// in vm/InterpOps.h. Pass a default CacheView for cache-less chunks.
-  ExecResult runThreaded(const ExecChunk &C, const std::vector<Value> &Args,
-                         CacheView View = CacheView());
-
-  /// Fast tier 2: executes one instruction stream over a whole tile of
-  /// lanes — one fetch/dispatch per instruction, a strided SoA inner
-  /// loop per lane. \p C must be Valid and BatchSafe (effect-free).
+  /// The fast tier: executes a decoded, superinstruction-fused chunk
+  /// over a whole tile of lanes — one fetch/dispatch per instruction, a
+  /// strided SoA inner loop per lane. \p C must be Valid and BatchSafe
+  /// (effect-free). Bit-identical results and trap messages to run() —
+  /// both call the shared semantics in vm/InterpOps.h.
   ///
   /// Control flow runs GPU-warp style. Branch conditions are evaluated
   /// over the *active* lanes only; a uniform outcome takes the jump (or
-  /// falls through) in lockstep exactly like the scalar tiers, so
+  /// falls through) in lockstep exactly like the switch tier, so
   /// straight-line chunks and uniform loops pay nothing. A divergent
   /// conditional that heads a maskable diamond (ExecChunk::BranchJoin)
   /// pushes a mask frame: both arms execute with inactive lanes
@@ -140,9 +136,9 @@ public:
   /// div/mod-by-zero does not trap — and lanes reconverge at the join.
   /// Divergence at an unmaskable branch sets ExecResult::Diverged and
   /// returns with results unwritten; the caller re-runs the tile
-  /// per-pixel. On a real trap (always from a lane that is active) the
-  /// result carries no lane attribution — the caller re-runs the tile
-  /// through the switch tier to reproduce the canonical lowest-pixel
+  /// per-pixel through run(). On a real trap (always from a lane that is
+  /// active) the result carries no lane attribution — the caller re-runs
+  /// the tile through run() to reproduce the canonical lowest-pixel
   /// diagnostic.
   ExecResult runBatch(const ExecChunk &C, const BatchRequest &Req);
 

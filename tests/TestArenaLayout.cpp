@@ -61,8 +61,7 @@ std::vector<unsigned char> canonical(const CacheArena &Arena) {
   return std::vector<unsigned char>(Bytes.begin(), Bytes.end());
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 struct NamedLayout {
   const char *Name;
@@ -517,8 +516,7 @@ TEST(ArenaLayout, LlcDetectionNeverReportsZero) {
 }
 
 TEST(ArenaLayout, CandidateSetsMatchTierConstraints) {
-  for (ExecTier Tier :
-       {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched}) {
+  for (ExecTier Tier : kTiers) {
     auto Set = arenaLayoutCandidates(Tier, 128);
     ASSERT_GE(Set.size(), 2u) << execTierName(Tier);
     // Identity first: ties break toward the map-free arrangement.

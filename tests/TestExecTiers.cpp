@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fast execution tiers' contract (docs/ENGINE.md, "Execution
-/// tiers"): the decoded/fused ExecChunk and the threaded and batched
-/// tiers are pure speed — every gallery shader renders bit-identical
-/// framebuffers and loads bit-identical cache arenas under every tier
-/// and thread count, traps carry the same message everywhere, and
+/// The execution tiers' contract (docs/ENGINE.md, "Execution tiers"):
+/// the decoded/fused ExecChunk and the batched tier are pure speed —
+/// every gallery shader renders bit-identical framebuffers and loads
+/// bit-identical cache arenas under the switch and batched tiers at
+/// every thread count, traps carry the same message everywhere, chunks
+/// the batched tier cannot run fall back to the switch tier, and
 /// superinstruction fusion never crosses a jump target.
 ///
 //===----------------------------------------------------------------------===//
@@ -57,8 +58,46 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
   return *Code;
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
+
+/// One batched run of \p Exec over a cache-less tile of four identical
+/// lanes, each taking \p Args.
+struct TileRun {
+  ExecResult R;
+  std::vector<Value> Results;
+};
+
+TileRun runUniformTile(VM &Machine, const ExecChunk &Exec,
+                       const std::vector<Value> &Args) {
+  const unsigned Lanes = 4;
+  std::vector<Value> LaneArgs;
+  for (unsigned L = 0; L < Lanes; ++L)
+    LaneArgs.insert(LaneArgs.end(), Args.begin(), Args.end());
+  TileRun Out;
+  Out.Results.resize(Lanes);
+  BatchRequest Req;
+  Req.LaneArgs = LaneArgs.data();
+  Req.NumArgs = static_cast<unsigned>(Args.size());
+  Req.Lanes = Lanes;
+  Req.Results = Out.Results.data();
+  Out.R = Machine.runBatch(Exec, Req);
+  return Out;
+}
+
+/// Runs \p Exec batched on a uniform tile and expects every lane to be
+/// bit-identical to the switch interpreter's run of \p Code.
+void expectTileMatchesSwitch(VM &Machine, const Chunk &Code,
+                             const ExecChunk &Exec,
+                             const std::vector<Value> &Args,
+                             const std::string &What) {
+  auto Ref = Machine.run(Code, Args);
+  ASSERT_TRUE(Ref.ok()) << What << ": " << Ref.TrapMessage;
+  TileRun Tile = runUniformTile(Machine, Exec, Args);
+  ASSERT_TRUE(Tile.R.ok()) << What << ": " << Tile.R.TrapMessage;
+  ASSERT_FALSE(Tile.R.Diverged) << What;
+  for (const Value &Lane : Tile.Results)
+    EXPECT_TRUE(bitIdentical(Ref.Result, Lane)) << What;
+}
 
 //===----------------------------------------------------------------------===//
 // ExecChunk: decoding, fusion, flags
@@ -81,7 +120,7 @@ TEST(ExecChunk, FusesStraightLineIdiomsAndKeepsSemantics) {
   Chunk Code = compileOne("float f(float a) { return a * 2.0 + 1.0; }", "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  EXPECT_TRUE(Exec.StraightLine);
+  EXPECT_EQ(Exec.MaskableBranches + Exec.UnmaskableBranches, 0u);
   EXPECT_TRUE(Exec.BatchSafe);
   EXPECT_LT(Exec.Code.size(), Code.Code.size())
       << "fusion should shrink the straight-line stream";
@@ -99,13 +138,9 @@ TEST(ExecChunk, FusesStraightLineIdiomsAndKeepsSemantics) {
   EXPECT_FALSE(fusedHistogram(Exec).empty());
 
   VM Machine;
-  for (float X : {0.0f, -3.5f, 1e20f}) {
-    auto Ref = Machine.run(Code, {Value::makeFloat(X)});
-    auto Fast = Machine.runThreaded(Exec, {Value::makeFloat(X)});
-    ASSERT_TRUE(Ref.ok());
-    ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
-    EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result)) << X;
-  }
+  for (float X : {0.0f, -3.5f, 1e20f})
+    expectTileMatchesSwitch(Machine, Code, Exec, {Value::makeFloat(X)},
+                            "a=" + std::to_string(X));
 }
 
 TEST(ExecChunk, BranchyChunksStayExecutableAndClassify) {
@@ -121,7 +156,6 @@ TEST(ExecChunk, BranchyChunksStayExecutableAndClassify) {
                           "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  EXPECT_FALSE(Exec.StraightLine);
   // Branchy chunks are batch-eligible since the masked batched tier: the
   // loop exit classifies unmaskable (runtime divergence bails the tile),
   // the inner if classifies as a maskable diamond.
@@ -132,24 +166,12 @@ TEST(ExecChunk, BranchyChunksStayExecutableAndClassify) {
   ASSERT_EQ(Exec.BranchJoin.size(), Exec.Code.size());
 
   // Fusion must preserve loop semantics exactly — jump targets are
-  // remapped and no pair straddles one.
+  // remapped and no pair straddles one. Identical lanes keep every
+  // branch uniform, so the whole loop runs batched.
   VM Machine;
-  for (int N : {0, 1, 2, 7, 100}) {
-    auto Ref = Machine.run(Code, {Value::makeInt(N)});
-    auto Fast = Machine.runThreaded(Exec, {Value::makeInt(N)});
-    ASSERT_TRUE(Ref.ok());
-    ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
-    EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result)) << "n=" << N;
-  }
-
-  // The unfused decode must agree too (the switch-dispatch fallback
-  // executes the same stream).
-  ExecChunk Plain = buildExecChunk(Code, /*Fuse=*/false);
-  ASSERT_TRUE(Plain.Valid);
-  EXPECT_EQ(Plain.Code.size(), Code.Code.size());
-  auto Fast = Machine.runThreaded(Plain, {Value::makeInt(9)});
-  auto Ref = Machine.run(Code, {Value::makeInt(9)});
-  EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result));
+  for (int N : {0, 1, 2, 7, 100})
+    expectTileMatchesSwitch(Machine, Code, Exec, {Value::makeInt(N)},
+                            "n=" + std::to_string(N));
 }
 
 TEST(ExecChunk, InvalidChunkIsRejected) {
@@ -179,13 +201,13 @@ TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
     if (Exec.BatchSafe)
       ++BatchSafe;
     EXPECT_EQ(Exec.BatchSafe, !Exec.HasEffects) << Info.Name;
-    if (!Exec.StraightLine) {
+    if (Exec.MaskableBranches + Exec.UnmaskableBranches > 0) {
       ++Branchy;
       EXPECT_TRUE(Exec.HasLoops) << Info.Name;
       EXPECT_GT(Exec.UnmaskableBranches, 0u) << Info.Name;
     } else {
-      EXPECT_EQ(Exec.MaskableBranches + Exec.UnmaskableBranches, 0u)
-          << Info.Name;
+      EXPECT_FALSE(Exec.HasLoops) << Info.Name;
+      EXPECT_TRUE(Exec.BranchJoin.empty()) << Info.Name;
     }
   }
   EXPECT_EQ(Total, 10u);
@@ -208,12 +230,12 @@ TEST(VMTrap, IntDivisionByZeroReportsSourceLoc) {
   EXPECT_NE(R.TrapMessage.find(" at 2:"), std::string::npos)
       << "expected the divisor's line in: " << R.TrapMessage;
 
-  // The threaded tier reports the identical message.
+  // The batched tier reports the identical message.
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  auto Fast = Machine.runThreaded(Exec, {Value::makeInt(0)});
-  ASSERT_TRUE(Fast.Trapped);
-  EXPECT_EQ(Fast.TrapMessage, R.TrapMessage);
+  TileRun Tile = runUniformTile(Machine, Exec, {Value::makeInt(0)});
+  ASSERT_TRUE(Tile.R.Trapped);
+  EXPECT_EQ(Tile.R.TrapMessage, R.TrapMessage);
 }
 
 TEST(VMTrap, IntModuloByZeroReportsSourceLoc) {
@@ -374,6 +396,40 @@ TEST(ExecTiers, ReaderPassRejectsCacheStoresOnEveryTier) {
           << Tag << ": the reader pass wrote the arena";
     }
   }
+}
+
+/// An effectful chunk cannot run batched, because dsc_clock's call order
+/// is observable. The default engine runs the whole pass per-pixel on
+/// the switch interpreter instead: every pixel once, in pixel order, so
+/// the frame is bit-identical to a switch engine's.
+TEST(ExecTiers, EffectfulChunkFallsBackToSwitchPerPixel) {
+  Chunk Code = compileOne("vec3 f(vec2 uv, vec3 P, vec3 N, vec3 I) {\n"
+                          "  float t = dsc_clock();\n"
+                          "  return vec3(t, uv.x, 0.0);\n"
+                          "}",
+                          "f");
+  EXPECT_FALSE(buildExecChunk(Code).BatchSafe);
+
+  const unsigned W = 16, H = 12;
+  RenderGrid Grid(W, H);
+  RenderEngine Batched(1);
+  ASSERT_EQ(Batched.execTier(), ExecTier::Batched);
+  Framebuffer Out(W, H);
+  ASSERT_TRUE(Batched.plainPass(Code, Grid, /*Controls=*/{}, &Out))
+      << Batched.lastTrap();
+  EXPECT_EQ(Batched.lastPassStats().BatchTiles, 0u);
+  EXPECT_EQ(Batched.lastPassStats().BailedTiles, 0u);
+
+  RenderEngine Switch(1);
+  Switch.setExecTier(ExecTier::Switch);
+  Framebuffer Ref(W, H);
+  ASSERT_TRUE(Switch.plainPass(Code, Grid, /*Controls=*/{}, &Ref))
+      << Switch.lastTrap();
+  expectSameImage(Ref, Out, "effectful [batched @1t]");
+
+  // A fresh VM's clock starts at 0 and ticks once per pixel, so the last
+  // of the 192 pixels reads 191.
+  EXPECT_EQ(Out.at(W - 1, H - 1).F[0], 191.0f);
 }
 
 /// Warm starts are tier-independent too: a snapshot saved once renders

@@ -8,10 +8,10 @@
 /// The batched tier's divergent-lane contract (docs/ENGINE.md, "Masked
 /// divergent-lane execution"): maskable diamonds execute both arms with
 /// inactive lanes suppressed and reconverge bit-identically to the
-/// scalar tiers, inactive lanes never trap, active-lane traps recover
-/// the canonical per-pixel diagnostic through the engine, divergence at
-/// an unmaskable branch bails the tile (never corrupts it), and the
-/// instruction budget bills active lanes only.
+/// switch interpreter, inactive lanes never trap, active-lane traps
+/// recover the canonical per-pixel diagnostic through the engine,
+/// divergence at an unmaskable branch bails the tile (never corrupts
+/// it), and the instruction budget bills active lanes only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +58,7 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
   return *Code;
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 /// Drives VM::runBatch over one cache-less tile, one lane per entry of
 /// \p LaneArgs. Results are pre-filled with an int sentinel so tests can
@@ -342,15 +341,21 @@ TEST(MaskedBatch, BudgetCountsActiveLanesOnly) {
   ASSERT_TRUE(Exec.Valid);
   VM Machine;
 
+  // One lane bills the scalar instruction count of the fused stream.
+  TileRun Scalar = runTile(Machine, Exec, {floatArgs(0.9f)});
+  ASSERT_TRUE(Scalar.R.ok()) << Scalar.R.TrapMessage;
+  auto Ref = Machine.run(Code, floatArgs(0.9f));
+  ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
+  EXPECT_TRUE(bitIdentical(Ref.Result, Scalar.Results[0]));
+  EXPECT_EQ(Scalar.R.InstructionsExecuted, Scalar.R.BatchDispatches);
+
   // Uniform tile: every dispatch runs all lanes, so the bill is exactly
   // Lanes x the scalar instruction count.
-  auto Scalar = Machine.runThreaded(Exec, floatArgs(0.9f));
-  ASSERT_TRUE(Scalar.ok());
   TileRun Uniform = runTile(
       Machine, Exec, {floatArgs(0.9f), floatArgs(0.9f), floatArgs(0.9f)});
   ASSERT_TRUE(Uniform.R.ok());
   EXPECT_EQ(Uniform.R.InstructionsExecuted,
-            3u * Scalar.InstructionsExecuted);
+            3u * Scalar.R.InstructionsExecuted);
   EXPECT_GT(Uniform.R.BatchDispatches, 0u);
   EXPECT_EQ(Uniform.R.InstructionsExecuted,
             Uniform.R.BatchDispatches * 3u)
@@ -408,7 +413,7 @@ vec3 branchy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
 
 const char *kLoopyShader = R"(
 // Masked store feeding a data-dependent trip count: the loop exit
-// diverges at runtime, so batched tiles bail to the threaded tier.
+// diverges at runtime, so batched tiles bail to the switch tier.
 vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
   int n = 1;
   if (uv.x > t) { n = 3; }
@@ -456,7 +461,7 @@ TEST(MaskedEngine, BranchyDifferentialAcrossTiersAndThreads) {
           EXPECT_GT(Engine.lastPassStats().activeFraction(), 0.0);
         }
         if (Tier == ExecTier::Batched && Code.Name == "loopy") {
-          // The divergent loop exit bails tiles to the threaded tier.
+          // The divergent loop exit bails tiles to the switch tier.
           EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u);
         }
       }

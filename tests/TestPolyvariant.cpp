@@ -97,8 +97,7 @@ std::vector<float> admissibleControls(const ShaderInfo &Info,
   return Controls;
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 /// A small branchy fragment in the engine's calling convention: `mode`
 /// is a fixed parameter used only under a branch condition, so pinning

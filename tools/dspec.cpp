@@ -28,7 +28,7 @@
 ///
 ///   dspec serve (--socket PATH | --listen HOST:PORT) [--io-threads N]
 ///         [--threads N] [--tile PIXELS] [--cache-units N] [--queue N]
-///         [--dispatchers N] [--exec-tier switch|threaded|batched]
+///         [--dispatchers N] [--exec-tier switch|batched]
 ///         [--quota-rps R] [--quota-burst B] [--client-queue N]
 ///         [--read-deadline MS] [--stream-chunk PIXELS]
 ///         [--spill-dir PATH] [--spill-cap-mb N]
@@ -99,7 +99,7 @@ void usage(const char *Argv0) {
       "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
       "            [--variants N]\n"
-      "            [--exec-tier switch|threaded|batched] [--quota-rps R]\n"
+      "            [--exec-tier switch|batched] [--quota-rps R]\n"
       "            [--arena-layout pixel-major|slot-major|tile-blocked|auto]\n"
       "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
@@ -506,8 +506,8 @@ int serveMain(int Argc, char **Argv) {
       const char *Name = NextValue();
       if (!parseExecTier(Name, Config.Tier)) {
         std::fprintf(stderr,
-                     "error: --exec-tier expects switch, threaded, or "
-                     "batched (got '%s')\n",
+                     "error: --exec-tier expects switch or batched "
+                     "(got '%s')\n",
                      Name);
         return kExitUsage;
       }
