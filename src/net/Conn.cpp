@@ -110,30 +110,20 @@ bool Conn::parseFrames() {
   size_t Consumed = 0;
   for (;;) {
     size_t Avail = InBuf.size() - Consumed;
-    if (Avail < 16)
+    if (Avail < kFrameHeaderBytes)
       break;
-    ByteReader R(InBuf.data() + Consumed, 16);
-    uint32_t Magic = R.readU32();
-    uint8_t RawType = R.readU8();
-    R.readU8();
-    R.readU8();
-    R.readU8();
-    uint32_t PayloadBytes = R.readU32();
-    uint32_t StoredCrc = R.readU32();
-    if (Magic != kFrameMagic ||
-        RawType < static_cast<uint8_t>(FrameType::RenderRequest) ||
-        RawType > static_cast<uint8_t>(FrameType::RenderDone) ||
-        PayloadBytes > kMaxFramePayload)
+    FrameHeader Header;
+    if (!decodeFrameHeader(InBuf.data() + Consumed, Header, nullptr))
       return false;
-    if (Avail < 16 + static_cast<size_t>(PayloadBytes))
+    size_t FrameBytes = kFrameHeaderBytes + Header.PayloadBytes;
+    if (Avail < FrameBytes)
       break; // frame still arriving
-    std::vector<unsigned char> Payload(
-        InBuf.begin() + Consumed + 16,
-        InBuf.begin() + Consumed + 16 + PayloadBytes);
-    if (crc32(Payload.data(), Payload.size()) != StoredCrc)
+    const unsigned char *Body = InBuf.data() + Consumed + kFrameHeaderBytes;
+    if (crc32(Body, Header.PayloadBytes) != Header.PayloadCrc)
       return false;
-    Consumed += 16 + PayloadBytes;
-    if (!Server.handleFrame(*this, static_cast<FrameType>(RawType), Payload))
+    std::vector<unsigned char> Payload(Body, Body + Header.PayloadBytes);
+    Consumed += FrameBytes;
+    if (!Server.handleFrame(*this, Header.Type, Payload))
       return false;
     if (closed())
       return true; // handleFrame (or backlog pressure) closed us
@@ -197,23 +187,18 @@ void Conn::completeStats(uint64_t Seq, std::string Json) {
   flushReady();
 }
 
-void Conn::appendFrame(FrameType Type,
-                       const std::vector<unsigned char> &Payload) {
-  std::vector<unsigned char> Frame = encodeFrame(Type, Payload);
-  OutBuf.insert(OutBuf.end(), Frame.begin(), Frame.end());
-}
-
 void Conn::serializeSlot(Slot &S) {
+  // Every frame goes header-then-payload straight into OutBuf.
   if (S.IsStats) {
-    appendFrame(FrameType::StatsReply,
-                std::vector<unsigned char>(S.StatsJson.begin(),
-                                           S.StatsJson.end()));
+    appendFrame(OutBuf, FrameType::StatsReply,
+                reinterpret_cast<const unsigned char *>(S.StatsJson.data()),
+                S.StatsJson.size());
     return;
   }
   if (!S.Stream) {
     ByteWriter W;
     encodeRenderReply(W, S.Reply);
-    appendFrame(FrameType::RenderReply, W.bytes());
+    appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
     return;
   }
   // Streamed reply: chop the framebuffer into RenderPartial frames, then
@@ -237,7 +222,8 @@ void Conn::serializeSlot(Slot &S) {
               static_cast<size_t>(Offset + Part.PixelCount) * 3);
       ByteWriter W;
       encodeRenderPartial(W, Part);
-      appendFrame(FrameType::RenderPartial, W.bytes());
+      appendFrame(OutBuf, FrameType::RenderPartial, W.bytes().data(),
+                  W.size());
       ++Partials;
     }
     Server.StatStreamedChunks += Partials;
@@ -253,7 +239,7 @@ void Conn::serializeSlot(Slot &S) {
   Done.PixelCrc = S.Reply.ok() ? pixelCrc(S.Reply.Pixels) : 0;
   ByteWriter W;
   encodeRenderDone(W, Done);
-  appendFrame(FrameType::RenderDone, W.bytes());
+  appendFrame(OutBuf, FrameType::RenderDone, W.bytes().data(), W.size());
 }
 
 void Conn::flushReady() {

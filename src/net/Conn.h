@@ -107,7 +107,6 @@ private:
   /// Serializes every leading completed slot into OutBuf, then writes.
   void flushReady();
   void serializeSlot(Slot &S);
-  void appendFrame(FrameType Type, const std::vector<unsigned char> &Payload);
   void enableWriteInterest(bool On);
   Slot *findSlot(uint64_t Seq);
 

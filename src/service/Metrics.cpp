@@ -71,7 +71,8 @@ std::string MetricsSnapshot::toJson() const {
       ArenaFitsLlc ? "true" : "false");
   return formatString(
       "{\"requests\":{\"total\":%llu,\"ok\":%llu,\"cache_hit\":%llu,"
-      "\"bad_request\":%llu,\"specialize_error\":%llu,\"render_trap\":%llu,"
+      "\"loader_frame_replies\":%llu,\"bad_request\":%llu,"
+      "\"specialize_error\":%llu,\"render_trap\":%llu,"
       "\"shed_queue_full\":%llu,\"shed_deadline\":%llu,\"shed_quota\":%llu,"
       "\"rejected_draining\":%llu},"
       "\"unit_cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
@@ -86,6 +87,7 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(RequestsTotal),
       static_cast<unsigned long long>(RequestsOk),
       static_cast<unsigned long long>(CacheHitRequests),
+      static_cast<unsigned long long>(LoaderFrameReplies),
       static_cast<unsigned long long>(BadRequests),
       static_cast<unsigned long long>(SpecializeErrors),
       static_cast<unsigned long long>(RenderTraps),
@@ -152,6 +154,7 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   Out.RequestsTotal = RequestsTotal;
   Out.RequestsOk = RequestsOk;
   Out.CacheHitRequests = CacheHitRequests;
+  Out.LoaderFrameReplies = LoaderFrameReplies;
   Out.BadRequests = BadRequests;
   Out.SpecializeErrors = SpecializeErrors;
   Out.RenderTraps = RenderTraps;

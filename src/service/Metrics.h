@@ -44,6 +44,9 @@ struct MetricsSnapshot {
   uint64_t RequestsTotal = 0;
   uint64_t RequestsOk = 0;
   uint64_t CacheHitRequests = 0;
+  /// Misses answered with the frame their unit's loader pass rendered,
+  /// so no reader pass ran for them.
+  uint64_t LoaderFrameReplies = 0;
   uint64_t BadRequests = 0;
   uint64_t SpecializeErrors = 0;
   uint64_t RenderTraps = 0;
@@ -125,6 +128,8 @@ public:
   /// Attributes one served request to the property variant it rendered
   /// with. \p CacheHit mirrors the reply's cache-hit flag.
   void recordVariant(const std::string &Label, bool CacheHit);
+  /// Counts an Ok reply whose pixels came from the build's loader pass.
+  void recordLoaderFrameReply() { ++LoaderFrameReplies; }
   void recordBadRequest() { ++RequestsTotal; ++BadRequests; }
   void recordSpecializeError(double LatencySeconds);
   void recordRenderTrap(double LatencySeconds);
@@ -143,6 +148,7 @@ private:
   std::atomic<uint64_t> RequestsTotal{0};
   std::atomic<uint64_t> RequestsOk{0};
   std::atomic<uint64_t> CacheHitRequests{0};
+  std::atomic<uint64_t> LoaderFrameReplies{0};
   std::atomic<uint64_t> BadRequests{0};
   std::atomic<uint64_t> SpecializeErrors{0};
   std::atomic<uint64_t> RenderTraps{0};

@@ -48,13 +48,14 @@ RenderReply RenderReply::fromFramebuffer(const Framebuffer &Fb) {
   RenderReply Reply;
   Reply.Width = Fb.width();
   Reply.Height = Fb.height();
-  Reply.Pixels.reserve(static_cast<size_t>(Fb.width()) * Fb.height() * 3);
+  Reply.Pixels.resize(static_cast<size_t>(Fb.width()) * Fb.height() * 3);
+  float *Out = Reply.Pixels.data();
   for (uint32_t Y = 0; Y < Fb.height(); ++Y)
-    for (uint32_t X = 0; X < Fb.width(); ++X) {
+    for (uint32_t X = 0; X < Fb.width(); ++X, Out += 3) {
       const Value &V = Fb.at(X, Y);
-      Reply.Pixels.push_back(V.F[0]);
-      Reply.Pixels.push_back(V.F[1]);
-      Reply.Pixels.push_back(V.F[2]);
+      Out[0] = V.F[0];
+      Out[1] = V.F[1];
+      Out[2] = V.F[2];
     }
   return Reply;
 }
@@ -118,6 +119,10 @@ bool dspec::decodeRenderRequest(ByteReader &R, RenderRequest &Out,
 }
 
 void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
+  // Status, error length + bytes, width, height, cache hit, service
+  // micros, float count, then the pixel block.
+  W.reserve(1 + 4 + Reply.Error.size() + 4 + 4 + 1 + 8 + 4 +
+            Reply.Pixels.size() * sizeof(float));
   W.writeU8(static_cast<uint8_t>(Reply.Status));
   W.writeString(Reply.Error);
   W.writeU32(Reply.Width);
@@ -125,8 +130,7 @@ void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
   W.writeU8(Reply.CacheHit ? 1 : 0);
   W.writeU64(Reply.ServiceMicros);
   W.writeU32(static_cast<uint32_t>(Reply.Pixels.size()));
-  for (float V : Reply.Pixels)
-    W.writeF32(V);
+  W.writeF32Array(Reply.Pixels.data(), Reply.Pixels.size());
 }
 
 bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
@@ -146,12 +150,7 @@ bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
     R.fail("pixel payload does not match the image dimensions");
   if (NumFloats * sizeof(float) > R.remaining())
     R.fail("pixel payload truncated");
-  Out.Pixels.clear();
-  if (R.ok()) {
-    Out.Pixels.reserve(NumFloats);
-    for (uint32_t I = 0; R.ok() && I < NumFloats; ++I)
-      Out.Pixels.push_back(R.readF32());
-  }
+  R.readF32Array(Out.Pixels, NumFloats);
   if (!R.ok() && Error)
     *Error = "render reply: " + R.error();
   return R.ok();
@@ -168,8 +167,7 @@ void dspec::encodeRenderPartial(ByteWriter &W,
   W.writeU32(Chunk.Height);
   W.writeU32(Chunk.PixelOffset);
   W.writeU32(Chunk.PixelCount);
-  for (float V : Chunk.Pixels)
-    W.writeF32(V);
+  W.writeF32Array(Chunk.Pixels.data(), Chunk.Pixels.size());
 }
 
 bool dspec::decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
@@ -185,12 +183,7 @@ bool dspec::decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
   uint64_t NumFloats = static_cast<uint64_t>(Out.PixelCount) * 3;
   if (NumFloats * sizeof(float) > R.remaining())
     R.fail("partial chunk payload truncated");
-  Out.Pixels.clear();
-  if (R.ok()) {
-    Out.Pixels.reserve(NumFloats);
-    for (uint64_t I = 0; R.ok() && I < NumFloats; ++I)
-      Out.Pixels.push_back(R.readF32());
-  }
+  R.readF32Array(Out.Pixels, NumFloats);
   if (!R.ok() && Error)
     *Error = "render partial: " + R.error();
   return R.ok();
@@ -229,18 +222,27 @@ bool dspec::decodeRenderDone(ByteReader &R, RenderStreamDone &Out,
 // Framing
 //===----------------------------------------------------------------------===//
 
+void dspec::appendFrame(std::vector<unsigned char> &Out, FrameType Type,
+                        const unsigned char *Payload, size_t Size) {
+  unsigned char Header[kFrameHeaderBytes] = {};
+  auto PutU32 = [&Header](size_t At, uint32_t V) {
+    for (int I = 0; I < 4; ++I)
+      Header[At + I] = static_cast<unsigned char>(V >> (8 * I));
+  };
+  PutU32(0, kFrameMagic);
+  Header[4] = static_cast<unsigned char>(Type); // 5..7 stay reserved zero
+  PutU32(8, static_cast<uint32_t>(Size));
+  PutU32(12, crc32(Payload, Size));
+  Out.insert(Out.end(), Header, Header + sizeof(Header));
+  Out.insert(Out.end(), Payload, Payload + Size);
+}
+
 std::vector<unsigned char>
 dspec::encodeFrame(FrameType Type, const std::vector<unsigned char> &Payload) {
-  ByteWriter W;
-  W.writeU32(kFrameMagic);
-  W.writeU8(static_cast<uint8_t>(Type));
-  W.writeU8(0);
-  W.writeU8(0);
-  W.writeU8(0);
-  W.writeU32(static_cast<uint32_t>(Payload.size()));
-  W.writeU32(crc32(Payload.data(), Payload.size()));
-  W.writeBytes(Payload.data(), Payload.size());
-  return W.takeBytes();
+  std::vector<unsigned char> Frame;
+  Frame.reserve(kFrameHeaderBytes + Payload.size());
+  appendFrame(Frame, Type, Payload.data(), Payload.size());
+  return Frame;
 }
 
 bool dspec::writeFrame(Transport &T, FrameType Type,
@@ -249,22 +251,16 @@ bool dspec::writeFrame(Transport &T, FrameType Type,
   return T.writeAll(Frame.data(), Frame.size());
 }
 
-bool dspec::readFrame(Transport &T, FrameType &Type,
-                      std::vector<unsigned char> &Payload,
-                      std::string *Error) {
-  if (Error)
-    Error->clear(); // empty Error on return false means clean EOF
-  unsigned char Header[16];
-  if (!T.readAll(Header, sizeof(Header)))
-    return false;
-  ByteReader R(Header, sizeof(Header));
+bool dspec::decodeFrameHeader(const unsigned char *Bytes, FrameHeader &Out,
+                              std::string *Error) {
+  ByteReader R(Bytes, kFrameHeaderBytes);
   uint32_t Magic = R.readU32();
   uint8_t RawType = R.readU8();
   R.readU8();
   R.readU8();
   R.readU8();
-  uint32_t PayloadBytes = R.readU32();
-  uint32_t StoredCrc = R.readU32();
+  Out.PayloadBytes = R.readU32();
+  Out.PayloadCrc = R.readU32();
   if (Magic != kFrameMagic) {
     if (Error)
       *Error = "bad frame magic";
@@ -276,25 +272,41 @@ bool dspec::readFrame(Transport &T, FrameType &Type,
       *Error = "unknown frame type " + std::to_string(RawType);
     return false;
   }
-  if (PayloadBytes > kMaxFramePayload) {
+  if (Out.PayloadBytes > kMaxFramePayload) {
     if (Error)
-      *Error = "frame payload of " + std::to_string(PayloadBytes) +
+      *Error = "frame payload of " + std::to_string(Out.PayloadBytes) +
                " bytes exceeds the " + std::to_string(kMaxFramePayload) +
                "-byte limit";
     return false;
   }
-  Payload.resize(PayloadBytes);
-  if (PayloadBytes > 0 && !T.readAll(Payload.data(), PayloadBytes)) {
+  Out.Type = static_cast<FrameType>(RawType);
+  return true;
+}
+
+bool dspec::readFrame(Transport &T, FrameType &Type,
+                      std::vector<unsigned char> &Payload,
+                      std::string *Error) {
+  if (Error)
+    Error->clear(); // empty Error on return false means clean EOF
+  unsigned char Bytes[kFrameHeaderBytes];
+  if (!T.readAll(Bytes, sizeof(Bytes)))
+    return false;
+  FrameHeader Header;
+  if (!decodeFrameHeader(Bytes, Header, Error))
+    return false;
+  Payload.resize(Header.PayloadBytes);
+  if (Header.PayloadBytes > 0 &&
+      !T.readAll(Payload.data(), Header.PayloadBytes)) {
     if (Error)
       *Error = "frame payload truncated";
     return false;
   }
-  if (crc32(Payload.data(), Payload.size()) != StoredCrc) {
+  if (crc32(Payload.data(), Payload.size()) != Header.PayloadCrc) {
     if (Error)
       *Error = "frame payload CRC mismatch";
     return false;
   }
-  Type = static_cast<FrameType>(RawType);
+  Type = Header.Type;
   return true;
 }
 

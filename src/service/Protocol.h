@@ -33,6 +33,7 @@
 #include "specialize/SpecializerOptions.h"
 #include "support/ByteStream.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -44,6 +45,9 @@ class Transport;
 
 /// First four bytes of every frame ("DSPF", little-endian).
 constexpr uint32_t kFrameMagic = 0x46505344u;
+
+/// Size of the frame header that precedes every payload.
+constexpr size_t kFrameHeaderBytes = 16;
 
 /// Frames larger than this are rejected before allocation (a corrupt
 /// length field must not become a giant allocation).
@@ -201,6 +205,26 @@ uint32_t pixelCrc(const std::vector<float> &Pixels);
 //===----------------------------------------------------------------------===//
 // Framing
 //===----------------------------------------------------------------------===//
+
+/// Appends one frame to \p Out: the header (magic, type, length, CRC of
+/// one pass over the payload), then the \p Size payload bytes. The one
+/// place the header layout is encoded; encodeFrame and the event-loop
+/// writer both go through it.
+void appendFrame(std::vector<unsigned char> &Out, FrameType Type,
+                 const unsigned char *Payload, size_t Size);
+
+/// A frame header's fields once decodeFrameHeader has validated them.
+struct FrameHeader {
+  FrameType Type = FrameType::RenderRequest;
+  uint32_t PayloadBytes = 0;
+  uint32_t PayloadCrc = 0;
+};
+
+/// Decodes the kFrameHeaderBytes at \p Bytes and checks the magic, the
+/// frame type and the payload bound. False with \p Error (optional) set
+/// on a violation.
+bool decodeFrameHeader(const unsigned char *Bytes, FrameHeader &Out,
+                       std::string *Error);
 
 /// Wraps \p Payload in a frame header (magic, type, length, CRC).
 std::vector<unsigned char> encodeFrame(FrameType Type,

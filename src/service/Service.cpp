@@ -246,6 +246,7 @@ SpecializationService::effectiveOptions(const RenderRequest &Request) const {
 UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
                                          const VariantKey &Variant,
                                          RenderEngine &Engine,
+                                         Framebuffer &LoaderFrame,
                                          std::string &Error) const {
   Clock::time_point Start = Clock::now();
   const ShaderInfo *Info = findShader(Request.Shader);
@@ -295,9 +296,11 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
   Built->Loader = std::move(Spec->Compiled.LoaderChunk);
   Built->Reader = std::move(Spec->Compiled.ReaderChunk);
   // The arena's cached slots hold invariant values only, so the varying
-  // controls' build-time values are irrelevant to every later hit.
+  // controls' build-time values are irrelevant to every later hit. The
+  // loader is the original fragment plus cache stores, so the frame it
+  // returns at the request's own controls is the request's answer.
   if (!Engine.loaderPass(Built->Loader, Built->Layout, Built->Grid,
-                         Built->LoadControls, Built->Arena)) {
+                         Built->LoadControls, Built->Arena, &LoaderFrame)) {
     Error = "loader pass trapped: " + Engine.lastTrap();
     return nullptr;
   }
@@ -306,10 +309,9 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
   return Built;
 }
 
-UnitPtr SpecializationService::loadOrBuildUnit(const Pending &P,
-                                               RenderEngine &Engine,
-                                               bool &FromDisk,
-                                               std::string &Error) const {
+UnitPtr SpecializationService::loadOrBuildUnit(
+    const Pending &P, RenderEngine &Engine, bool &FromDisk,
+    std::optional<Framebuffer> &LoaderFrame, std::string &Error) const {
   FromDisk = false;
   if (Spill) {
     if (auto Unit = Spill->load(P.Key, nullptr)) {
@@ -328,20 +330,29 @@ UnitPtr SpecializationService::loadOrBuildUnit(const Pending &P,
       return Unit;
     }
   }
-  return buildUnit(P.Request, P.Key.Variant, Engine, Error);
+  // Allocated only here, so hits and disk restores never pay for it.
+  LoaderFrame.emplace(P.Request.Width, P.Request.Height);
+  return buildUnit(P.Request, P.Key.Variant, Engine, *LoaderFrame, Error);
 }
 
 void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
-                                   bool CacheHit, RenderEngine &Engine) {
-  Framebuffer Fb(P.Request.Width, P.Request.Height);
-  if (!Engine.readerPass(Unit->Reader, Unit->Grid, P.Request.Controls,
-                         Unit->Arena, &Fb)) {
-    Metrics.recordRenderTrap(secondsSince(P.Enqueued));
-    reject(P, RenderStatus::RenderTrap,
-           "reader pass trapped: " + Engine.lastTrap());
-    return;
+                                   bool CacheHit, RenderEngine &Engine,
+                                   const Framebuffer *LoaderFrame) {
+  RenderReply Reply;
+  if (LoaderFrame) {
+    Reply = RenderReply::fromFramebuffer(*LoaderFrame);
+    Metrics.recordLoaderFrameReply();
+  } else {
+    Framebuffer Fb(P.Request.Width, P.Request.Height);
+    if (!Engine.readerPass(Unit->Reader, Unit->Grid, P.Request.Controls,
+                           Unit->Arena, &Fb)) {
+      Metrics.recordRenderTrap(secondsSince(P.Enqueued));
+      reject(P, RenderStatus::RenderTrap,
+             "reader pass trapped: " + Engine.lastTrap());
+      return;
+    }
+    Reply = RenderReply::fromFramebuffer(Fb);
   }
-  RenderReply Reply = RenderReply::fromFramebuffer(Fb);
   Reply.CacheHit = CacheHit;
   double Latency = secondsSince(P.Enqueued);
   Reply.ServiceMicros = static_cast<uint64_t>(Latency * 1e6);
@@ -394,13 +405,16 @@ void SpecializationService::dispatcherLoop(unsigned DispatcherIndex) {
 
     bool WasHit = false;
     bool FromDisk = false;
+    // Filled only when this dispatcher built the unit: the batch leader's
+    // frame, rendered by the loader pass at the leader's controls.
+    std::optional<Framebuffer> LoaderFrame;
     std::string Error;
     UnitPtr Unit = Cache.getOrBuild(
         Live.front()->Key,
         [&](std::string &BuildError) {
           // Disk first: a warm spilled unit is a restore, not a rebuild.
           return loadOrBuildUnit(*Live.front(), Engine, FromDisk,
-                                 BuildError);
+                                 LoaderFrame, BuildError);
         },
         &WasHit, &Error);
     if (!Unit) {
@@ -412,8 +426,11 @@ void SpecializationService::dispatcherLoop(unsigned DispatcherIndex) {
     }
     for (size_t I = 0; I < Live.size(); ++I)
       // Followers batched behind the leader never pay a build themselves;
-      // a disk restore counts as a hit too — no specializer ran.
-      finish(*Live[I], Unit, WasHit || FromDisk || I > 0, Engine);
+      // a disk restore counts as a hit too — no specializer ran. Only
+      // the leader's controls match the loader frame; followers, hits,
+      // coalesced waits and restores run the reader.
+      finish(*Live[I], Unit, WasHit || FromDisk || I > 0, Engine,
+             I == 0 && LoaderFrame ? &*LoaderFrame : nullptr);
   }
 }
 

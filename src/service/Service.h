@@ -43,6 +43,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -171,18 +172,25 @@ private:
 
   /// Builds the specialization unit for \p Request on \p Engine
   /// (parse + specialize + compile + loader pass), pinned to the
-  /// abstract-property \p Variant the request canonicalized onto.
+  /// abstract-property \p Variant the request canonicalized onto. The
+  /// loader pass renders \p Request's frame into \p LoaderFrame.
   UnitPtr buildUnit(const RenderRequest &Request, const VariantKey &Variant,
-                    RenderEngine &Engine, std::string &Error) const;
+                    RenderEngine &Engine, Framebuffer &LoaderFrame,
+                    std::string &Error) const;
 
   /// Resolves a unit for \p P: spilled snapshot from disk (a disk hit —
-  /// no specializer run) or a fresh build. \p FromDisk reports which.
+  /// no specializer run) or a fresh build. \p FromDisk reports which; a
+  /// fresh build also leaves P's frame in \p LoaderFrame.
   UnitPtr loadOrBuildUnit(const Pending &P, RenderEngine &Engine,
-                          bool &FromDisk, std::string &Error) const;
+                          bool &FromDisk,
+                          std::optional<Framebuffer> &LoaderFrame,
+                          std::string &Error) const;
 
-  /// Renders one request against a resolved unit and fulfills it.
+  /// Renders one request against a resolved unit and fulfills it. A
+  /// non-null \p LoaderFrame is P's frame from the build's loader pass,
+  /// which stands in for the reader pass.
   void finish(Pending &P, const UnitPtr &Unit, bool CacheHit,
-              RenderEngine &Engine);
+              RenderEngine &Engine, const Framebuffer *LoaderFrame);
 
   void reject(Pending &P, RenderStatus Status, std::string Reason);
 

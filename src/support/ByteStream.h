@@ -15,19 +15,26 @@
 /// All integers are written little-endian regardless of host order;
 /// floats are written as their IEEE-754 bit pattern, which round-trips
 /// NaN payloads and signed zeros exactly (the snapshot round-trip
-/// guarantee is bit-identity).
+/// guarantee is bit-identity). Float arrays (reply pixel blocks) move as
+/// one memcpy of host bytes, which is the little-endian encoding only on
+/// a little-endian host — the same assumption the snapshot arenas'
+/// raw-byte sections make, enforced here at compile time.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DATASPEC_SUPPORT_BYTESTREAM_H
 #define DATASPEC_SUPPORT_BYTESTREAM_H
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 namespace dspec {
+
+static_assert(std::endian::native == std::endian::little,
+              "float arrays are serialized as raw host bytes");
 
 /// Appends little-endian fields to a byte buffer.
 class ByteWriter {
@@ -62,6 +69,14 @@ public:
     const unsigned char *P = static_cast<const unsigned char *>(Data);
     Buffer.insert(Buffer.end(), P, P + Size);
   }
+
+  /// \p Count floats as consecutive IEEE-754 bit patterns, in one copy.
+  void writeF32Array(const float *Values, size_t Count) {
+    writeBytes(Values, Count * sizeof(float));
+  }
+
+  /// Grows capacity so the next \p Bytes of writes do not reallocate.
+  void reserve(size_t Bytes) { Buffer.reserve(Buffer.size() + Bytes); }
 
   /// Appends zero bytes until size() is a multiple of \p Alignment.
   void alignTo(size_t Alignment) {
@@ -143,6 +158,24 @@ public:
     std::string S(reinterpret_cast<const char *>(Data + Pos), Length);
     Pos += Length;
     return S;
+  }
+
+  /// Replaces \p Out with \p Count floats, in one bounds check and one
+  /// copy; on truncation leaves \p Out empty. The count is checked
+  /// before anything is allocated, so a hostile count cannot become a
+  /// giant allocation.
+  void readF32Array(std::vector<float> &Out, size_t Count) {
+    Out.clear();
+    if (Count > SIZE_MAX / sizeof(float)) {
+      fail("float array length out of range");
+      return;
+    }
+    size_t Bytes = Count * sizeof(float);
+    if (!require(Bytes) || Bytes == 0)
+      return;
+    Out.resize(Count);
+    std::memcpy(Out.data(), Data + Pos, Bytes);
+    Pos += Bytes;
   }
 
   /// Copies \p Count bytes out; on truncation returns an empty vector.

@@ -387,6 +387,9 @@ TEST(Spill, EvictedUnitWarmRestartsFromDiskBitIdentical) {
   EXPECT_TRUE(Warm.CacheHit) << "disk hit must read as a cache hit";
   MetricsSnapshot Stats = Service.statsz();
   EXPECT_EQ(Stats.SpillDiskHits, 1u);
+  // A restore runs no loader: the reader rendered this reply, and the
+  // fresh service's loader-frame count stays at zero.
+  EXPECT_EQ(Stats.LoaderFrameReplies, 0u);
   EXPECT_TRUE(bitIdentical(Warm.toFramebuffer(), Cold.toFramebuffer()));
   Framebuffer Reference = plainReference(
       *Marble, 16, 12, ShaderLab::defaultControls(*Marble));

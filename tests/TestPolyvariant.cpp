@@ -415,12 +415,17 @@ void runDifferential(const CompiledVariantSet &Set, const Chunk &Original,
     ASSERT_TRUE(Ref.plainPass(Original, Grid, Controls, &Plain))
         << What << "/" << V.Label << ": " << Ref.lastTrap();
 
+    // A request at these controls that may not pin is built generic, and
+    // a miss replies with that build's loader frame.
     const CompiledVariant &Generic = Set.Variants[0];
     CacheArena GenericArena;
+    Framebuffer GenericLoaded(Grid.width(), Grid.height());
     Framebuffer GenericFrame(Grid.width(), Grid.height());
     ASSERT_TRUE(Ref.loaderPass(Generic.Compiled.LoaderChunk,
                                Generic.Compiled.Spec.Layout, Grid, Controls,
-                               GenericArena));
+                               GenericArena, &GenericLoaded));
+    expectSameImage(Plain, GenericLoaded,
+                    What + "/" + V.Label + " generic (loader)");
     ASSERT_TRUE(Ref.readerPass(Generic.Compiled.ReaderChunk, Grid, Controls,
                                GenericArena, &GenericFrame));
     expectSameImage(Plain, GenericFrame, What + "/" + V.Label + " generic");

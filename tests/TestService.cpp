@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -125,6 +126,87 @@ TEST(ServiceProtocol, RenderReplyRoundTripsBitExactPixels) {
   EXPECT_EQ(Out.ServiceMicros, In.ServiceMicros);
 }
 
+/// A 2x1 reply whose pixels are bit patterns a lossy float path would
+/// disturb: a NaN with payload bits, -0.0, a denormal and +inf.
+RenderReply goldenReply() {
+  RenderReply Reply;
+  Reply.Width = 2;
+  Reply.Height = 1;
+  Reply.CacheHit = true;
+  Reply.ServiceMicros = 0x0102030405060708ull;
+  for (uint32_t Bits : {0x7fc5a5a5u, 0x80000000u, 0x00000123u, 0x7f800000u,
+                        0x3f800000u, 0xc0200000u})
+    Reply.Pixels.push_back(std::bit_cast<float>(Bits));
+  return Reply;
+}
+
+std::string toHex(const std::vector<unsigned char> &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (unsigned char B : Bytes) {
+    Out += Digits[B >> 4];
+    Out += Digits[B & 0xf];
+  }
+  return Out;
+}
+
+TEST(ServiceProtocol, RenderReplyFrameMatchesGoldenBytes) {
+  ByteWriter W;
+  encodeRenderReply(W, goldenReply());
+  std::vector<unsigned char> Frame =
+      encodeFrame(FrameType::RenderReply, W.bytes());
+  // Header (magic, type, reserved, length, CRC) then payload (status,
+  // empty error, 2, 1, cache hit, service micros, 6, the pixel bits),
+  // all little-endian. Changing these bytes breaks every deployed peer.
+  EXPECT_EQ(toHex(Frame), "44535046" "02000000" "32000000" "a7946776"
+                          "00" "00000000" "02000000" "01000000" "01"
+                          "0807060504030201" "06000000"
+                          "a5a5c57f" "00000080" "23010000"
+                          "0000807f" "0000803f" "000020c0");
+
+  std::vector<unsigned char> Payload(Frame.begin() + 16, Frame.end());
+  ByteReader R(Payload);
+  RenderReply Out;
+  std::string Error;
+  ASSERT_TRUE(decodeRenderReply(R, Out, &Error)) << Error;
+  EXPECT_TRUE(R.atEnd());
+  RenderReply In = goldenReply();
+  ASSERT_EQ(Out.Pixels.size(), In.Pixels.size());
+  EXPECT_EQ(std::memcmp(Out.Pixels.data(), In.Pixels.data(),
+                        In.Pixels.size() * sizeof(float)),
+            0);
+}
+
+TEST(ServiceProtocol, RenderReplyRejectsBadPixelBlocks) {
+  ByteWriter W;
+  encodeRenderReply(W, goldenReply());
+  std::vector<unsigned char> Payload = W.bytes();
+  RenderReply Out;
+  std::string Error;
+
+  // Every cut inside the pixel block (the last 24 bytes) is truncation.
+  for (size_t Cut = 1; Cut <= 24; ++Cut) {
+    std::vector<unsigned char> Short(Payload.begin(), Payload.end() - Cut);
+    ByteReader R(Short);
+    Error.clear();
+    EXPECT_FALSE(decodeRenderReply(R, Out, &Error)) << Cut;
+    EXPECT_NE(Error.find("pixel payload truncated"), std::string::npos)
+        << Error;
+  }
+
+  // A float count that disagrees with Width x Height x 3.
+  RenderReply Wrong = goldenReply();
+  Wrong.Pixels.pop_back();
+  ByteWriter WrongW;
+  encodeRenderReply(WrongW, Wrong);
+  ByteReader R(WrongW.bytes());
+  Error.clear();
+  EXPECT_FALSE(decodeRenderReply(R, Out, &Error));
+  EXPECT_NE(Error.find("does not match the image dimensions"),
+            std::string::npos)
+      << Error;
+}
+
 TEST(ServiceProtocol, FrameRejectsCorruption) {
   auto [ClientEnd, ServerEnd] = makeLoopbackPair();
   std::vector<unsigned char> Payload = {1, 2, 3, 4};
@@ -195,21 +277,30 @@ TEST(Service, RejectsMalformedRequests) {
 
 TEST(Service, MatchesPlainPassForEveryShader) {
   SpecializationService Service;
-  for (const ShaderInfo &Info : shaderGallery()) {
-    RenderRequest Request;
-    Request.Shader = Info.Name;
-    Request.Width = 24;
-    Request.Height = 16;
-    RenderReply Reply = Service.render(Request);
-    ASSERT_TRUE(Reply.ok()) << Info.Name << ": " << Reply.Error;
-    EXPECT_FALSE(Reply.CacheHit) << Info.Name;
-    Framebuffer Reference = plainReference(
-        Info, 24, 16, ShaderLab::defaultControls(Info));
-    EXPECT_TRUE(bitIdentical(Reply.toFramebuffer(), Reference)) << Info.Name;
+  // The first request per shader is a miss, answered with the loader
+  // pass's frame; the second is a hit, answered by the reader.
+  for (bool Hit : {false, true}) {
+    for (const ShaderInfo &Info : shaderGallery()) {
+      RenderRequest Request;
+      Request.Shader = Info.Name;
+      Request.Width = 24;
+      Request.Height = 16;
+      RenderReply Reply = Service.render(Request);
+      ASSERT_TRUE(Reply.ok()) << Info.Name << ": " << Reply.Error;
+      EXPECT_EQ(Reply.CacheHit, Hit) << Info.Name;
+      Framebuffer Reference = plainReference(
+          Info, 24, 16, ShaderLab::defaultControls(Info));
+      EXPECT_TRUE(bitIdentical(Reply.toFramebuffer(), Reference))
+          << Info.Name << (Hit ? " (reader)" : " (loader)");
+    }
+    MetricsSnapshot Stats = Service.statsz();
+    EXPECT_EQ(Stats.LoaderFrameReplies, shaderGallery().size());
   }
   MetricsSnapshot Stats = Service.statsz();
-  EXPECT_EQ(Stats.RequestsOk, shaderGallery().size());
+  EXPECT_EQ(Stats.RequestsOk, 2 * shaderGallery().size());
   EXPECT_EQ(Stats.Cache.Misses, shaderGallery().size());
+  EXPECT_NE(Stats.toJson().find("\"loader_frame_replies\":10,"),
+            std::string::npos);
 }
 
 TEST(Service, CacheHitsStayBitIdenticalAcrossVaryingValues) {

@@ -17,9 +17,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace dspec;
 
 namespace {
+
+/// Same kind and same bits. Stricter than Value::equals, which lets -0.0
+/// match 0.0 and never matches a NaN: the service answers a miss with the
+/// loader's frame, so that frame must be the original's bit for bit.
+bool bitIdentical(const Value &A, const Value &B) {
+  return A.Kind == B.Kind && A.I == B.I &&
+         std::memcmp(A.F, B.F, sizeof(A.F)) == 0;
+}
 
 TEST(ShaderGallery, HasTenShadersAnd131Partitions) {
   EXPECT_EQ(shaderGallery().size(), 10u);
@@ -81,9 +91,16 @@ TEST_P(PartitionEquivalence, LoaderAndReaderMatchOriginal) {
   // The loader must agree with the original on the load-time inputs.
   Framebuffer FromLoader(Lab.grid().width(), Lab.grid().height());
   Framebuffer FromOriginal(Lab.grid().width(), Lab.grid().height());
-  ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls));
+  ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls, &FromLoader));
   ASSERT_TRUE(
       Spec->originalFrame(Engine, Lab.grid(), Controls, &FromOriginal));
+  for (unsigned Y = 0; Y < Lab.grid().height(); ++Y)
+    for (unsigned X = 0; X < Lab.grid().width(); ++X)
+      ASSERT_TRUE(bitIdentical(FromLoader.at(X, Y), FromOriginal.at(X, Y)))
+          << Info.Name << "/" << Info.Controls[ControlIndex].Name
+          << " pixel (" << X << "," << Y
+          << "): loader=" << FromLoader.at(X, Y).str()
+          << " original=" << FromOriginal.at(X, Y).str();
 
   // Sweep the varying parameter: the reader must match the original
   // everywhere, using the caches loaded above.

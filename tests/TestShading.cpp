@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace dspec;
 
@@ -149,14 +150,20 @@ TEST(ShaderLab, LoaderFrameEqualsOriginalFrame) {
   Framebuffer Reference(5, 4);
   ASSERT_TRUE(
       Spec->originalFrame(Engine, Lab.grid(), Controls, &Reference));
-  ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls));
-  // Loading again and reading with unchanged controls reproduces the
-  // original image.
+  // The loader returns the original's image while it fills the cache, and
+  // reading with unchanged controls reproduces it again.
+  Framebuffer FromLoader(5, 4);
+  ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls, &FromLoader));
   Framebuffer FromReader(5, 4);
   ASSERT_TRUE(Spec->readFrame(Engine, Lab.grid(), Controls, &FromReader));
   for (unsigned Y = 0; Y < 4; ++Y)
-    for (unsigned X = 0; X < 5; ++X)
-      EXPECT_TRUE(FromReader.at(X, Y).equals(Reference.at(X, Y)));
+    for (unsigned X = 0; X < 5; ++X) {
+      const Value &Want = Reference.at(X, Y);
+      EXPECT_EQ(FromLoader.at(X, Y).Kind, Want.Kind);
+      EXPECT_EQ(std::memcmp(FromLoader.at(X, Y).F, Want.F, sizeof(Want.F)), 0)
+          << "loader pixel (" << X << "," << Y << ")";
+      EXPECT_TRUE(FromReader.at(X, Y).equals(Want));
+    }
 }
 
 TEST(ShaderLab, GalleryImagesAreNonTrivial) {

@@ -190,6 +190,36 @@ TEST(Snapshot, MetaProvenanceRoundTrips) {
   std::remove(Path.c_str());
 }
 
+/// tests/data/marble_8x6.dsnp was written by `dspec snapshot save
+/// --gallery marble --width 8 --height 6` under the byte-at-a-time
+/// CRC-32. Reading it back pins the on-disk format and the checksum
+/// values across any rewrite of either.
+TEST(Snapshot, CommittedFileVerifiesAndWarmStartsBitIdentical) {
+  const std::string Path = DSPEC_TEST_DATA_DIR "/marble_8x6.dsnp";
+  SpecializationSnapshot Snap;
+  std::string Error;
+  ASSERT_TRUE(readSnapshotFile(Path, Snap, &Error)) << Error;
+  EXPECT_EQ(Snap.Meta.FragmentName, "marble");
+  EXPECT_EQ(Snap.Meta.GridWidth, 8u);
+  EXPECT_EQ(Snap.Meta.GridHeight, 6u);
+
+  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
+  ASSERT_TRUE(Warm.has_value()) << Error;
+  RenderGrid Grid(8, 6);
+  Framebuffer Fresh(Grid.width(), Grid.height());
+  const std::string FreshPath = tempPath("committed_fresh.dsnap");
+  auto Controls = buildAndSave(*findShader("marble"), Grid, FreshPath, &Fresh);
+  std::remove(FreshPath.c_str());
+  ASSERT_EQ(Warm->Meta.Controls, Controls);
+
+  RenderEngine Engine(1);
+  Framebuffer WarmFb(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
+                                Warm->Arena, &WarmFb))
+      << Engine.lastTrap();
+  expectSameImage(Fresh, WarmFb, "committed marble snapshot");
+}
+
 TEST(Snapshot, ArenaPayloadIsAligned) {
   const ShaderInfo *Info = findShader("marble");
   RenderGrid Grid(8, 6);

@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/Casting.h"
+#include "support/Crc32.h"
 #include "support/Diagnostics.h"
 #include "support/StringUtil.h"
 
@@ -13,6 +14,8 @@
 
 #include <array>
 #include <cstring>
+#include <random>
+#include <vector>
 
 using namespace dspec;
 
@@ -158,6 +161,67 @@ TEST(SourceLoc, Validity) {
   EXPECT_EQ(Loc.str(), "7:3");
   EXPECT_TRUE(Loc == SourceLoc(7, 3));
   EXPECT_TRUE(Loc != SourceLoc(7, 4));
+}
+
+//===----------------------------------------------------------------------===//
+// CRC-32
+//===----------------------------------------------------------------------===//
+
+/// The textbook one-byte-per-step CRC-32 (reflected 0xEDB88320), kept
+/// here as the oracle the library's sliced implementation must match.
+uint32_t bytewiseCrc32(const unsigned char *Data, size_t Size,
+                       uint32_t Seed = 0) {
+  uint32_t C = Seed ^ 0xFFFFFFFFu;
+  for (size_t I = 0; I < Size; ++I) {
+    C ^= Data[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> randomBytes(size_t Size, uint32_t Seed) {
+  std::mt19937 Rng(Seed);
+  std::vector<unsigned char> Bytes(Size);
+  for (unsigned char &B : Bytes)
+    B = static_cast<unsigned char>(Rng());
+  return Bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32("", 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32, SeedChainsAtEverySplitPoint) {
+  std::vector<unsigned char> Buf = randomBytes(1024, 1);
+  uint32_t Whole = crc32(Buf.data(), Buf.size());
+  for (size_t Split = 0; Split <= Buf.size(); ++Split)
+    ASSERT_EQ(crc32(Buf.data() + Split, Buf.size() - Split,
+                    crc32(Buf.data(), Split)),
+              Whole)
+        << "split at " << Split;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryAlignment) {
+  std::vector<unsigned char> Buf = randomBytes(8 + 64, 2);
+  for (size_t Offset = 0; Offset < 8; ++Offset)
+    for (size_t Length = 0; Length <= 64; ++Length)
+      ASSERT_EQ(crc32(Buf.data() + Offset, Length),
+                bytewiseCrc32(Buf.data() + Offset, Length))
+          << "offset " << Offset << ", length " << Length;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnLargeBuffers) {
+  std::mt19937 Rng(3);
+  for (size_t Size : {size_t(4095), size_t(65536 + 7), size_t(1) << 20}) {
+    std::vector<unsigned char> Buf = randomBytes(Size, Rng());
+    uint32_t Seed = Rng();
+    EXPECT_EQ(crc32(Buf.data(), Buf.size(), Seed),
+              bytewiseCrc32(Buf.data(), Buf.size(), Seed))
+        << Size << " bytes";
+  }
 }
 
 } // namespace
