@@ -15,6 +15,7 @@
 
 #include "BenchUtil.h"
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "vm/VM.h"
 
 #include <benchmark/benchmark.h>
@@ -69,7 +70,7 @@ DotprodSetup &setup() {
 
 /// Times N executions of a chunk, returning seconds per execution.
 double timePerCall(VM &Machine, const Chunk &Code,
-                   const std::vector<Value> &Args, Cache *Slots,
+                   const std::vector<Value> &Args, CacheView Slots,
                    unsigned Calls) {
   auto Start = std::chrono::steady_clock::now();
   for (unsigned I = 0; I < Calls; ++I)
@@ -90,18 +91,17 @@ void printSection2Table() {
 
   for (float Scale : {2.0f, 0.0f}) {
     auto Args = DotprodSetup::args(0.5f, -1.25f, Scale);
-    Cache Slots;
-    Machine.run(S.Compiled.LoaderChunk, Args, &Slots);
+    CacheArena Slots(1, S.Compiled.Spec.Layout);
+    Machine.run(S.Compiled.LoaderChunk, Args, Slots.view(0));
 
     std::vector<double> OrigT, LoadT, ReadT;
     for (int Rep = 0; Rep < 5; ++Rep) {
       OrigT.push_back(
-          timePerCall(Machine, S.Compiled.OriginalChunk, Args, nullptr,
-                      Calls));
-      LoadT.push_back(
-          timePerCall(Machine, S.Compiled.LoaderChunk, Args, &Slots, Calls));
-      ReadT.push_back(
-          timePerCall(Machine, S.Compiled.ReaderChunk, Args, &Slots, Calls));
+          timePerCall(Machine, S.Compiled.OriginalChunk, Args, {}, Calls));
+      LoadT.push_back(timePerCall(Machine, S.Compiled.LoaderChunk, Args,
+                                  Slots.view(0), Calls));
+      ReadT.push_back(timePerCall(Machine, S.Compiled.ReaderChunk, Args,
+                                  Slots.view(0), Calls));
     }
     double Orig = median(OrigT), Load = median(LoadT), Read = median(ReadT);
     double SpeedupPct = (Orig / Read - 1.0) * 100.0;
@@ -139,22 +139,22 @@ BENCHMARK(BM_DotprodOriginal);
 
 void BM_DotprodLoader(benchmark::State &State) {
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, setup().Compiled.Spec.Layout);
   auto Args = DotprodSetup::args(0.5f, -1.25f, 2.0f);
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        Machine.run(setup().Compiled.LoaderChunk, Args, &Slots));
+        Machine.run(setup().Compiled.LoaderChunk, Args, Slots.view(0)));
 }
 BENCHMARK(BM_DotprodLoader);
 
 void BM_DotprodReader(benchmark::State &State) {
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, setup().Compiled.Spec.Layout);
   auto Args = DotprodSetup::args(0.5f, -1.25f, 2.0f);
-  Machine.run(setup().Compiled.LoaderChunk, Args, &Slots);
+  Machine.run(setup().Compiled.LoaderChunk, Args, Slots.view(0));
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        Machine.run(setup().Compiled.ReaderChunk, Args, &Slots));
+        Machine.run(setup().Compiled.ReaderChunk, Args, Slots.view(0)));
 }
 BENCHMARK(BM_DotprodReader);
 

@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the render-engine data path against the seed's: reader-pass
-/// throughput (pixels/second) for
+/// Measures how the render engine's reader pass scales: throughput
+/// (pixels/second) over the packed CacheArena (one contiguous
+/// allocation, Figure 8 byte counts) for
 ///
-///   boxed-serial    the pre-engine path — one std::vector<Value> cache
-///                   per pixel (24-byte tagged boxes, a heap allocation
-///                   per pixel), one VM, a plain loop;
-///   packed-serial   the engine at 1 thread over the packed CacheArena
-///                   (one contiguous allocation, Figure 8 byte counts);
-///   packed-Nt       the engine at 2/4/8 threads.
+///   packed-serial   the switch tier at 1 thread, the baseline every
+///                   speedup is measured against;
+///   packed-Nt       the switch tier at 2/4/8 threads;
+///   batched-*       the batched tier, serial and at 2/4/8 threads.
 ///
 /// Prints a table plus one machine-readable JSON line per configuration
 /// (and a summary object), so the scaling curve can be tracked over time.
@@ -39,60 +38,18 @@ double timeSeconds(const std::function<void()> &Body) {
       .count();
 }
 
-/// The seed's data path: per-pixel boxed caches, one VM, a serial loop.
-struct BoxedSerialPath {
-  const CompiledSpecialization &Compiled;
-  const RenderGrid &Grid;
-  VM Machine;
-  std::vector<Cache> Caches;
-
-  BoxedSerialPath(const CompiledSpecialization &Compiled,
-                  const RenderGrid &Grid)
-      : Compiled(Compiled), Grid(Grid), Caches(Grid.pixelCount()) {}
-
-  bool runChunk(const Chunk &Code, const std::vector<float> &Controls) {
-    std::vector<Value> Args(RenderEngine::NumPixelParams + Controls.size());
-    for (size_t C = 0; C < Controls.size(); ++C)
-      Args[RenderEngine::NumPixelParams + C] = Value::makeFloat(Controls[C]);
-    const auto &Pixels = Grid.pixels();
-    for (unsigned I = 0; I < Grid.pixelCount(); ++I) {
-      Args[0] = Pixels[I].UV;
-      Args[1] = Pixels[I].P;
-      Args[2] = Pixels[I].N;
-      Args[3] = Pixels[I].I;
-      auto R = Machine.run(Code, Args, &Caches[I]);
-      if (!R.ok()) {
-        std::fprintf(stderr, "boxed path trapped: %s\n",
-                     R.TrapMessage.c_str());
-        return false;
-      }
-      benchmark::DoNotOptimize(R.Result);
-    }
-    return true;
-  }
-
-  bool load(const std::vector<float> &Controls) {
-    return runChunk(Compiled.LoaderChunk, Controls);
-  }
-  bool read(const std::vector<float> &Controls) {
-    return runChunk(Compiled.ReaderChunk, Controls);
-  }
-};
-
 struct ScalingRow {
   std::string Config;
   const char *Tier = "switch";
   unsigned Threads = 1;
   double FrameSeconds = 0.0;
   double PixelsPerSecond = 0.0;
-  double SpeedupVsBoxed = 1.0;
 };
 
 void printScaling(const char *OutPath) {
-  banner("Engine scaling: reader throughput, boxed-serial vs packed arena",
-         "packing the per-pixel caches (Figure 8 byte counts, one "
-         "contiguous arena) and tiling pixels over a thread pool "
-         "compounds the paper's per-frame reader speedup");
+  banner("Engine scaling: reader throughput over the packed arena",
+         "tiling pixels over a thread pool, and batching them in the "
+         "batched tier, compounds the paper's per-frame reader speedup");
 
   ShaderLab Lab(benchWidth(), benchHeight(), benchFrames());
   const ShaderInfo *Info = findShader("marble");
@@ -108,20 +65,6 @@ void printScaling(const char *OutPath) {
   auto Sweep = Lab.sweepValues(Info->Controls[ParamIndex], Frames);
 
   std::vector<ScalingRow> Rows;
-
-  // Boxed-serial: the seed's per-pixel std::vector<Value> data path.
-  {
-    BoxedSerialPath Boxed(Spec->compiled(), Lab.grid());
-    if (!Boxed.load(Controls))
-      std::abort();
-    std::vector<double> Times;
-    for (unsigned F = 0; F < Frames; ++F) {
-      Controls[ParamIndex] = Sweep[F];
-      Times.push_back(timeSeconds([&] { Boxed.read(Controls); }));
-    }
-    double T = median(Times);
-    Rows.push_back({"boxed-serial", "switch", 1, T, Pixels / T, 1.0});
-  }
 
   // Packed: the engine over the CacheArena at 1/2/4/8 threads, per
   // execution tier (see docs/ENGINE.md, "Execution tiers"). The historic
@@ -149,19 +92,20 @@ void printScaling(const char *OutPath) {
       std::string Name = Threads == 1
                              ? Stem + "-serial"
                              : Stem + "-" + std::to_string(Threads) + "t";
-      Rows.push_back({Name, execTierName(Tier), Threads, T, Pixels / T,
-                      Rows[0].FrameSeconds / T});
+      Rows.push_back({Name, execTierName(Tier), Threads, T, Pixels / T});
     }
   }
 
+  // Every speedup is over Rows[0], packed-serial.
+  const double Baseline = Rows[0].FrameSeconds;
   std::printf("marble / vary ka, %ux%u pixels, median of %u frames:\n\n",
               Lab.grid().width(), Lab.grid().height(), Frames);
-  std::printf("%-16s %-9s %8s %12s %14s %10s\n", "config", "tier", "threads",
-              "frame ms", "pixels/sec", "vs boxed");
+  std::printf("%-16s %-9s %8s %12s %14s %17s\n", "config", "tier", "threads",
+              "frame ms", "pixels/sec", "vs packed-serial");
   for (const ScalingRow &R : Rows)
-    std::printf("%-16s %-9s %8u %12.3f %14.0f %9.2fx\n", R.Config.c_str(),
+    std::printf("%-16s %-9s %8u %12.3f %14.0f %16.2fx\n", R.Config.c_str(),
                 R.Tier, R.Threads, R.FrameSeconds * 1e3, R.PixelsPerSecond,
-                R.SpeedupVsBoxed);
+                Baseline / R.FrameSeconds);
 
   BenchJson Json("engine_scaling");
   Json.configString("shader", "marble");
@@ -174,9 +118,9 @@ void printScaling(const char *OutPath) {
     std::snprintf(Row, sizeof(Row),
                   "{\"config\":%s,\"tier\":\"%s\",\"threads\":%u,"
                   "\"frame_seconds\":%.9f,\"pixels_per_second\":%.1f,"
-                  "\"speedup_vs_boxed\":%.3f}",
+                  "\"speedup_vs_packed_serial\":%.3f}",
                   jsonQuote(R.Config).c_str(), R.Tier, R.Threads,
-                  R.FrameSeconds, R.PixelsPerSecond, R.SpeedupVsBoxed);
+                  R.FrameSeconds, R.PixelsPerSecond, Baseline / R.FrameSeconds);
     Json.addRow(Row);
   }
   Json.emit(OutPath);
@@ -200,19 +144,6 @@ BENCHMARK(BM_ReaderFramePacked)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ReaderFrameBoxed(benchmark::State &State) {
-  ShaderLab Lab(benchWidth(), benchHeight(), 2);
-  const ShaderInfo *Info = findShader("marble");
-  auto Spec = Lab.specializePartition(*Info, 0);
-  BoxedSerialPath Boxed(Spec->compiled(), Lab.grid());
-  auto Controls = ShaderLab::defaultControls(*Info);
-  Boxed.load(Controls);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Boxed.read(Controls));
-  State.SetItemsProcessed(State.iterations() * Lab.grid().pixelCount());
-}
-BENCHMARK(BM_ReaderFrameBoxed)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

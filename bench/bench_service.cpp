@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the specialization service end to end over the loopback
-/// transport — the full client path of frame encode, CRC, dispatch,
-/// unit-cache resolution, tiled reader render, and reply decode:
+/// Measures the specialization service end to end over TCP to the
+/// event-loop server (src/net/), the server `dspec serve` runs — the full
+/// client path of frame encode, CRC, dispatch, unit-cache resolution,
+/// tiled reader render, and reply decode:
 ///
 ///   cold    first request for a key: pays parse + specialize + compile
 ///           + loader pass before the reader frame;
@@ -21,7 +22,7 @@
 /// load shedding (the run fails if nothing is shed — admission control
 /// that never triggers is untested code).
 ///
-/// Two more phases exercise the event-loop TCP front end (src/net/):
+/// Two more phases load the same front end with many connections:
 ///
 ///   open-loop load   32 concurrent TCP clients sending at a fixed
 ///                    arrival rate regardless of replies, measuring
@@ -53,6 +54,36 @@ using namespace dspec;
 using namespace dspec::bench;
 
 namespace {
+
+/// A service plus a NetServer on an ephemeral TCP port.
+struct TcpBenchServer {
+  explicit TcpBenchServer(const ServiceConfig &ServiceCfg,
+                          NetServerConfig NetCfg)
+      : Service(ServiceCfg) {
+    NetCfg.TcpHostPort = "127.0.0.1:0";
+    Server = std::make_unique<NetServer>(Service, std::move(NetCfg));
+    std::string Error;
+    if (!Server->start(&Error)) {
+      std::fprintf(stderr, "!! cannot start TCP server: %s\n", Error.c_str());
+      std::abort();
+    }
+  }
+  ~TcpBenchServer() {
+    Server->shutdownServer();
+    Service.drain();
+  }
+  std::unique_ptr<Transport> connect() {
+    std::string Error;
+    auto T = connectTcp("127.0.0.1", Server->boundTcpPort(), &Error);
+    if (!T) {
+      std::fprintf(stderr, "!! connect: %s\n", Error.c_str());
+      std::abort();
+    }
+    return T;
+  }
+  SpecializationService Service;
+  std::unique_ptr<NetServer> Server;
+};
 
 struct ServiceRow {
   std::string Shader;
@@ -86,10 +117,8 @@ void runColdVsHit(BenchJson &Json) {
 
   ServiceConfig Config;
   Config.RenderThreads = 1;
-  SpecializationService Service(Config);
-  auto [Client, ServerEnd] = makeLoopbackPair();
-  std::thread Server(
-      [&ServerEnd, &Service] { serveConnection(*ServerEnd, Service); });
+  TcpBenchServer S(Config, {});
+  auto Client = S.connect();
 
   std::vector<ServiceRow> Rows;
   std::vector<double> AllHits;
@@ -121,9 +150,7 @@ void runColdVsHit(BenchJson &Json) {
     Rows.push_back(std::move(Row));
   }
 
-  MetricsSnapshot Stats = Service.statsz();
-  Client->shutdown();
-  Server.join();
+  MetricsSnapshot Stats = S.Service.statsz();
 
   std::printf("%ux%u pixels, 1 cold + %u hit frames per shader:\n\n", W, H,
               Frames);
@@ -222,36 +249,6 @@ void runOverloadShed(BenchJson &Json) {
 //===----------------------------------------------------------------------===//
 // TCP open-loop load and fairness
 //===----------------------------------------------------------------------===//
-
-/// A service plus a NetServer on an ephemeral TCP port.
-struct TcpBenchServer {
-  explicit TcpBenchServer(const ServiceConfig &ServiceCfg,
-                          NetServerConfig NetCfg)
-      : Service(ServiceCfg) {
-    NetCfg.TcpHostPort = "127.0.0.1:0";
-    Server = std::make_unique<NetServer>(Service, std::move(NetCfg));
-    std::string Error;
-    if (!Server->start(&Error)) {
-      std::fprintf(stderr, "!! cannot start TCP server: %s\n", Error.c_str());
-      std::abort();
-    }
-  }
-  ~TcpBenchServer() {
-    Server->shutdownServer();
-    Service.drain();
-  }
-  std::unique_ptr<Transport> connect() {
-    std::string Error;
-    auto T = connectTcp("127.0.0.1", Server->boundTcpPort(), &Error);
-    if (!T) {
-      std::fprintf(stderr, "!! connect: %s\n", Error.c_str());
-      std::abort();
-    }
-    return T;
-  }
-  SpecializationService Service;
-  std::unique_ptr<NetServer> Server;
-};
 
 struct LoadClientResult {
   std::vector<double> LatSeconds;
@@ -512,10 +509,8 @@ void runHotVsFair(BenchJson &Json) {
 
 // Micro-benchmark: one hit round trip through the full framed protocol.
 void BM_ServiceHitRoundTrip(benchmark::State &State) {
-  SpecializationService Service;
-  auto [Client, ServerEnd] = makeLoopbackPair();
-  std::thread Server(
-      [&ServerEnd, &Service] { serveConnection(*ServerEnd, Service); });
+  TcpBenchServer S({}, {});
+  auto Client = S.connect();
   RenderRequest Request;
   Request.Shader = "plastic";
   Request.Width = benchWidth();
@@ -527,8 +522,6 @@ void BM_ServiceHitRoundTrip(benchmark::State &State) {
     auto Reply = requestRender(*Client, Request, &Error);
     benchmark::DoNotOptimize(Reply);
   }
-  Client->shutdown();
-  Server.join();
 }
 BENCHMARK(BM_ServiceHitRoundTrip)->Unit(benchmark::kMicrosecond);
 

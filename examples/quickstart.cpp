@@ -63,8 +63,7 @@ float dotprod(float x1, float y1, float z1,
   //    the reader runs every time the varying inputs change. The cache is
   //    a packed byte buffer of exactly the layout's size, accessed through
   //    a CacheView — the same representation the render engine's arena
-  //    uses per pixel (the boxed std::vector<Value> cache still exists,
-  //    but only as a compatibility adapter).
+  //    uses per pixel, and the only one the VM runs against.
   VM Machine;
   std::vector<unsigned char> CacheBytes(Spec->Spec.Layout.totalBytes());
   CacheView View(CacheBytes.data(),

@@ -7,9 +7,9 @@
 /// \file
 /// The event-loop network front end for the specialization service: N IO
 /// threads, each running one EventLoop, serving nonblocking TCP and
-/// unix-socket connections speaking the DSPF protocol. Replaces the
-/// thread-per-connection transport for production serving (that path
-/// survives as a test shim).
+/// unix-socket connections speaking the DSPF protocol. It is the
+/// project's only server: `dspec serve`, the service tests and the
+/// benchmarks all run it.
 ///
 /// Per-client fairness is enforced per connection, before a request ever
 /// reaches the service queue: a token-bucket request quota and an

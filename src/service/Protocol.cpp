@@ -145,8 +145,11 @@ bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
   Out.CacheHit = R.readU8() != 0;
   Out.ServiceMicros = R.readU64();
   uint32_t NumFloats = R.readU32();
-  if (NumFloats != static_cast<uint64_t>(Out.Width) * Out.Height * 3 &&
-      !(NumFloats == 0 && Out.Status != RenderStatus::Ok))
+  // Divide rather than multiply by 3: Width * Height * 3 can wrap.
+  bool SizeMatches =
+      NumFloats % 3 == 0 &&
+      NumFloats / 3 == static_cast<uint64_t>(Out.Width) * Out.Height;
+  if (!SizeMatches && !(NumFloats == 0 && Out.Status != RenderStatus::Ok))
     R.fail("pixel payload does not match the image dimensions");
   if (NumFloats * sizeof(float) > R.remaining())
     R.fail("pixel payload truncated");
@@ -325,6 +328,19 @@ std::optional<RenderReply> dspec::requestRender(Transport &T,
   // trailer. Reassemble the latter into the same RenderReply shape.
   std::vector<float> Assembled;
   uint32_t Partials = 0;
+  // Every pixel-carrying frame must describe the image that was asked
+  // for; the assembly buffer is sized from the request, never from a
+  // frame's own dimensions.
+  auto SizeIsRequested = [&](uint32_t Width, uint32_t Height) {
+    if (Width == Request.Width && Height == Request.Height)
+      return true;
+    if (Error)
+      *Error = "streamed reply is " + std::to_string(Width) + "x" +
+               std::to_string(Height) + ", not the requested " +
+               std::to_string(Request.Width) + "x" +
+               std::to_string(Request.Height);
+    return false;
+  };
   for (;;) {
     FrameType Type;
     std::vector<unsigned char> Payload;
@@ -349,9 +365,10 @@ std::optional<RenderReply> dspec::requestRender(Transport &T,
     }
     if (Type == FrameType::RenderPartial) {
       RenderPartialChunk Chunk;
-      if (!decodeRenderPartial(R, Chunk, Error))
+      if (!decodeRenderPartial(R, Chunk, Error) ||
+          !SizeIsRequested(Chunk.Width, Chunk.Height))
         return std::nullopt;
-      size_t Needed = static_cast<size_t>(Chunk.Width) * Chunk.Height * 3;
+      size_t Needed = static_cast<size_t>(Request.Width) * Request.Height * 3;
       if (Assembled.size() < Needed)
         Assembled.resize(Needed, 0.0f);
       std::copy(Chunk.Pixels.begin(), Chunk.Pixels.end(),
@@ -377,6 +394,8 @@ std::optional<RenderReply> dspec::requestRender(Transport &T,
       Reply.CacheHit = Done.CacheHit;
       Reply.ServiceMicros = Done.ServiceMicros;
       if (Reply.ok()) {
+        if (!SizeIsRequested(Done.Width, Done.Height))
+          return std::nullopt;
         size_t Needed = static_cast<size_t>(Done.Width) * Done.Height * 3;
         if (Assembled.size() != Needed) {
           if (Error)

@@ -7,7 +7,6 @@
 #include "service/Service.h"
 
 #include "driver/Pipeline.h"
-#include "service/Transport.h"
 #include "shading/ShaderGallery.h"
 #include "shading/ShaderLab.h"
 #include "support/ByteStream.h"
@@ -469,56 +468,4 @@ MetricsSnapshot SpecializationService::statsz() const {
   if (NetStatsProvider)
     Out.NetJson = NetStatsProvider();
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Connection serving
-//===----------------------------------------------------------------------===//
-
-void dspec::serveConnection(Transport &Connection,
-                            SpecializationService &Service) {
-  // Shutting the transport down on every exit path guarantees the peer
-  // sees EOF instead of blocking on a read the server will never answer
-  // (e.g. after it drops the connection over a corrupt frame).
-  struct ShutdownOnExit {
-    Transport &T;
-    ~ShutdownOnExit() { T.shutdown(); }
-  } Closer{Connection};
-
-  while (true) {
-    FrameType Type;
-    std::vector<unsigned char> Payload;
-    std::string Error;
-    if (!readFrame(Connection, Type, Payload, &Error))
-      return; // EOF, shutdown, or a corrupt frame — drop the connection
-
-    switch (Type) {
-    case FrameType::RenderRequest: {
-      RenderRequest Request;
-      ByteReader R(Payload);
-      RenderReply Reply;
-      if (!decodeRenderRequest(R, Request, &Error)) {
-        Reply.Status = RenderStatus::BadRequest;
-        Reply.Error = Error;
-      } else {
-        Reply = Service.render(std::move(Request));
-      }
-      ByteWriter W;
-      encodeRenderReply(W, Reply);
-      if (!writeFrame(Connection, FrameType::RenderReply, W.bytes()))
-        return;
-      break;
-    }
-    case FrameType::StatsRequest: {
-      std::string Json = Service.statsz().toJson();
-      std::vector<unsigned char> Bytes(Json.begin(), Json.end());
-      if (!writeFrame(Connection, FrameType::StatsReply, Bytes))
-        return;
-      break;
-    }
-    default:
-      // A reply frame from a client is a protocol violation.
-      return;
-    }
-  }
 }

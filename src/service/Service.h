@@ -49,8 +49,6 @@
 
 namespace dspec {
 
-class Transport;
-
 /// Sizing knobs for one service instance.
 struct ServiceConfig {
   /// Worker threads per render engine (0 = one per hardware thread).
@@ -216,11 +214,6 @@ private:
   std::vector<std::unique_ptr<RenderEngine>> Engines; // one per dispatcher
   std::vector<std::thread> DispatcherThreads;
 };
-
-/// Serves one client connection: reads frames until EOF or a protocol
-/// error, dispatching render and stats requests to \p Service. Run on a
-/// dedicated thread per connection.
-void serveConnection(Transport &Connection, SpecializationService &Service);
 
 } // namespace dspec
 

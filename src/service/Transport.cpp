@@ -7,16 +7,11 @@
 #include "service/Transport.h"
 
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,102 +19,7 @@
 using namespace dspec;
 
 //===----------------------------------------------------------------------===//
-// Loopback
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// One direction of the loopback pair: a bounded-by-nothing byte queue.
-/// (Frames are small and the protocol is request/response, so writers
-/// never run meaningfully ahead of readers.)
-struct LoopbackPipe {
-  std::mutex M;
-  std::condition_variable DataReady;
-  std::deque<unsigned char> Bytes;
-  bool Closed = false;
-
-  void write(const void *Data, size_t Size) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Bytes.insert(Bytes.end(), P, P + Size);
-    }
-    DataReady.notify_all();
-  }
-
-  bool read(void *Data, size_t Size) {
-    unsigned char *P = static_cast<unsigned char *>(Data);
-    std::unique_lock<std::mutex> Lock(M);
-    while (Size > 0) {
-      DataReady.wait(Lock, [&] { return !Bytes.empty() || Closed; });
-      if (Bytes.empty() && Closed)
-        return false;
-      size_t Take = Bytes.size() < Size ? Bytes.size() : Size;
-      for (size_t I = 0; I < Take; ++I)
-        P[I] = Bytes[I];
-      Bytes.erase(Bytes.begin(), Bytes.begin() + Take);
-      P += Take;
-      Size -= Take;
-    }
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Closed = true;
-    }
-    DataReady.notify_all();
-  }
-
-  bool closed() {
-    std::lock_guard<std::mutex> Lock(M);
-    return Closed;
-  }
-};
-
-class LoopbackTransport : public Transport {
-public:
-  LoopbackTransport(std::shared_ptr<LoopbackPipe> Outgoing,
-                    std::shared_ptr<LoopbackPipe> Incoming)
-      : Outgoing(std::move(Outgoing)), Incoming(std::move(Incoming)) {}
-
-  ~LoopbackTransport() override { shutdown(); }
-
-  bool writeAll(const void *Data, size_t Size) override {
-    if (Outgoing->closed())
-      return false;
-    Outgoing->write(Data, Size);
-    return true;
-  }
-
-  bool readAll(void *Data, size_t Size) override {
-    return Incoming->read(Data, Size);
-  }
-
-  void shutdown() override {
-    // Close both directions so reads *and* writes on both endpoints fail.
-    Outgoing->close();
-    Incoming->close();
-  }
-
-private:
-  std::shared_ptr<LoopbackPipe> Outgoing;
-  std::shared_ptr<LoopbackPipe> Incoming;
-};
-
-} // namespace
-
-std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
-dspec::makeLoopbackPair() {
-  auto AtoB = std::make_shared<LoopbackPipe>();
-  auto BtoA = std::make_shared<LoopbackPipe>();
-  return {std::make_unique<LoopbackTransport>(AtoB, BtoA),
-          std::make_unique<LoopbackTransport>(BtoA, AtoB)};
-}
-
-//===----------------------------------------------------------------------===//
-// Unix-domain sockets
+// Client sockets
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -188,79 +88,6 @@ bool fillSockaddr(const std::string &Path, sockaddr_un &Addr,
 }
 
 } // namespace
-
-bool UnixServerSocket::listenOn(const std::string &SocketPath,
-                                std::string *Error) {
-  sockaddr_un Addr;
-  if (!fillSockaddr(SocketPath, Addr, Error))
-    return false;
-  int NewFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (NewFd < 0) {
-    if (Error)
-      *Error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  ::unlink(SocketPath.c_str()); // stale socket from a previous run
-  if (::bind(NewFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-      ::listen(NewFd, 64) < 0) {
-    if (Error)
-      *Error = "bind/listen on '" + SocketPath +
-               "': " + std::strerror(errno);
-    ::close(NewFd);
-    return false;
-  }
-  close();
-  Fd = NewFd;
-  WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  Path = SocketPath;
-  return true;
-}
-
-std::unique_ptr<Transport> UnixServerSocket::acceptConnection(
-    int TimeoutMillis) {
-  if (Fd < 0)
-    return nullptr;
-  // Poll the listen fd *and* the wakeup fd, so interrupt() — e.g. from a
-  // signal handler — ends an indefinite wait immediately instead of the
-  // caller rediscovering its stop flag at the next timeout.
-  pollfd P[2] = {{Fd, POLLIN, 0}, {WakeFd, POLLIN, 0}};
-  int Ready = ::poll(P, WakeFd >= 0 ? 2 : 1, TimeoutMillis);
-  if (Ready <= 0)
-    return nullptr;
-  if (WakeFd >= 0 && (P[1].revents & POLLIN)) {
-    uint64_t Count;
-    while (::read(WakeFd, &Count, sizeof(Count)) > 0) {
-    }
-    return nullptr;
-  }
-  if (!(P[0].revents & POLLIN))
-    return nullptr;
-  int Conn = ::accept(Fd, nullptr, nullptr);
-  if (Conn < 0)
-    return nullptr;
-  return std::make_unique<FdTransport>(Conn);
-}
-
-void UnixServerSocket::interrupt() {
-  if (WakeFd < 0)
-    return;
-  uint64_t One = 1;
-  [[maybe_unused]] ssize_t N = ::write(WakeFd, &One, sizeof(One));
-}
-
-void UnixServerSocket::close() {
-  if (Fd < 0)
-    return;
-  ::close(Fd);
-  Fd = -1;
-  if (WakeFd >= 0) {
-    ::close(WakeFd);
-    WakeFd = -1;
-  }
-  if (!Path.empty())
-    ::unlink(Path.c_str());
-  Path.clear();
-}
 
 std::unique_ptr<Transport>
 dspec::connectUnixSocket(const std::string &SocketPath, std::string *Error) {

@@ -5,20 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reliable, ordered byte transports the framed protocol runs over. Two
-/// implementations:
-///
-///   loopback   an in-process bidirectional pipe pair, so tests and
-///              benchmarks exercise the full client/server path with no
-///              real networking (and no flakiness);
-///   unix       a unix-domain stream socket, used by `dspec serve` and
-///              `dspec request`.
+/// The reliable, ordered byte stream the framed protocol's client side
+/// runs over, and the two client sockets that provide one: a unix-domain
+/// stream socket (`dspec request --socket`) and a TCP connection
+/// (`--tcp`). The server side is net/NetServer, an event loop that
+/// speaks the same frames without this interface.
 ///
 /// A transport moves bytes, nothing more; framing, checksums, and message
 /// semantics live in service/Protocol.h. shutdown() is safe to call from
-/// any thread and unblocks concurrent readAll/writeAll calls — it is how
-/// the server interrupts connections parked in a blocking read during
-/// graceful drain.
+/// any thread and unblocks concurrent readAll/writeAll calls.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 
 namespace dspec {
 
@@ -48,54 +42,6 @@ public:
   /// Makes all current and future I/O on this endpoint fail promptly.
   /// Thread-safe; idempotent.
   virtual void shutdown() = 0;
-};
-
-/// Creates a connected in-process transport pair: bytes written to one
-/// endpoint are read from the other. Either endpoint's shutdown() (or
-/// destruction) unblocks both sides.
-std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
-makeLoopbackPair();
-
-/// A listening unix-domain stream socket. Closes and unlinks on
-/// destruction.
-class UnixServerSocket {
-public:
-  UnixServerSocket() = default;
-  ~UnixServerSocket() { close(); }
-  UnixServerSocket(UnixServerSocket &&Other) noexcept
-      : Fd(Other.Fd), WakeFd(Other.WakeFd), Path(std::move(Other.Path)) {
-    Other.Fd = -1;
-    Other.WakeFd = -1;
-  }
-  UnixServerSocket &operator=(UnixServerSocket &&) = delete;
-  UnixServerSocket(const UnixServerSocket &) = delete;
-  UnixServerSocket &operator=(const UnixServerSocket &) = delete;
-
-  /// Binds and listens on \p SocketPath (unlinking a stale file first).
-  /// Returns false with \p Error set on failure.
-  bool listenOn(const std::string &SocketPath, std::string *Error);
-
-  /// Waits up to \p TimeoutMillis (-1 = indefinitely) for a connection;
-  /// returns null on timeout, interrupt(), or a closed socket. Blocking
-  /// indefinitely is safe because interrupt() wakes the poll through the
-  /// socket's wakeup fd — callers no longer need a timeout-and-recheck
-  /// loop to notice a stop flag.
-  std::unique_ptr<Transport> acceptConnection(int TimeoutMillis = -1);
-
-  /// Wakes a blocked acceptConnection immediately (it returns null).
-  /// Async-signal-safe (one write(2) to an eventfd) and idempotent —
-  /// this is how a SIGINT/SIGTERM handler stops the accept loop with no
-  /// polling latency.
-  void interrupt();
-
-  bool listening() const { return Fd >= 0; }
-  void close();
-
-private:
-  int Fd = -1;
-  /// eventfd that interrupt() writes and acceptConnection polls.
-  int WakeFd = -1;
-  std::string Path;
 };
 
 /// Connects to a unix-domain socket; null with \p Error set on failure.

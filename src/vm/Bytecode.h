@@ -51,9 +51,9 @@ enum class OpCode : uint8_t {
   OC_JumpIfFalse, ///< pop bool; if false ip = A
   OC_CallBuiltin, ///< pop B args; push result of builtin A
   OC_Member,      ///< pop vector; push component A
-  OC_CacheLoad,   ///< push cache slot A (packed: TypeKind(C) at byte B)
+  OC_CacheLoad,   ///< push cache slot A: TypeKind(C) at byte offset B
   OC_CacheStore,  ///< cache slot A = top of stack, which stays on the
-                  ///< stack (packed: TypeKind(C) at byte offset B)
+                  ///< stack; TypeKind(C) at byte offset B
   OC_Return,      ///< pop result and halt
   OC_ReturnVoid,  ///< halt with void result
 };
@@ -62,9 +62,10 @@ enum class OpCode : uint8_t {
 const char *opcodeName(OpCode Op);
 
 /// One fixed-width instruction. Cache instructions carry the full slot
-/// description: A = slot index (boxed compatibility path), B = byte
-/// offset in the packed cache buffer, C = the slot's TypeKind — both
-/// assigned from the specialization's CacheLayout.
+/// description, all assigned from the specialization's CacheLayout: A =
+/// slot index, which the vm/Serde verifier checks against
+/// CacheSlotCount; B = byte offset in the packed cache buffer, the only
+/// address the interpreters use; C = the slot's TypeKind.
 struct Instr {
   OpCode Op;
   int32_t A = 0;
@@ -84,8 +85,8 @@ struct Chunk {
   Type ReturnType;
   /// Cache requirements of this chunk, derived from the CacheLayout the
   /// cache instructions were compiled against. Zero for plain fragments.
-  /// The VM pre-sizes boxed caches to CacheSlotCount and traps on any
-  /// access past it; packed CacheViews must span CacheBytes.
+  /// Snapshots persist both; the verifier bounds every slot index by
+  /// CacheSlotCount, and a CacheView must span CacheBytes or the VM traps.
   unsigned CacheSlotCount = 0;
   unsigned CacheBytes = 0;
 

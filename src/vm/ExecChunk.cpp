@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 using namespace dspec;
 
@@ -558,19 +557,4 @@ dspec::fusedHistogram(const ExecChunk &C) {
                      return L.second > R.second;
                    });
   return Rows;
-}
-
-std::string ExecChunk::disassemble() const {
-  std::ostringstream OS;
-  OS << Name << " (decoded, " << Code.size() << " instrs, max stack "
-     << MaxStack << (BatchSafe ? ", batch-safe" : "") << "):\n";
-  for (size_t I = 0; I < Code.size(); ++I) {
-    const ExecInstr &In = Code[I];
-    OS << "  " << I << ": " << fusedOpName(In.Op);
-    OS << " " << In.A << " " << In.B << " " << In.C;
-    if (isSuperinstruction(In.Op))
-      OS << " | " << In.A2 << " " << In.B2 << " " << In.C2;
-    OS << "\n";
-  }
-  return OS.str();
 }

@@ -182,9 +182,6 @@ struct ExecChunk {
   ExecChunk &operator=(const ExecChunk &) = delete;
   ExecChunk(ExecChunk &&) = default;
   ExecChunk &operator=(ExecChunk &&) = default;
-
-  /// Human-readable disassembly of the decoded stream.
-  std::string disassemble() const;
 };
 
 /// Decodes and superinstruction-fuses \p C. On any verification failure

@@ -25,23 +25,8 @@ Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
 } // namespace dspec
 
 ExecResult VM::run(const Chunk &C, const std::vector<Value> &Args,
-                   Cache *CacheMem) {
-  // Boxed compatibility path: pre-size to the layout's slot count so a
-  // store past the layout is a trap, never a silent resize.
-  if (CacheMem && CacheMem->size() < C.CacheSlotCount)
-    CacheMem->resize(C.CacheSlotCount);
-  return runImpl(C, Args, CacheMem, CacheView());
-}
-
-ExecResult VM::run(const Chunk &C, const std::vector<Value> &Args,
                    CacheView View) {
-  return runImpl(C, Args, nullptr, View);
-}
-
-ExecResult VM::runImpl(const Chunk &C, const std::vector<Value> &Args,
-                       Cache *CacheMem, CacheView Packed) {
   ExecResult Result;
-  const bool UsePacked = Packed.data() != nullptr;
 
   auto Trap = [&](std::string Message) {
     Result.Trapped = true;
@@ -250,64 +235,51 @@ ExecResult VM::runImpl(const Chunk &C, const std::vector<Value> &Args,
       break;
     }
     case OpCode::OC_CacheLoad: {
-      if (UsePacked) {
-        TypeKind Kind = static_cast<TypeKind>(In.C);
-        unsigned Offset = static_cast<unsigned>(In.B);
-        if (!Packed.inBounds(Offset, Kind)) {
-          Trap("cache read past the layout in '" + C.Name + "'");
-          Result.InstructionsExecuted = Executed;
-          return Result;
-        }
-        Stack.push_back(Packed.load(Offset, Kind));
-        break;
-      }
-      if (!CacheMem || static_cast<size_t>(In.A) >= CacheMem->size()) {
+      // Trap messages and their order match the batched tier's.
+      if (!View.data()) {
         Trap("cache read without a loaded cache in '" + C.Name + "'");
         Result.InstructionsExecuted = Executed;
         return Result;
       }
-      Stack.push_back((*CacheMem)[In.A]);
+      TypeKind Kind = static_cast<TypeKind>(In.C);
+      unsigned Offset = static_cast<unsigned>(In.B);
+      if (!View.inBounds(Offset, Kind)) {
+        Trap("cache read past the layout in '" + C.Name + "'");
+        Result.InstructionsExecuted = Executed;
+        return Result;
+      }
+      Stack.push_back(View.load(Offset, Kind));
       break;
     }
     case OpCode::OC_CacheStore: {
-      // The stored value stays on the stack.
-      if (UsePacked) {
-        if (Packed.readOnly()) {
-          Trap("cache store to a read-only cache in '" + C.Name + "'");
-          Result.InstructionsExecuted = Executed;
-          return Result;
-        }
-        TypeKind Kind = static_cast<TypeKind>(In.C);
-        unsigned Offset = static_cast<unsigned>(In.B);
-        const Value &V = Stack.back();
-        if (!Packed.inBounds(Offset, Kind)) {
-          Trap("cache store past the layout in '" + C.Name + "'");
-          Result.InstructionsExecuted = Executed;
-          return Result;
-        }
-        if (V.Kind != Kind) {
-          Trap("cache store type mismatch in '" + C.Name + "': slot is " +
-               Type(Kind).name() + ", value is " + Type(V.Kind).name());
-          Result.InstructionsExecuted = Executed;
-          return Result;
-        }
-        Packed.store(Offset, V);
-        break;
-      }
-      if (!CacheMem) {
+      // The stored value stays on the stack. Trap messages and their
+      // order (missing cache, read-only, bounds, kind) match the batched
+      // tier's.
+      if (!View.data()) {
         Trap("cache write without cache storage in '" + C.Name + "'");
         Result.InstructionsExecuted = Executed;
         return Result;
       }
-      if (static_cast<size_t>(In.A) >= CacheMem->size()) {
-        // A store past the pre-sized layout means the loader and the
-        // CacheLayout disagree; surface it instead of corrupting the
-        // Figure 8 measurements by growing the cache.
+      if (View.readOnly()) {
+        Trap("cache store to a read-only cache in '" + C.Name + "'");
+        Result.InstructionsExecuted = Executed;
+        return Result;
+      }
+      TypeKind Kind = static_cast<TypeKind>(In.C);
+      unsigned Offset = static_cast<unsigned>(In.B);
+      const Value &V = Stack.back();
+      if (!View.inBounds(Offset, Kind)) {
         Trap("cache store past the layout in '" + C.Name + "'");
         Result.InstructionsExecuted = Executed;
         return Result;
       }
-      (*CacheMem)[In.A] = Stack.back();
+      if (V.Kind != Kind) {
+        Trap("cache store type mismatch in '" + C.Name + "': slot is " +
+             Type(Kind).name() + ", value is " + Type(V.Kind).name());
+        Result.InstructionsExecuted = Executed;
+        return Result;
+      }
+      View.store(Offset, V);
       break;
     }
     case OpCode::OC_Return:

@@ -9,15 +9,12 @@
 /// per-invocation switch interpreter (run(), the reference semantics)
 /// and the tile-at-a-time batched interpreter over a decoded ExecChunk
 /// (runBatch(), in FastInterp.cpp). A run optionally binds a cache:
-/// loaders write it, readers read it, plain fragments ignore it. Two
-/// cache representations are supported: the packed CacheView (typed
-/// slots at byte offsets, the render engine's native format) and the
-/// boxed Cache (one tagged Value per slot, kept as a thin compatibility
-/// adapter for single-pixel callers). Both are pre-sized from the
-/// chunk's CacheLayout-derived requirements and trap on accesses past
-/// the layout. Runaway programs are stopped by an instruction budget;
-/// errors (division by zero, missing cache) trap with a message instead
-/// of crashing.
+/// loaders write it, readers read it, plain fragments ignore it. The
+/// cache is always packed: a CacheView of typed slots at the byte
+/// offsets the specializer's CacheLayout assigned, the render engine's
+/// and the snapshots' one format. Accesses past the view trap. Runaway
+/// programs are stopped by an instruction budget; errors (division by
+/// zero, missing cache) trap with a message instead of crashing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +30,6 @@
 #include <vector>
 
 namespace dspec {
-
-/// A specialization's boxed data cache: one Value per slot. Compatibility
-/// representation; the render path uses packed CacheViews instead.
-using Cache = std::vector<Value>;
 
 /// Outcome of one execution.
 struct ExecResult {
@@ -103,22 +96,12 @@ struct BatchRequest {
 /// (dsc_trace / dsc_clock) touch, so Rule 2 scenarios are observable.
 class VM {
 public:
-  /// Runs \p C on \p Args with a boxed cache. \p CacheMem may be null for
-  /// fragments that perform no cache access; otherwise it is pre-sized to
-  /// the chunk's CacheSlotCount and any access past the layout traps.
-  ///
-  /// [[deprecated]] in spirit: the boxed cache is a compatibility adapter
-  /// for single-invocation callers (kept un-annotated so benchmarks can
-  /// still measure it against the packed path without warnings). New code
-  /// should use the CacheView overload below — it is the render engine's
-  /// native representation and the only one snapshots persist.
-  ExecResult run(const Chunk &C, const std::vector<Value> &Args,
-                 Cache *CacheMem = nullptr);
-
   /// Runs \p C on \p Args against a packed cache buffer. \p View must
-  /// span at least the chunk's CacheBytes; accesses outside it trap.
+  /// span at least the chunk's CacheBytes; accesses outside it trap. The
+  /// default view has no bytes: fine for fragments that perform no cache
+  /// access, a trap for any that do.
   ExecResult run(const Chunk &C, const std::vector<Value> &Args,
-                 CacheView View);
+                 CacheView View = {});
 
   /// The fast tier: executes a decoded, superinstruction-fused chunk
   /// over a whole tile of lanes — one fetch/dispatch per instruction, a
@@ -151,9 +134,6 @@ public:
 
 private:
   friend Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
-
-  ExecResult runImpl(const Chunk &C, const std::vector<Value> &Args,
-                     Cache *Boxed, CacheView Packed);
 
   std::vector<float> TraceLog;
   uint64_t ClockCounter = 0;

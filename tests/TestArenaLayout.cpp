@@ -24,6 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "engine/RenderEngine.h"
 #include "service/SpillStore.h"
 #include "shading/ShaderLab.h"
@@ -474,9 +475,9 @@ TEST(ArenaLayout, WorkingSetLimiterFitsTheHotSetToTheLlcBound) {
               Bound)
         << "bound " << Bound << "B";
 
-    Cache Slots;
-    auto Load = Machine.run(Spec->LoaderChunk, Args, &Slots);
-    auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+    CacheArena Slots(1, Spec->Spec.Layout);
+    auto Load = Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
     ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Read.Result.equals(Expected.Result))

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "shading/ShaderLab.h"
 #include "vm/VM.h"
 
@@ -76,9 +77,9 @@ TEST(CacheLimiter, EquivalenceAtEveryBudget) {
     auto Spec = specializeAndCompile(*Unit, "f", {"v"}, Options);
     ASSERT_TRUE(Spec.has_value());
     EXPECT_LE(Spec->Spec.Layout.totalBytes(), Budget);
-    Cache Slots;
-    auto Load = Machine.run(Spec->LoaderChunk, Args, &Slots);
-    auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+    CacheArena Slots(1, Spec->Spec.Layout);
+    auto Load = Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
     ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Load.Result.equals(Expected.Result)) << "budget " << Budget;
@@ -97,9 +98,9 @@ TEST(CacheLimiter, ReaderWorkGrowsAsBudgetShrinks) {
     Options.CacheByteLimit = Budget;
     auto Spec = specializeAndCompile(*Unit, "f", {"v"}, Options);
     ASSERT_TRUE(Spec.has_value());
-    Cache Slots;
-    Machine.run(Spec->LoaderChunk, Args, &Slots);
-    auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+    CacheArena Slots(1, Spec->Spec.Layout);
+    Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
     ASSERT_TRUE(Read.ok());
     EXPECT_GE(Read.InstructionsExecuted, LastInstructions)
         << "budget " << Budget;

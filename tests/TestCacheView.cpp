@@ -159,6 +159,14 @@ TEST(CacheViewVM, StorePastTheViewTraps) {
   EXPECT_NE(R.TrapMessage.find("cache store past the layout"),
             std::string::npos)
       << R.TrapMessage;
+
+  // A view with no bytes at all: the missing cache is reported first, in
+  // the batched tier's words.
+  R = Machine.run(C, {}, CacheView());
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("cache write without cache storage"),
+            std::string::npos)
+      << R.TrapMessage;
 }
 
 TEST(CacheViewVM, LoadPastTheViewTraps) {
@@ -177,6 +185,12 @@ TEST(CacheViewVM, LoadPastTheViewTraps) {
   EXPECT_NE(R.TrapMessage.find("cache read past the layout"),
             std::string::npos)
       << R.TrapMessage;
+
+  R = Machine.run(C, {}, CacheView());
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("cache read without a loaded cache"),
+            std::string::npos)
+      << R.TrapMessage;
 }
 
 TEST(CacheViewVM, StoreKindMismatchTraps) {
@@ -189,28 +203,6 @@ TEST(CacheViewVM, StoreKindMismatchTraps) {
   ASSERT_TRUE(R.Trapped);
   EXPECT_NE(R.TrapMessage.find("type mismatch"), std::string::npos)
       << R.TrapMessage;
-}
-
-TEST(CacheViewVM, BoxedSlotPastTheLayoutTraps) {
-  // The boxed compatibility path pre-sizes to CacheSlotCount and traps
-  // past it instead of silently growing.
-  Chunk C;
-  C.Name = "boxedoob";
-  C.Constants.push_back(Value::makeFloat(2.0f));
-  C.Code.push_back({OpCode::OC_Const, 0, 0, 0});
-  C.Code.push_back({OpCode::OC_CacheStore, 3, 0,
-                    static_cast<int32_t>(TypeKind::TK_Float)});
-  C.Code.push_back({OpCode::OC_Return, 0, 0, 0});
-  C.ReturnType = Type(TypeKind::TK_Float);
-  C.CacheSlotCount = 2;
-  C.CacheBytes = 8;
-  VM Machine;
-  Cache Boxed;
-  auto R = Machine.run(C, {}, &Boxed);
-  ASSERT_TRUE(R.Trapped);
-  EXPECT_NE(R.TrapMessage.find("past the layout"), std::string::npos)
-      << R.TrapMessage;
-  EXPECT_EQ(Boxed.size(), 2u);
 }
 
 } // namespace

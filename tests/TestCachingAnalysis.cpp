@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "lang/ASTWalk.h"
 #include "support/Casting.h"
 #include "vm/VM.h"
@@ -186,11 +187,11 @@ float f(float a, float v) {
 
   // Behavioral check: the trace fires in loader AND in every reader run.
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec.Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(2.0f), Value::makeFloat(1.0f)};
-  Machine.run(Spec.LoaderChunk, Args, &Slots);
-  Machine.run(Spec.ReaderChunk, Args, &Slots);
-  Machine.run(Spec.ReaderChunk, Args, &Slots);
+  Machine.run(Spec.LoaderChunk, Args, Slots.view(0));
+  Machine.run(Spec.ReaderChunk, Args, Slots.view(0));
+  Machine.run(Spec.ReaderChunk, Args, Slots.view(0));
   EXPECT_EQ(Machine.traceLog().size(), 3u);
 }
 
@@ -227,11 +228,11 @@ float f(float a, float v) {
 
   // And it is numerically right.
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec.Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(0.7f), Value::makeFloat(3.0f)};
   auto Orig = Machine.run(Spec.OriginalChunk, Args);
-  Machine.run(Spec.LoaderChunk, Args, &Slots);
-  auto Read = Machine.run(Spec.ReaderChunk, Args, &Slots);
+  Machine.run(Spec.LoaderChunk, Args, Slots.view(0));
+  auto Read = Machine.run(Spec.ReaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Orig.ok());
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Orig.Result.equals(Read.Result));
@@ -340,13 +341,13 @@ float f(float a, float p, float v) {
   EXPECT_NE(Reader.find("float x;"), std::string::npos) << Reader;
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec.Spec.Layout);
   for (float P : {-1.0f, 1.0f}) {
     std::vector<Value> Args = {Value::makeFloat(2.0f), Value::makeFloat(P),
                                Value::makeFloat(0.5f)};
     auto Orig = Machine.run(Spec.OriginalChunk, Args);
-    Machine.run(Spec.LoaderChunk, Args, &Slots);
-    auto Read = Machine.run(Spec.ReaderChunk, Args, &Slots);
+    Machine.run(Spec.LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec.ReaderChunk, Args, Slots.view(0));
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Orig.Result.equals(Read.Result));
   }
@@ -359,11 +360,11 @@ void f(float a, float v) {
 })");
   auto Spec = mustSpecialize(*Unit, "f", {"v"});
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec.Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(4.0f), Value::makeFloat(2.0f)};
-  auto Load = Machine.run(Spec.LoaderChunk, Args, &Slots);
+  auto Load = Machine.run(Spec.LoaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Load.ok());
-  auto Read = Machine.run(Spec.ReaderChunk, Args, &Slots);
+  auto Read = Machine.run(Spec.ReaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Read.ok());
   ASSERT_EQ(Machine.traceLog().size(), 2u);
   EXPECT_FLOAT_EQ(Machine.traceLog()[0], Machine.traceLog()[1]);

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -88,27 +89,28 @@ TEST_F(DotprodTest, LoaderMatchesOriginalAndFillsCache) {
   auto Orig = Machine.run(Compiled->OriginalChunk, Args);
   ASSERT_TRUE(Orig.ok()) << Orig.TrapMessage;
 
-  Cache Slots;
-  auto Load = Machine.run(Compiled->LoaderChunk, Args, &Slots);
+  CacheArena Slots(1, Compiled->Spec.Layout);
+  auto Load = Machine.run(Compiled->LoaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
   EXPECT_TRUE(Orig.Result.equals(Load.Result))
       << Orig.Result.str() << " vs " << Load.Result.str();
-  ASSERT_EQ(Slots.size(), 1u);
-  EXPECT_FLOAT_EQ(Slots[0].asFloat(), 1 * 4 + 2 * 5); // x1*x2 + y1*y2
+  std::vector<Value> Cached = Slots.decode(0);
+  ASSERT_EQ(Cached.size(), 1u);
+  EXPECT_FLOAT_EQ(Cached[0].asFloat(), 1 * 4 + 2 * 5); // x1*x2 + y1*y2
 }
 
 TEST_F(DotprodTest, ReaderMatchesOriginalAcrossVaryingInputs) {
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Compiled->Spec.Layout);
   auto Fixed = makeArgs(1.5f, -2.25f, 0, 4.75f, 0.5f, 0, 3.0f);
-  auto Load = Machine.run(Compiled->LoaderChunk, Fixed, &Slots);
+  auto Load = Machine.run(Compiled->LoaderChunk, Fixed, Slots.view(0));
   ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
 
   for (float Z1 : {-3.0f, 0.0f, 1.0f, 7.5f}) {
     for (float Z2 : {-1.0f, 0.25f, 9.0f}) {
       auto Args = makeArgs(1.5f, -2.25f, Z1, 4.75f, 0.5f, Z2, 3.0f);
       auto Orig = Machine.run(Compiled->OriginalChunk, Args);
-      auto Read = Machine.run(Compiled->ReaderChunk, Args, &Slots);
+      auto Read = Machine.run(Compiled->ReaderChunk, Args, Slots.view(0));
       ASSERT_TRUE(Orig.ok());
       ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
       EXPECT_TRUE(Orig.Result.equals(Read.Result))
@@ -120,24 +122,24 @@ TEST_F(DotprodTest, ReaderMatchesOriginalAcrossVaryingInputs) {
 
 TEST_F(DotprodTest, ReaderHandlesZeroScaleBranch) {
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Compiled->Spec.Layout);
   auto Args = makeArgs(1, 2, 3, 4, 5, 6, 0); // scale == 0 -> error branch
-  auto Load = Machine.run(Compiled->LoaderChunk, Args, &Slots);
+  auto Load = Machine.run(Compiled->LoaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
   EXPECT_FLOAT_EQ(Load.Result.asFloat(), -1.0f);
-  auto Read = Machine.run(Compiled->ReaderChunk, Args, &Slots);
+  auto Read = Machine.run(Compiled->ReaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_FLOAT_EQ(Read.Result.asFloat(), -1.0f);
 }
 
 TEST_F(DotprodTest, ReaderExecutesFewerInstructions) {
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Compiled->Spec.Layout);
   auto Args = makeArgs(1, 2, 3, 4, 5, 6, 2);
-  auto Load = Machine.run(Compiled->LoaderChunk, Args, &Slots);
+  auto Load = Machine.run(Compiled->LoaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Load.ok());
   auto Orig = Machine.run(Compiled->OriginalChunk, Args);
-  auto Read = Machine.run(Compiled->ReaderChunk, Args, &Slots);
+  auto Read = Machine.run(Compiled->ReaderChunk, Args, Slots.view(0));
   EXPECT_LT(Read.InstructionsExecuted, Orig.InstructionsExecuted);
   // The loader is the instrumented original: slightly more work.
   EXPECT_GE(Load.InstructionsExecuted, Orig.InstructionsExecuted);

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -45,15 +46,15 @@ TEST(EarlyReturn, LoaderTakingEarlyExitStaysSound) {
   auto Spec = specializeAndCompile(*Unit, "f", {"v"});
   ASSERT_TRUE(Spec.has_value());
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   // Load on the early-return path...
   std::vector<Value> LoadArgs = {Value::makeFloat(2.0f),
                                  Value::makeFloat(1.0f)};
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   // ...then read on the other path.
   std::vector<Value> ReadArgs = {Value::makeFloat(2.0f),
                                  Value::makeFloat(-1.0f)};
-  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
   auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result))
@@ -73,13 +74,13 @@ TEST(EarlyReturn, SpeculationRecoversTheCaching) {
       << Spec->readerSource();
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> LoadArgs = {Value::makeFloat(2.0f),
                                  Value::makeFloat(1.0f)}; // early exit
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   std::vector<Value> ReadArgs = {Value::makeFloat(2.0f),
                                  Value::makeFloat(-1.0f)};
-  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
   auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result));
@@ -101,13 +102,13 @@ float f(float a, float v) {
 
   VM Machine;
   for (float A : {-2.0f, 3.0f}) {
-    Cache Slots;
+    CacheArena Slots(1, Spec->Spec.Layout);
     std::vector<Value> Args = {Value::makeFloat(A), Value::makeFloat(2.0f)};
-    ASSERT_TRUE(Machine.run(Spec->LoaderChunk, Args, &Slots).ok());
+    ASSERT_TRUE(Machine.run(Spec->LoaderChunk, Args, Slots.view(0)).ok());
     for (float V : {-1.0f, 4.0f}) {
       std::vector<Value> ReadArgs = {Value::makeFloat(A),
                                      Value::makeFloat(V)};
-      auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+      auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
       auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
       ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
       EXPECT_TRUE(Read.Result.equals(Orig.Result)) << "a=" << A;
@@ -133,13 +134,13 @@ float f(float a, float v) {
   EXPECT_EQ(Spec->Spec.Layout.slotCount(), 0u);
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> LoadArgs = {Value::makeFloat(3.0f),
                                  Value::makeFloat(4.0f)}; // returns early
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   std::vector<Value> ReadArgs = {Value::makeFloat(3.0f),
                                  Value::makeFloat(100.0f)}; // runs the tail
-  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
   auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result));
@@ -162,15 +163,15 @@ float f(float a, float p, float v) {
   EXPECT_EQ(Spec->Spec.Layout.slotCount(), 0u);
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> LoadArgs = {Value::makeFloat(4.0f),
                                  Value::makeFloat(1.0f),
                                  Value::makeFloat(1.0f)}; // early exit
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   std::vector<Value> ReadArgs = {Value::makeFloat(4.0f),
                                  Value::makeFloat(1.0f),
                                  Value::makeFloat(-1.0f)};
-  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
   auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result));
@@ -185,10 +186,10 @@ float f(float a, float v) {
   auto Spec = specializeAndCompile(*Unit, "f", {"v"});
   ASSERT_TRUE(Spec.has_value());
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(2.0f), Value::makeFloat(3.0f)};
-  auto Load = Machine.run(Spec->LoaderChunk, Args, &Slots);
-  auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+  auto Load = Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+  auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
   ASSERT_TRUE(Load.ok());
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_FLOAT_EQ(Read.Result.asFloat(), 6.0f);
@@ -210,13 +211,13 @@ float f(float a, float v) {
   // Both pow(a,2.0) occurrences are under the dependent guard (Rule 3),
   // so strict mode keeps them dynamic — but nothing traps.
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(3.0f), Value::makeFloat(1.0f)};
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, Args, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, Args, Slots.view(0)).ok());
   for (float V : {-2.0f, 2.0f}) {
     std::vector<Value> ReadArgs = {Value::makeFloat(3.0f),
                                    Value::makeFloat(V)};
-    auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+    auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
     auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Read.Result.equals(Orig.Result));

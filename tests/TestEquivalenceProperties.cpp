@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -159,8 +160,8 @@ TEST_P(SpecializationProperty, LoaderAndReaderMatchOriginal) {
     for (auto &V : Fixed)
       V = Value::makeFloat(Random.next());
 
-    Cache Slots;
-    auto Load = Machine.run(Spec->LoaderChunk, Fixed, &Slots);
+    CacheArena Slots(1, Spec->Spec.Layout);
+    auto Load = Machine.run(Spec->LoaderChunk, Fixed, Slots.view(0));
     auto OrigAtLoad = Machine.run(Spec->OriginalChunk, Fixed);
     ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
     ASSERT_TRUE(OrigAtLoad.ok()) << OrigAtLoad.TrapMessage;
@@ -173,7 +174,7 @@ TEST_P(SpecializationProperty, LoaderAndReaderMatchOriginal) {
       for (unsigned I = 0; I < Case.Fragment.NumParams; ++I)
         if (Case.PartitionMask & (1u << I))
           Args[I] = Value::makeFloat(Random.next());
-      auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+      auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
       auto Orig = Machine.run(Spec->OriginalChunk, Args);
       ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
       ASSERT_TRUE(Orig.ok()) << Orig.TrapMessage;

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "lang/ASTPrinter.h"
 #include "shading/ShaderLab.h"
 #include "vm/VM.h"
@@ -58,9 +59,9 @@ TEST(MultiSpecialize, SequentialPartitionsOfOneFragment) {
                              Value::makeFloat(1.5f)};
   auto Orig = Machine.run(SpecV->OriginalChunk, Args);
   for (auto *Spec : {&*SpecV, &*SpecB, &*SpecNone}) {
-    Cache Slots;
-    Machine.run(Spec->LoaderChunk, Args, &Slots);
-    auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+    CacheArena Slots(1, Spec->Spec.Layout);
+    Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Read.Result.equals(Orig.Result));
   }
@@ -76,10 +77,10 @@ TEST(MultiSpecialize, MultipleFragmentsPerUnit) {
   EXPECT_EQ(SpecSecond->Spec.Reader->name(), "second_read");
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, SpecSecond->Spec.Layout);
   std::vector<Value> Args = {Value::makeFloat(9.0f), Value::makeFloat(0.5f)};
-  Machine.run(SpecSecond->LoaderChunk, Args, &Slots);
-  auto Read = Machine.run(SpecSecond->ReaderChunk, Args, &Slots);
+  Machine.run(SpecSecond->LoaderChunk, Args, Slots.view(0));
+  auto Read = Machine.run(SpecSecond->ReaderChunk, Args, Slots.view(0));
   auto Orig = Machine.run(SpecSecond->OriginalChunk, Args);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result));

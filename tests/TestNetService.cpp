@@ -9,8 +9,8 @@
 /// disk-spilling unit cache: TCP end-to-end bit-identity against the
 /// plain pass, pipelined reply ordering, streamed replies, the
 /// slow-loris read deadline, per-client quota shedding (and that a
-/// well-behaved client is untouched by a greedy neighbor), interruptible
-/// accepts, and spill/warm-restart disk hits.
+/// well-behaved client is untouched by a greedy neighbor), and
+/// spill/warm-restart disk hits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -317,30 +316,6 @@ TEST(NetTcp, QuotaShedsGreedyClientButNotItsNeighbor) {
 
   EXPECT_GE(S.Server->stats().QuotaSheds, 4u);
   EXPECT_GE(S.Service.statsz().ShedQuota, 4u);
-}
-
-//===----------------------------------------------------------------------===//
-// Accept interruption (the test-shim transport keeps its fix honest)
-//===----------------------------------------------------------------------===//
-
-TEST(UnixAccept, InterruptUnblocksIndefiniteAccept) {
-  std::string Path = testing::TempDir() + "dspec_accept_intr.sock";
-  UnixServerSocket Listener;
-  std::string Error;
-  ASSERT_TRUE(Listener.listenOn(Path, &Error)) << Error;
-
-  std::thread Waiter([&Listener] {
-    // Indefinite wait: only interrupt() can end this without a client.
-    EXPECT_EQ(Listener.acceptConnection(-1), nullptr);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  auto Start = std::chrono::steady_clock::now();
-  Listener.interrupt();
-  Waiter.join();
-  double Waited = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-  EXPECT_LT(Waited, 2.0) << "interrupt did not wake the accept";
 }
 
 //===----------------------------------------------------------------------===//

@@ -301,29 +301,4 @@ TEST(RenderEngineTest, TrapReportsLowestPixelAtEveryThreadCount) {
   }
 }
 
-/// The boxed compatibility path still works and now traps instead of
-/// silently growing when a store lands past the layout.
-TEST(RenderEngineTest, BoxedStorePastLayoutTraps) {
-  Chunk Bad;
-  Bad.Name = "boxed_bad";
-  Bad.NumParams = 0;
-  Bad.ReturnType = Type(TypeKind::TK_Float);
-  Bad.Constants = {Value::makeFloat(1.0f)};
-  // Store to slot 7 of a 1-slot cache.
-  Bad.Code = {{OpCode::OC_Const, 0, 0, 0},
-              {OpCode::OC_CacheStore, 7, 28,
-               static_cast<int32_t>(TypeKind::TK_Float)},
-              {OpCode::OC_Return, 0, 0, 0}};
-  Bad.CacheSlotCount = 1;
-  Bad.CacheBytes = 4;
-
-  VM Machine;
-  Cache Boxed;
-  auto R = Machine.run(Bad, {}, &Boxed);
-  EXPECT_FALSE(R.ok());
-  EXPECT_NE(R.TrapMessage.find("past the layout"), std::string::npos)
-      << R.TrapMessage;
-  EXPECT_EQ(Boxed.size(), 1u) << "trap must not grow the cache";
-}
-
 } // namespace

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// End-to-end tests of the specialization service: the framed protocol
-/// over the loopback transport, the bit-identity of served frames against
-/// the unspecialized plain pass (the paper's equivalence guarantee,
-/// through the whole server), load shedding, and graceful drain.
+/// over a unix socket to the event-loop server, the bit-identity of
+/// served frames against the unspecialized plain pass (the paper's
+/// equivalence guarantee, through the whole server), load shedding, and
+/// graceful drain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "engine/RenderEngine.h"
+#include "net/NetServer.h"
 #include "service/Protocol.h"
 #include "service/Service.h"
 #include "service/Transport.h"
@@ -126,6 +128,10 @@ TEST(ServiceProtocol, RenderReplyRoundTripsBitExactPixels) {
   EXPECT_EQ(Out.ServiceMicros, In.ServiceMicros);
 }
 
+/// An image size whose Width x Height x 3 wraps 64 bits to 32.
+constexpr uint32_t kWrappingWidth = 1824726041u;
+constexpr uint32_t kWrappingHeight = 3369774176u;
+
 /// A 2x1 reply whose pixels are bit patterns a lossy float path would
 /// disturb: a NaN with payload bits, -0.0, a denormal and +inf.
 RenderReply goldenReply() {
@@ -205,39 +211,139 @@ TEST(ServiceProtocol, RenderReplyRejectsBadPixelBlocks) {
   EXPECT_NE(Error.find("does not match the image dimensions"),
             std::string::npos)
       << Error;
+
+  // Dimensions whose Width x Height x 3 wraps 64 bits to the float count
+  // (32 here): the count must still be rejected.
+  RenderReply Wrapping;
+  Wrapping.Width = kWrappingWidth;
+  Wrapping.Height = kWrappingHeight;
+  Wrapping.Pixels.assign(32, 0.5f);
+  ByteWriter WrappingW;
+  encodeRenderReply(WrappingW, Wrapping);
+  ByteReader WrappingR(WrappingW.bytes());
+  Error.clear();
+  EXPECT_FALSE(decodeRenderReply(WrappingR, Out, &Error));
+  EXPECT_NE(Error.find("does not match the image dimensions"),
+            std::string::npos)
+      << Error;
 }
 
+/// A transport that reads a scripted byte string, then reports EOF, and
+/// discards everything written to it.
+class ScriptedTransport : public Transport {
+public:
+  explicit ScriptedTransport(std::vector<unsigned char> Bytes)
+      : Bytes(std::move(Bytes)) {}
+
+  bool writeAll(const void *, size_t) override { return true; }
+
+  bool readAll(void *Data, size_t Size) override {
+    if (Bytes.size() - Pos < Size)
+      return false;
+    std::memcpy(Data, Bytes.data() + Pos, Size);
+    Pos += Size;
+    return true;
+  }
+
+  void shutdown() override {}
+
+private:
+  std::vector<unsigned char> Bytes;
+  size_t Pos = 0;
+};
+
 TEST(ServiceProtocol, FrameRejectsCorruption) {
-  auto [ClientEnd, ServerEnd] = makeLoopbackPair();
   std::vector<unsigned char> Payload = {1, 2, 3, 4};
+  FrameType Type;
+  std::vector<unsigned char> Got;
+  std::string Error;
 
   // Flipping one payload byte after framing must fail the CRC check.
   std::vector<unsigned char> Frame =
       encodeFrame(FrameType::StatsRequest, Payload);
   Frame.back() ^= 0xff;
-  ASSERT_TRUE(ClientEnd->writeAll(Frame.data(), Frame.size()));
-
-  FrameType Type;
-  std::vector<unsigned char> Got;
-  std::string Error;
-  EXPECT_FALSE(readFrame(*ServerEnd, Type, Got, &Error));
+  ScriptedTransport BadCrc(Frame);
+  EXPECT_FALSE(readFrame(BadCrc, Type, Got, &Error));
   EXPECT_NE(Error.find("CRC"), std::string::npos) << Error;
 
   // Bad magic.
-  auto [C2, S2] = makeLoopbackPair();
   Frame = encodeFrame(FrameType::StatsRequest, Payload);
   Frame[0] ^= 0xff;
-  ASSERT_TRUE(C2->writeAll(Frame.data(), Frame.size()));
+  ScriptedTransport BadMagic(Frame);
   Error.clear();
-  EXPECT_FALSE(readFrame(*S2, Type, Got, &Error));
+  EXPECT_FALSE(readFrame(BadMagic, Type, Got, &Error));
   EXPECT_FALSE(Error.empty());
 
-  // Clean EOF: shutdown with no bytes leaves Error empty.
-  auto [C3, S3] = makeLoopbackPair();
-  C3->shutdown();
+  // Clean EOF: no bytes at all leaves Error empty.
+  ScriptedTransport Empty(std::vector<unsigned char>{});
   Error = "sentinel";
-  EXPECT_FALSE(readFrame(*S3, Type, Got, &Error));
+  EXPECT_FALSE(readFrame(Empty, Type, Got, &Error));
   EXPECT_TRUE(Error.empty());
+}
+
+/// Frames a streamed reply: one RenderPartial carrying \p Part, then a
+/// RenderDone trailer for an ok reply of \p Done's size.
+std::vector<unsigned char> streamedReply(const RenderPartialChunk &Part,
+                                         RenderStreamDone Done) {
+  std::vector<unsigned char> Bytes;
+  ByteWriter PartW;
+  encodeRenderPartial(PartW, Part);
+  appendFrame(Bytes, FrameType::RenderPartial, PartW.bytes().data(),
+              PartW.bytes().size());
+  Done.NumPartials = 1;
+  Done.PixelCrc = pixelCrc(Part.Pixels);
+  ByteWriter DoneW;
+  encodeRenderDone(DoneW, Done);
+  appendFrame(Bytes, FrameType::RenderDone, DoneW.bytes().data(),
+              DoneW.bytes().size());
+  return Bytes;
+}
+
+TEST(ServiceProtocol, StreamedReplyMustMatchTheRequestedSize) {
+  RenderRequest Request;
+  Request.Shader = "plastic";
+  Request.Width = 2;
+  Request.Height = 1;
+  Request.StreamTiles = true;
+
+  RenderPartialChunk Part;
+  Part.Width = 2;
+  Part.Height = 1;
+  Part.PixelCount = 2;
+  Part.Pixels = {1, 2, 3, 4, 5, 6};
+  RenderStreamDone Done;
+  Done.Width = 2;
+  Done.Height = 1;
+  std::string Error;
+
+  // The well-formed stream reassembles.
+  ScriptedTransport Good(streamedReply(Part, Done));
+  auto Reply = requestRender(Good, Request, &Error);
+  ASSERT_TRUE(Reply.has_value()) << Error;
+  ASSERT_TRUE(Reply->ok());
+  EXPECT_EQ(Reply->Pixels, Part.Pixels);
+
+  // A CRC-valid partial for an image whose Width x Height x 3 wraps to
+  // a small count, with its pixel far past that count: rejected before
+  // any pixel is copied.
+  RenderPartialChunk Wrapping;
+  Wrapping.Width = kWrappingWidth;
+  Wrapping.Height = kWrappingHeight;
+  Wrapping.PixelOffset = 1000000;
+  Wrapping.PixelCount = 1;
+  Wrapping.Pixels = {1, 2, 3};
+  ScriptedTransport Hostile(streamedReply(Wrapping, Done));
+  Error.clear();
+  EXPECT_FALSE(requestRender(Hostile, Request, &Error).has_value());
+  EXPECT_NE(Error.find("not the requested 2x1"), std::string::npos) << Error;
+
+  // An ok trailer of another size is rejected too.
+  RenderStreamDone Bigger = Done;
+  Bigger.Width = 3;
+  ScriptedTransport Resized(streamedReply(Part, Bigger));
+  Error.clear();
+  EXPECT_FALSE(requestRender(Resized, Request, &Error).has_value());
+  EXPECT_NE(Error.find("not the requested 2x1"), std::string::npos) << Error;
 }
 
 //===----------------------------------------------------------------------===//
@@ -404,36 +510,46 @@ TEST(Service, DrainRejectsNewWorkAndIsIdempotent) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end over the loopback transport
+// End to end over a unix socket
 //===----------------------------------------------------------------------===//
 
-/// A live in-process server: a service plus a connection thread serving
-/// the server end of a loopback pair.
-struct LoopbackServer {
+/// A live in-process server: a service plus a NetServer listening on a
+/// unix socket, the acceptor `dspec serve --socket` runs, and one client
+/// connected to it. Each test gets its own socket path, because ctest
+/// runs tests in parallel and listening unlinks any existing path.
+struct UnixServer {
   SpecializationService Service;
+  std::unique_ptr<NetServer> Server;
   std::unique_ptr<Transport> Client;
-  std::unique_ptr<Transport> ServerEnd;
-  std::thread Thread;
 
-  explicit LoopbackServer(const ServiceConfig &Config = {})
-      : Service(Config) {
-    auto Pair = makeLoopbackPair();
-    Client = std::move(Pair.first);
-    ServerEnd = std::move(Pair.second);
-    Thread = std::thread([this] { serveConnection(*ServerEnd, Service); });
+  explicit UnixServer(const ServiceConfig &Config = {}) : Service(Config) {
+    const ::testing::TestInfo *Test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    NetServerConfig NetCfg;
+    NetCfg.UnixPath = ::testing::TempDir() + "dspec_" +
+                      Test->test_suite_name() + "_" + Test->name() + ".sock";
+    Server = std::make_unique<NetServer>(Service, NetCfg);
+    std::string Error;
+    bool Started = Server->start(&Error);
+    EXPECT_TRUE(Started) << Error;
+    if (Started)
+      Client = connectUnixSocket(NetCfg.UnixPath, &Error);
+    EXPECT_NE(Client, nullptr) << Error;
   }
 
-  ~LoopbackServer() {
-    Client->shutdown();
-    Thread.join();
+  ~UnixServer() {
+    Client.reset();
+    Server->shutdownServer();
+    Service.drain();
   }
 };
 
-TEST(ServiceLoopback, EndToEndMatchesPlainPassForEveryShader) {
+TEST(ServiceUnix, EndToEndMatchesPlainPassForEveryShader) {
   for (unsigned Threads : {1u, 4u}) {
     ServiceConfig Config;
     Config.RenderThreads = Threads;
-    LoopbackServer Server(Config);
+    UnixServer Server(Config);
+    ASSERT_NE(Server.Client, nullptr);
     for (const ShaderInfo &Info : shaderGallery()) {
       RenderRequest Request;
       Request.Shader = Info.Name;
@@ -451,8 +567,9 @@ TEST(ServiceLoopback, EndToEndMatchesPlainPassForEveryShader) {
   }
 }
 
-TEST(ServiceLoopback, SecondRequestIsACacheHit) {
-  LoopbackServer Server;
+TEST(ServiceUnix, SecondRequestIsACacheHit) {
+  UnixServer Server;
+  ASSERT_NE(Server.Client, nullptr);
   RenderRequest Request;
   Request.Shader = "checker";
   std::string Error;
@@ -468,8 +585,9 @@ TEST(ServiceLoopback, SecondRequestIsACacheHit) {
             0);
 }
 
-TEST(ServiceLoopback, StatszReportsJsonSnapshot) {
-  LoopbackServer Server;
+TEST(ServiceUnix, StatszReportsJsonSnapshot) {
+  UnixServer Server;
+  ASSERT_NE(Server.Client, nullptr);
   RenderRequest Request;
   Request.Shader = "stripes";
   std::string Error;
@@ -484,8 +602,9 @@ TEST(ServiceLoopback, StatszReportsJsonSnapshot) {
   EXPECT_NE(Json->find("\"exec_tier\":\"batched\""), std::string::npos);
 }
 
-TEST(ServiceLoopback, BadRequestGetsStructuredErrorNotDisconnect) {
-  LoopbackServer Server;
+TEST(ServiceUnix, BadRequestGetsStructuredErrorNotDisconnect) {
+  UnixServer Server;
+  ASSERT_NE(Server.Client, nullptr);
   RenderRequest Request;
   Request.Shader = "not-a-shader";
   std::string Error;
@@ -501,8 +620,9 @@ TEST(ServiceLoopback, BadRequestGetsStructuredErrorNotDisconnect) {
   EXPECT_TRUE(Good->ok());
 }
 
-TEST(ServiceLoopback, CorruptFrameDropsConnection) {
-  LoopbackServer Server;
+TEST(ServiceUnix, CorruptFrameDropsConnection) {
+  UnixServer Server;
+  ASSERT_NE(Server.Client, nullptr);
   ByteWriter W;
   RenderRequest Request;
   Request.Shader = "plastic";

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "engine/CacheArena.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -70,15 +71,15 @@ TEST(Speculation, EquivalentEvenWhenGuardFlips) {
   ASSERT_TRUE(Spec.has_value());
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   auto Args = [](float V) {
     return std::vector<Value>{Value::makeFloat(2.0f), Value::makeFloat(3.0f),
                               Value::makeFloat(V)};
   };
-  auto Load = Machine.run(Spec->LoaderChunk, Args(-1.0f), &Slots);
+  auto Load = Machine.run(Spec->LoaderChunk, Args(-1.0f), Slots.view(0));
   ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
   for (float V : {-2.0f, 0.5f, 4.0f}) {
-    auto Read = Machine.run(Spec->ReaderChunk, Args(V), &Slots);
+    auto Read = Machine.run(Spec->ReaderChunk, Args(V), Slots.view(0));
     auto Orig = Machine.run(Spec->OriginalChunk, Args(V));
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Read.Result.equals(Orig.Result))
@@ -109,13 +110,13 @@ float f(float a, float v) {
   EXPECT_EQ(Reader.find("sqrt"), std::string::npos) << Reader;
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> LoadArgs = {Value::makeFloat(2.0f),
                                  Value::makeFloat(-1.0f)};
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   for (float V : {-1.0f, 1.0f, 3.0f}) {
     std::vector<Value> Args = {Value::makeFloat(2.0f), Value::makeFloat(V)};
-    auto Read = Machine.run(Spec->ReaderChunk, Args, &Slots);
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
     auto Orig = Machine.run(Spec->OriginalChunk, Args);
     ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
     EXPECT_TRUE(Read.Result.equals(Orig.Result)) << "v=" << V;
@@ -144,13 +145,13 @@ float f(float a, float v) {
   EXPECT_LT(StorePos, OuterGuard) << Loader;
 
   VM Machine;
-  Cache Slots;
+  CacheArena Slots(1, Spec->Spec.Layout);
   std::vector<Value> LoadArgs = {Value::makeFloat(4.0f),
                                  Value::makeFloat(0.0f)};
-  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, &Slots).ok());
+  ASSERT_TRUE(Machine.run(Spec->LoaderChunk, LoadArgs, Slots.view(0)).ok());
   std::vector<Value> ReadArgs = {Value::makeFloat(4.0f),
                                  Value::makeFloat(2.0f)};
-  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, &Slots);
+  auto Read = Machine.run(Spec->ReaderChunk, ReadArgs, Slots.view(0));
   auto Orig = Machine.run(Spec->OriginalChunk, ReadArgs);
   ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
   EXPECT_TRUE(Read.Result.equals(Orig.Result));
