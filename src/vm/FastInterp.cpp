@@ -33,11 +33,6 @@
 
 using namespace dspec;
 
-namespace dspec {
-/// Implemented in Builtins.cpp.
-Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
-} // namespace dspec
-
 //===----------------------------------------------------------------------===//
 // Pixel-batched execution
 //===----------------------------------------------------------------------===//
@@ -332,6 +327,17 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
   auto LocalRow = [&](int32_t Slot) {
     return BatchLocals.data() + static_cast<size_t>(Slot) * Lanes;
   };
+  // One builtin call per tile: pops Argc argument rows and pushes the
+  // result row, written over the first argument's row.
+  auto CallRows = [&](uint16_t Id, unsigned Argc) {
+    assert(Argc <= 8 && "builtin arity exceeds the argument rows");
+    SP -= Argc;
+    const Value *ArgRows[8];
+    for (unsigned A = 0; A < Argc; ++A)
+      ArgRows[A] = Row(SP + A);
+    callBuiltinLanes(Id, ArgRows, Row(SP), Lanes, *this);
+    ++SP;
+  };
   // Resolves one canonical slot offset to (displacement of lane 0's slot
   // bytes from the cache base, per-lane stride). Dense requests keep the
   // seed behavior: base is pre-offset to the tile, stride is the pixel
@@ -582,20 +588,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       break;
     }
     case FusedOp::F_CallBuiltin: {
-      const unsigned Argc = static_cast<unsigned>(In.B);
-      assert(Argc <= 8 && "builtin arity exceeds the gather buffer");
-      SP -= Argc;
-      Value *Dest = Row(SP);
-      const Value *ArgRows[8];
-      for (unsigned A = 0; A < Argc; ++A)
-        ArgRows[A] = Row(SP + A);
-      Value Tmp[8];
-      for (unsigned L = 0; L < Lanes; ++L) {
-        for (unsigned A = 0; A < Argc; ++A)
-          Tmp[A] = ArgRows[A][L];
-        Dest[L] = callBuiltinImpl(static_cast<uint16_t>(In.A), Tmp, *this);
-      }
-      ++SP;
+      CallRows(static_cast<uint16_t>(In.A), static_cast<unsigned>(In.B));
       break;
     }
     case FusedOp::F_Member: {
@@ -703,20 +696,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const Value *Loaded = LocalRow(In.A);
       std::copy(Loaded, Loaded + Lanes, Row(SP));
       ++SP;
-      const unsigned Argc = static_cast<unsigned>(In.B2);
-      assert(Argc <= 8 && "builtin arity exceeds the gather buffer");
-      SP -= Argc;
-      Value *Dest = Row(SP);
-      const Value *ArgRows[8];
-      for (unsigned A = 0; A < Argc; ++A)
-        ArgRows[A] = Row(SP + A);
-      Value Tmp[8];
-      for (unsigned L = 0; L < Lanes; ++L) {
-        for (unsigned A = 0; A < Argc; ++A)
-          Tmp[A] = ArgRows[A][L];
-        Dest[L] = callBuiltinImpl(static_cast<uint16_t>(In.A2), Tmp, *this);
-      }
-      ++SP;
+      CallRows(static_cast<uint16_t>(In.A2), static_cast<unsigned>(In.B2));
       break;
     }
     case FusedOp::F_CacheLoadAdd: {

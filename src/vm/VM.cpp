@@ -19,11 +19,6 @@ using namespace dspec;
 using dspec::interp::arith;
 using dspec::interp::compare;
 
-namespace dspec {
-/// Implemented in Builtins.cpp.
-Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
-} // namespace dspec
-
 ExecResult VM::run(const Chunk &C, const std::vector<Value> &Args,
                    CacheView View) {
   ExecResult Result;
@@ -222,9 +217,12 @@ ExecResult VM::run(const Chunk &C, const std::vector<Value> &Args,
     case OpCode::OC_CallBuiltin: {
       unsigned Argc = static_cast<unsigned>(In.B);
       assert(Stack.size() >= Argc && "stack underflow in builtin call");
-      const Value *ArgsBegin = Stack.data() + (Stack.size() - Argc);
-      Value Out =
-          callBuiltinImpl(static_cast<uint16_t>(In.A), ArgsBegin, *this);
+      assert(Argc <= 8 && "builtin arity exceeds the argument rows");
+      const Value *ArgRows[8];
+      for (unsigned A = 0; A < Argc; ++A)
+        ArgRows[A] = &Stack[Stack.size() - Argc + A];
+      Value Out;
+      callBuiltinLanes(static_cast<uint16_t>(In.A), ArgRows, &Out, 1, *this);
       Stack.resize(Stack.size() - Argc);
       Stack.push_back(Out);
       break;

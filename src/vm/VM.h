@@ -107,7 +107,8 @@ public:
   /// over a whole tile of lanes — one fetch/dispatch per instruction, a
   /// strided SoA inner loop per lane. \p C must be Valid and BatchSafe
   /// (effect-free). Bit-identical results and trap messages to run() —
-  /// both call the shared semantics in vm/InterpOps.h.
+  /// both call the shared semantics in vm/InterpOps.h and
+  /// callBuiltinLanes.
   ///
   /// Control flow runs GPU-warp style. Branch conditions are evaluated
   /// over the *active* lanes only; a uniform outcome takes the jump (or
@@ -133,7 +134,8 @@ public:
   uint64_t InstructionBudget = 500'000'000;
 
 private:
-  friend Value callBuiltinImpl(uint16_t Id, const Value *Args, VM &Machine);
+  friend void callBuiltinLanes(uint16_t Id, const Value *const *ArgRows,
+                               Value *Dest, unsigned Lanes, VM &Machine);
 
   std::vector<float> TraceLog;
   uint64_t ClockCounter = 0;
@@ -162,6 +164,14 @@ private:
   /// Per-lane branch-condition truth scratch (runBatch).
   std::vector<uint8_t> CondScratch;
 };
+
+/// Runs builtin \p Id (a BuiltinId) over \p Lanes lanes: lane L's
+/// arguments are ArgRows[0][L], ArgRows[1][L], ..., and its result goes
+/// to Dest[L], which may alias ArgRows[0][L]. The one builtin dispatch:
+/// the batched tier calls it once per instruction per tile, the switch
+/// interpreter with one lane. Implemented in vm/Builtins.cpp.
+void callBuiltinLanes(uint16_t Id, const Value *const *ArgRows, Value *Dest,
+                      unsigned Lanes, VM &Machine);
 
 } // namespace dspec
 

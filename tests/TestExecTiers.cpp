@@ -318,6 +318,49 @@ TEST(ExecTiers, GalleryDifferentialAcrossTiersAndThreads) {
   }
 }
 
+/// Builtins run lane-wise, the noise kernel four lanes per step. A tile
+/// of 37 pixels over a 16x9 grid (tiles of 37, 37, 37 and 33 lanes) puts
+/// a 1-lane tail on every group walk: loader, reader and original frames
+/// stay bit-identical to the switch tier's.
+TEST(ExecTiers, OddTileSizeMatchesSwitchForEveryShader) {
+  const unsigned W = 16, H = 9;
+  ShaderLab Lab(W, H);
+  RenderEngine Ref(1);
+  Ref.setExecTier(ExecTier::Switch);
+  RenderEngine Engine(2, 37);
+  ASSERT_EQ(Engine.execTier(), ExecTier::Batched);
+
+  for (const ShaderInfo &Info : shaderGallery()) {
+    auto Spec = Lab.specializePartition(Info, 0);
+    ASSERT_TRUE(Spec.has_value()) << Lab.lastError();
+    auto Controls = ShaderLab::defaultControls(Info);
+    // Every pass retires all four tiles batched.
+    auto ExpectBatched = [&](const char *Pass) {
+      EXPECT_EQ(Engine.lastPassStats().BatchTiles, 4u)
+          << Pass << " " << Info.Name;
+    };
+    Framebuffer LoadRef(W, H), ReadRef(W, H), PlainRef(W, H);
+    Framebuffer Load(W, H), Read(W, H), Plain(W, H);
+    ASSERT_TRUE(Spec->load(Ref, Lab.grid(), Controls, &LoadRef))
+        << Info.Name << ": " << Ref.lastTrap();
+    ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls, &Load))
+        << Info.Name << ": " << Engine.lastTrap();
+    ExpectBatched("loader");
+    Controls[0] = Info.Controls[0].SweepMax;
+    ASSERT_TRUE(Spec->readFrame(Ref, Lab.grid(), Controls, &ReadRef));
+    ASSERT_TRUE(Spec->readFrame(Engine, Lab.grid(), Controls, &Read))
+        << Info.Name << ": " << Engine.lastTrap();
+    ExpectBatched("reader");
+    ASSERT_TRUE(Spec->originalFrame(Ref, Lab.grid(), Controls, &PlainRef));
+    ASSERT_TRUE(Spec->originalFrame(Engine, Lab.grid(), Controls, &Plain))
+        << Info.Name << ": " << Engine.lastTrap();
+    ExpectBatched("original");
+    expectSameImage(LoadRef, Load, "loader " + Info.Name);
+    expectSameImage(ReadRef, Read, "reader " + Info.Name);
+    expectSameImage(PlainRef, Plain, "original " + Info.Name);
+  }
+}
+
 /// Trap behaviour is tier-independent: same failure, same deterministic
 /// lowest-pixel message — the batched tier re-runs trapping tiles
 /// per-pixel to recover the canonical diagnostic.

@@ -28,6 +28,7 @@
 #include <bit>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -438,6 +439,36 @@ TEST(Service, CacheHitsStayBitIdenticalAcrossVaryingValues) {
   MetricsSnapshot Stats = Service.statsz();
   EXPECT_EQ(Stats.Cache.Misses, 1u);
   EXPECT_EQ(Stats.Cache.Hits, 3u);
+}
+
+/// A request can push noise coordinates past int32's range or to inf and
+/// NaN: marble scales its noise point by `veinscale`. Such lanes get
+/// lattice index 0, so each reply is well-defined and still matches the
+/// plain pass.
+TEST(Service, HostileNoiseScaleMatchesPlainPass) {
+  SpecializationService Service;
+  const ShaderInfo *Info = findShader("marble");
+  ASSERT_NE(Info, nullptr);
+  unsigned VeinScale = 0;
+  while (VeinScale < Info->Controls.size() &&
+         Info->Controls[VeinScale].Name != "veinscale")
+    ++VeinScale;
+  ASSERT_LT(VeinScale, Info->Controls.size());
+
+  for (float Scale : {1e30f, -std::numeric_limits<float>::infinity(),
+                      std::numeric_limits<float>::quiet_NaN()}) {
+    RenderRequest Request;
+    Request.Shader = Info->Name;
+    Request.Width = 24;
+    Request.Height = 16;
+    Request.Controls = ShaderLab::defaultControls(*Info);
+    Request.Controls[VeinScale] = Scale;
+    RenderReply Reply = Service.render(Request);
+    ASSERT_TRUE(Reply.ok()) << "veinscale " << Scale << ": " << Reply.Error;
+    EXPECT_TRUE(bitIdentical(Reply.toFramebuffer(),
+                             plainReference(*Info, 24, 16, Request.Controls)))
+        << "veinscale " << Scale;
+  }
 }
 
 TEST(Service, ShedsWhenQueueIsFull) {
