@@ -8,10 +8,18 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <mutex>
+#include <utility>
 
 using namespace dspec;
 
-RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
+namespace {
+
+using PixelArray = std::vector<PixelInput>;
+
+PixelArray buildPixels(unsigned W, unsigned H) {
+  PixelArray Inputs;
   Inputs.reserve(static_cast<size_t>(W) * H);
   const float EyeX = 0.0f, EyeY = 0.0f, EyeZ = 4.0f;
   for (unsigned PY = 0; PY < H; ++PY) {
@@ -45,7 +53,38 @@ RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
       Inputs.push_back(In);
     }
   }
+  return Inputs;
 }
+
+/// The live pixel arrays, one per size. Entries are weak, so an array
+/// dies with the last grid that holds it and a client cycling through
+/// sizes pins no memory beyond the grids it keeps.
+std::shared_ptr<const PixelArray> sharedPixels(unsigned W, unsigned H) {
+  struct Registry {
+    std::mutex M;
+    std::map<std::pair<unsigned, unsigned>, std::weak_ptr<const PixelArray>>
+        Live;
+  };
+  // Never destroyed: a service draining during static destruction may
+  // still make and drop grids.
+  static Registry &R = *new Registry;
+  std::lock_guard<std::mutex> Lock(R.M);
+  std::weak_ptr<const PixelArray> &Slot = R.Live[{W, H}];
+  if (std::shared_ptr<const PixelArray> Pixels = Slot.lock())
+    return Pixels;
+  // Built under the lock, so each size is computed once however many
+  // threads ask for it together.
+  auto Pixels = std::make_shared<const PixelArray>(buildPixels(W, H));
+  Slot = Pixels;
+  std::erase_if(R.Live,
+                [](const auto &Entry) { return Entry.second.expired(); });
+  return Pixels;
+}
+
+} // namespace
+
+RenderGrid::RenderGrid(unsigned Width, unsigned Height)
+    : W(Width), H(Height), Inputs(sharedPixels(Width, Height)) {}
 
 std::string Framebuffer::asciiArt() const {
   static const char Ramp[] = " .:-=+*#%@";

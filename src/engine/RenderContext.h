@@ -27,6 +27,7 @@
 
 #include "vm/Value.h"
 
+#include <memory>
 #include <vector>
 
 namespace dspec {
@@ -40,19 +41,30 @@ struct PixelInput {
 };
 
 /// A W x H grid of per-pixel fixed inputs over the procedural patch.
+///
+/// The inputs are a pure function of the size, so a grid is a handle to
+/// one immutable array per (W, H), shared by every grid of that size in
+/// the process: a service's units, spill restores and snapshot warm
+/// starts all read the same bytes. The array is built on first use and
+/// freed with the last grid that holds it. Copies and moves both share
+/// the array, so no grid is ever left without one.
 class RenderGrid {
 public:
   RenderGrid(unsigned Width, unsigned Height);
+  // Declared so that no move is generated: a move would leave the source
+  // without an array, and moving from a grid is then a copy.
+  RenderGrid(const RenderGrid &) = default;
+  RenderGrid &operator=(const RenderGrid &) = default;
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }
-  unsigned pixelCount() const { return static_cast<unsigned>(Inputs.size()); }
-  const std::vector<PixelInput> &pixels() const { return Inputs; }
+  unsigned pixelCount() const { return static_cast<unsigned>(Inputs->size()); }
+  const std::vector<PixelInput> &pixels() const { return *Inputs; }
 
 private:
   unsigned W;
   unsigned H;
-  std::vector<PixelInput> Inputs;
+  std::shared_ptr<const std::vector<PixelInput>> Inputs;
 };
 
 /// A trivially small framebuffer for the examples: vec3 colors.

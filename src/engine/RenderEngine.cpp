@@ -21,10 +21,17 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
                            const std::vector<float> &Controls,
                            CacheArena *MutArena, const CacheArena *ROArena,
                            Framebuffer *Out) {
-  assert((!Out || (Out->width() == Grid.width() &&
-                   Out->height() == Grid.height())) &&
-         "framebuffer does not match the grid");
   assert(!(MutArena && ROArena) && "a pass binds at most one arena");
+  // Checked in every build: a framebuffer smaller than the grid would
+  // take writes past its end.
+  if (Out && (Out->width() != Grid.width() || Out->height() != Grid.height())) {
+    LastStats = PassExecStats();
+    LastTrap = "framebuffer is " + std::to_string(Out->width()) + "x" +
+               std::to_string(Out->height()) + " but the grid is " +
+               std::to_string(Grid.width()) + "x" +
+               std::to_string(Grid.height());
+    return false;
+  }
   const CacheArena *Arena = MutArena ? MutArena : ROArena;
 
   const std::vector<PixelInput> &Pixels = Grid.pixels();
@@ -78,14 +85,18 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     }
   }
 
-  std::atomic<bool> AnyTrap{false};
+  // The lowest pixel seen to trap so far. A tile that starts past it
+  // cannot lower the report and is skipped; every tile before it still
+  // runs, so the reported pixel is the lowest trapping one whichever
+  // worker traps first.
+  std::atomic<size_t> FirstTrap{SIZE_MAX};
 
   Pool->parallelFor(Tiles, [&](unsigned Worker, size_t Tile) {
-    if (AnyTrap.load(std::memory_order_relaxed))
-      return; // the pass already failed; stop starting new tiles
+    const size_t Begin = Tile * TileSize;
+    if (Begin > FirstTrap.load(std::memory_order_relaxed))
+      return;
     WorkerState &S = States[Worker];
     VM &Machine = Machines[Worker];
-    const size_t Begin = Tile * TileSize;
     const size_t End = Begin + TileSize < Count ? Begin + TileSize : Count;
 
     if (UseBatched) {
@@ -163,7 +174,11 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
           S.TrapPixel = Index;
           S.TrapMessage = R.TrapMessage;
         }
-        AnyTrap.store(true, std::memory_order_relaxed);
+        size_t Seen = FirstTrap.load(std::memory_order_relaxed);
+        while (Index < Seen &&
+               !FirstTrap.compare_exchange_weak(Seen, Index,
+                                                std::memory_order_relaxed))
+          ;
         return;
       }
       if (Out)
@@ -180,7 +195,7 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     LastStats.BatchActiveLanes += S.Stats.BatchActiveLanes;
   }
 
-  if (AnyTrap.load(std::memory_order_relaxed)) {
+  if (FirstTrap.load(std::memory_order_relaxed) != SIZE_MAX) {
     // Report the lowest-numbered trapping pixel so failures read the same
     // at every thread count.
     size_t Best = SIZE_MAX;
@@ -210,9 +225,19 @@ bool RenderEngine::loaderPass(const Chunk &Loader, const CacheLayout &Layout,
 bool RenderEngine::readerPass(const Chunk &Reader, const RenderGrid &Grid,
                               const std::vector<float> &Controls,
                               const CacheArena &Arena, Framebuffer *Out) {
-  assert(Arena.pixelCount() == Grid.pixelCount() &&
-         Arena.strideBytes() >= Reader.CacheBytes &&
-         "arena was not loaded for this grid and layout");
+  // Checked in every build: the reader indexes the arena by grid pixel
+  // and reads up to CacheBytes of each pixel's stride.
+  if (Arena.pixelCount() != Grid.pixelCount() ||
+      Arena.strideBytes() < Reader.CacheBytes) {
+    LastStats = PassExecStats();
+    LastTrap = "arena holds " + std::to_string(Arena.pixelCount()) +
+               " pixels of " + std::to_string(Arena.strideBytes()) +
+               " bytes, but the grid has " +
+               std::to_string(Grid.pixelCount()) +
+               " pixels and the reader reads " +
+               std::to_string(Reader.CacheBytes) + " bytes a pixel";
+    return false;
+  }
   // Readers contain cache loads only (the splitter never emits stores in
   // the dynamic projection); the read-only binding makes that a hard
   // guarantee — a store through any tier traps instead of writing.

@@ -106,7 +106,10 @@ public:
                   const RenderGrid &Grid, const std::vector<float> &Controls,
                   CacheArena &Arena, Framebuffer *Out = nullptr);
 
-  /// Runs the reader over every pixel against a loaded \p Arena.
+  /// Runs the reader over every pixel against a loaded \p Arena. An
+  /// arena of another pixel count, or with a stride shorter than the
+  /// reader's cache, fails the pass before any pixel runs; so does an
+  /// \p Out of another size than the grid, in every pass.
   bool readerPass(const Chunk &Reader, const RenderGrid &Grid,
                   const std::vector<float> &Controls, const CacheArena &Arena,
                   Framebuffer *Out = nullptr);

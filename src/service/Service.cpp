@@ -9,7 +9,6 @@
 #include "driver/Pipeline.h"
 #include "shading/ShaderGallery.h"
 #include "shading/ShaderLab.h"
-#include "support/ByteStream.h"
 
 #include <algorithm>
 #include <cstring>
@@ -118,19 +117,9 @@ bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
   // grid, the partition (which controls vary), and the *fixed* controls'
   // values. The varying controls' values are excluded on purpose — that
   // is the reuse the cache exists to capture.
-  ByteWriter W;
-  W.writeU32(Request.Width);
-  W.writeU32(Request.Height);
-  W.writeU32(static_cast<uint32_t>(Request.Varying.size()));
-  for (const std::string &Name : Request.Varying)
-    W.writeString(Name);
-  for (size_t I = 0; I < Request.Controls.size(); ++I)
-    if (!IsVarying[I]) {
-      W.writeU32(static_cast<uint32_t>(I));
-      W.writeF32(Request.Controls[I]);
-    }
   Key.Shader = Request.Shader;
-  Key.InvariantHash = fnv1a64(W.bytes().data(), W.size());
+  Key.InvariantHash = invariantHash(*Info, Request.Width, Request.Height,
+                                    Request.Varying, Request.Controls);
   Key.OptionsFingerprint = optionsFingerprint(effectiveOptions(Request));
 
   // Polyvariant canonicalization: map the request onto the most specific
@@ -314,17 +303,6 @@ UnitPtr SpecializationService::loadOrBuildUnit(
   FromDisk = false;
   if (Spill) {
     if (auto Unit = Spill->load(P.Key, nullptr)) {
-      // A spilled unit carries everything but its human-readable variant
-      // label (the store has no parameter-name table).
-      if (!P.Key.Variant.isGeneric()) {
-        const ShaderInfo *Info = findShader(P.Key.Shader);
-        std::vector<std::string> Names;
-        if (Info)
-          for (const auto &Control : Info->Controls)
-            Names.push_back(Control.Name);
-        Unit->VariantLabel =
-            P.Key.Variant.label(Names, ShaderInfo::NumPixelParams);
-      }
       FromDisk = true;
       return Unit;
     }

@@ -6,6 +6,7 @@
 
 #include "service/SpillStore.h"
 
+#include "shading/ShaderGallery.h"
 #include "snapshot/Snapshot.h"
 #include "support/ByteStream.h"
 #include "support/StringUtil.h"
@@ -190,27 +191,36 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
     }
   }
 
+  // A file that fails a check below is counted as an error and a disk
+  // miss; the caller then builds the unit.
+  auto Reject = [&](std::string Why) -> std::shared_ptr<SpecializationUnit> {
+    std::lock_guard<std::mutex> Lock(M);
+    ++Counters.Errors;
+    ++Counters.DiskMisses;
+    if (Error)
+      *Error = std::move(Why);
+    return nullptr;
+  };
+
   SpecializationSnapshot Snap;
   std::string ReadError;
-  if (!readSnapshotFile(Path, Snap, &ReadError)) {
-    std::lock_guard<std::mutex> Lock(M);
-    ++Counters.Errors;
-    ++Counters.DiskMisses;
-    if (Error)
-      *Error = "spilled unit unreadable: " + ReadError;
-    return nullptr;
-  }
+  if (!readSnapshotFile(Path, Snap, &ReadError))
+    return Reject("spilled unit unreadable: " + ReadError);
   // The file name is a hash; verify the contents actually describe this
-  // key's unit before serving it.
-  if (Snap.Meta.FragmentName != Key.Shader) {
-    std::lock_guard<std::mutex> Lock(M);
-    ++Counters.Errors;
-    ++Counters.DiskMisses;
-    if (Error)
-      *Error = "spilled unit names shader '" + Snap.Meta.FragmentName +
-               "', expected '" + Key.Shader + "'";
-    return nullptr;
-  }
+  // key's unit before serving it. The META must reproduce the key's
+  // invariant hash, grid size included: a unit of another size would
+  // render past the end of the request's framebuffer.
+  if (Snap.Meta.FragmentName != Key.Shader)
+    return Reject("spilled unit names shader '" + Snap.Meta.FragmentName +
+                  "', expected '" + Key.Shader + "'");
+  const ShaderInfo *Info = findShader(Key.Shader);
+  if (!Info || Snap.Meta.Controls.size() != Info->Controls.size() ||
+      invariantHash(*Info, Snap.Meta.GridWidth, Snap.Meta.GridHeight,
+                    Snap.Meta.VaryingParams,
+                    Snap.Meta.Controls) != Key.InvariantHash)
+    return Reject("spilled " + std::to_string(Snap.Meta.GridWidth) + "x" +
+                  std::to_string(Snap.Meta.GridHeight) + " '" + Key.Shader +
+                  "' unit does not match its key's invariant inputs");
 
   auto Unit = std::make_shared<SpecializationUnit>(Snap.Meta.GridWidth,
                                                    Snap.Meta.GridHeight);
@@ -221,15 +231,15 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
   Unit->Loader = std::move(Snap.Loader);
   Unit->Reader = std::move(Snap.Reader);
   Unit->Variant = Key.Variant;
-  if (!Unit->Arena.restore(Snap.ArenaPixels, Snap.Layout,
-                           std::move(Snap.ArenaBytes))) {
-    std::lock_guard<std::mutex> Lock(M);
-    ++Counters.Errors;
-    ++Counters.DiskMisses;
-    if (Error)
-      *Error = "spilled arena shape does not match its layout";
-    return nullptr;
+  if (!Key.Variant.isGeneric()) {
+    std::vector<std::string> Names;
+    for (const ControlParam &Control : Info->Controls)
+      Names.push_back(Control.Name);
+    Unit->VariantLabel = Key.Variant.label(Names, ShaderInfo::NumPixelParams);
   }
+  if (!Unit->Arena.restore(Snap.ArenaPixels, Snap.Layout,
+                           std::move(Snap.ArenaBytes)))
+    return Reject("spilled arena shape does not match its layout");
   Unit->Options.EnableJoinNormalize = Snap.Meta.JoinNormalize;
   Unit->Options.EnableReassociate = Snap.Meta.Reassociate;
   Unit->Options.AllowSpeculation = Snap.Meta.Speculation;

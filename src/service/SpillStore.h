@@ -62,8 +62,10 @@ public:
   void store(const UnitKey &Key, const UnitPtr &Unit);
 
   /// Restores the unit spilled under \p Key, or null (a disk miss, or a
-  /// corrupt/mismatched file, with \p Error set). The caller owns filling
-  /// VariantLabel — the store has no access to shader parameter names.
+  /// corrupt/mismatched file, with \p Error set). A file matches when its
+  /// META names Key.Shader and reproduces Key.InvariantHash (grid size,
+  /// varying names and fixed control values); that is checked before any
+  /// grid or arena is built.
   std::shared_ptr<SpecializationUnit> load(const UnitKey &Key,
                                            std::string *Error);
 

@@ -6,9 +6,36 @@
 
 #include "service/UnitCache.h"
 
+#include "shading/ShaderGallery.h"
 #include "support/ByteStream.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace dspec;
+
+uint64_t dspec::invariantHash(const ShaderInfo &Info, unsigned Width,
+                              unsigned Height,
+                              const std::vector<std::string> &Varying,
+                              const std::vector<float> &Controls) {
+  assert(Controls.size() == Info.Controls.size() &&
+         "one value per control of the shader");
+  // These bytes name spill files on disk; changing them orphans every
+  // file a previous build spilled.
+  ByteWriter W;
+  W.writeU32(Width);
+  W.writeU32(Height);
+  W.writeU32(static_cast<uint32_t>(Varying.size()));
+  for (const std::string &Name : Varying)
+    W.writeString(Name);
+  for (size_t I = 0; I < Controls.size(); ++I)
+    if (std::find(Varying.begin(), Varying.end(), Info.Controls[I].Name) ==
+        Varying.end()) {
+      W.writeU32(static_cast<uint32_t>(I));
+      W.writeF32(Controls[I]);
+    }
+  return fnv1a64(W.bytes().data(), W.size());
+}
 
 uint64_t dspec::optionsFingerprint(const SpecializerOptions &Options) {
   // Serialize the fields through the little-endian writer so the

@@ -47,6 +47,8 @@
 
 namespace dspec {
 
+struct ShaderInfo;
+
 /// One cached specialization: the compiled unit and the loader-warmed
 /// arena for one (shader, invariant inputs, options) partition.
 /// Immutable after construction; shared by every request that hits it.
@@ -95,6 +97,17 @@ inline uint64_t fnv1a64(const void *Data, size_t Size,
 /// generated unit. Two requests whose options fingerprints differ must
 /// never share a cache entry, even for identical inputs.
 uint64_t optionsFingerprint(const SpecializerOptions &Options);
+
+/// The InvariantHash of a UnitKey (below) for shader \p Info at \p Width x
+/// \p Height: the grid size, the varying-parameter names in the order
+/// given, then the index and value of every control whose name \p Varying
+/// does not list. \p Controls holds one value per control of \p Info.
+/// A spill file's META carries all of these inputs, so a restore can
+/// check a file against the key it was found under.
+uint64_t invariantHash(const ShaderInfo &Info, unsigned Width,
+                       unsigned Height,
+                       const std::vector<std::string> &Varying,
+                       const std::vector<float> &Controls);
 
 /// Cache key: one entry per (shader, invariant-input partition, options).
 /// InvariantHash covers the grid dimensions, the varying-parameter set,

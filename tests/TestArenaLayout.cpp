@@ -346,7 +346,8 @@ TEST(ArenaLayout, SpillRoundTripsAUnitWithABlockedArena) {
   ASSERT_TRUE(Store.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
   UnitKey Key;
   Key.Shader = Info->Name;
-  Key.InvariantHash = 42;
+  Key.InvariantHash =
+      invariantHash(*Info, 6, 5, U->Varying, U->LoadControls);
   Store.store(Key, U);
   ASSERT_EQ(Store.stats().Errors, 0u);
 

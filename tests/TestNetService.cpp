@@ -482,6 +482,18 @@ UnitKey keyWithHash(const char *Shader, uint64_t InvariantHash) {
   return K;
 }
 
+/// A key whose invariant hash matches \p U's own inputs, so the store
+/// serves the spilled file back; \p Fingerprint tells keys of one unit
+/// apart.
+UnitKey servableKey(const SpecializationUnit &U, uint64_t Fingerprint) {
+  UnitKey K;
+  K.Shader = U.Shader;
+  K.InvariantHash = invariantHash(*findShader(U.Shader), U.Grid.width(),
+                                  U.Grid.height(), U.Varying, U.LoadControls);
+  K.OptionsFingerprint = Fingerprint;
+  return K;
+}
+
 bool fileExists(const std::string &Path) {
   struct stat St;
   return ::stat(Path.c_str(), &St) == 0;
@@ -559,11 +571,11 @@ TEST(Spill, StoreNeverEvictsTheUnitJustWritten) {
   // Adversarial key pair: the second store's file name sorts LOWER than
   // the first's, so a bare name-ordered tie-break would evict the file
   // being written. Both stores land within one mtime second.
-  const UnitKey First = keyWithHash("wood", 0);
+  const UnitKey First = servableKey(*Unit, 0);
   UnitKey Second;
   bool Found = false;
   for (uint64_t H = 1; H < 64 && !Found; ++H) {
-    Second = keyWithHash("wood", H);
+    Second = servableKey(*Unit, H);
     Found = Store.pathFor(Second) < Store.pathFor(First);
   }
   ASSERT_TRUE(Found) << "no lower-sorting key hash in 64 probes";
@@ -583,6 +595,101 @@ TEST(Spill, StoreNeverEvictsTheUnitJustWritten) {
   auto Back = Store.load(Second, &Error);
   ASSERT_NE(Back, nullptr) << Error;
   EXPECT_EQ(Back->Shader, "wood");
+  clearSpillDir(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Spill restores verify the file against the key it was found under
+//===----------------------------------------------------------------------===//
+
+/// The key the service files \p R under: default options, no variant
+/// pins, and \p R's own (canonical) varying set and controls.
+UnitKey serviceKeyOf(const RenderRequest &R) {
+  UnitKey K;
+  K.Shader = R.Shader;
+  K.InvariantHash = invariantHash(*findShader(R.Shader), R.Width, R.Height,
+                                  R.Varying, R.Controls);
+  K.OptionsFingerprint = optionsFingerprint(R.toOptions());
+  return K;
+}
+
+RenderRequest marbleRequest(unsigned Width, unsigned Height) {
+  const ShaderInfo *Marble = findShader("marble");
+  RenderRequest R;
+  R.Shader = "marble";
+  R.Width = Width;
+  R.Height = Height;
+  R.Varying = {Marble->Controls[0].Name};
+  R.Controls = ShaderLab::defaultControls(*Marble);
+  return R;
+}
+
+/// Spills the unit built for \p Spilled through a one-unit service, then
+/// files it under the name of \p Requested's key, as a colliding or
+/// tampered directory would. The file's CRCs stay valid.
+void spillUnderKeyOf(const std::string &Dir, const RenderRequest &Spilled,
+                     const RenderRequest &Requested) {
+  clearSpillDir(Dir);
+  {
+    ServiceConfig Cfg;
+    Cfg.CacheUnits = 1;
+    Cfg.CacheShards = 1;
+    Cfg.SpillDir = Dir;
+    SpecializationService Service(Cfg);
+    RenderReply Reply = Service.render(Spilled);
+    ASSERT_TRUE(Reply.ok()) << Reply.Error;
+    RenderRequest Evictor;
+    Evictor.Shader = "wood";
+    Evictor.Width = 4;
+    Evictor.Height = 3;
+    ASSERT_TRUE(Service.render(Evictor).ok());
+    ASSERT_EQ(Service.statsz().SpillWrites, 1u);
+  }
+  SpillStore Names;
+  std::string Error;
+  ASSERT_TRUE(Names.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  const std::string From = Names.pathFor(serviceKeyOf(Spilled));
+  const std::string To = Names.pathFor(serviceKeyOf(Requested));
+  ASSERT_TRUE(fileExists(From)) << "the service filed the unit elsewhere";
+  ASSERT_EQ(::rename(From.c_str(), To.c_str()), 0) << To;
+}
+
+/// Serves \p R from a service over \p Dir and expects the spilled file
+/// to be refused: one spill error, no disk hit, and a reply built afresh
+/// that matches the plain render.
+void expectRefusedAndRebuilt(const std::string &Dir, const RenderRequest &R) {
+  ServiceConfig Cfg;
+  Cfg.SpillDir = Dir;
+  SpecializationService Service(Cfg);
+  RenderReply Reply = Service.render(R);
+  ASSERT_TRUE(Reply.ok()) << Reply.Error;
+  EXPECT_TRUE(bitIdentical(
+      Reply.toFramebuffer(),
+      plainReference(*findShader(R.Shader), R.Width, R.Height, R.Controls)));
+  MetricsSnapshot Stats = Service.statsz();
+  EXPECT_EQ(Stats.SpillDiskHits, 0u);
+  EXPECT_EQ(Stats.SpillErrors, 1u);
+}
+
+TEST(Spill, RestoreRefusesAUnitOfAnotherGridSize) {
+  // A 64x48 unit under the 8x6 key would render 3072 pixels into the
+  // 48-pixel reply framebuffer.
+  const std::string Dir = testing::TempDir() + "dspec_spill_size";
+  ASSERT_NO_FATAL_FAILURE(
+      spillUnderKeyOf(Dir, marbleRequest(64, 48), marbleRequest(8, 6)));
+  expectRefusedAndRebuilt(Dir, marbleRequest(8, 6));
+  clearSpillDir(Dir);
+}
+
+TEST(Spill, RestoreRefusesAUnitOfAnotherFixedControl) {
+  // Same size, but the cached invariants were computed from another
+  // value of a fixed control: serving them would render the wrong image.
+  const std::string Dir = testing::TempDir() + "dspec_spill_fixed";
+  RenderRequest Requested = marbleRequest(16, 12);
+  Requested.Controls[1] += 0.25f;
+  ASSERT_NO_FATAL_FAILURE(
+      spillUnderKeyOf(Dir, marbleRequest(16, 12), Requested));
+  expectRefusedAndRebuilt(Dir, Requested);
   clearSpillDir(Dir);
 }
 

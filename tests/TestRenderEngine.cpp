@@ -265,6 +265,40 @@ TEST(RenderEngineTest, ArenaIsPortableAcrossEngines) {
   expectSameImage(A, B, "cross-engine read");
 }
 
+/// Size checks hold in every build, not only under assertions: a pass
+/// whose framebuffer or arena does not match the grid fails before any
+/// pixel runs, and writes nothing.
+TEST(RenderEngineTest, ReaderPassRefusesMismatchedSizes) {
+  ShaderLab Lab(16, 12);
+  const ShaderInfo *Info = findShader("marble");
+  auto Spec = Lab.specializePartition(*Info, 0);
+  ASSERT_TRUE(Spec.has_value()) << Lab.lastError();
+  auto Controls = ShaderLab::defaultControls(*Info);
+  RenderEngine Engine(2);
+  ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls));
+
+  auto ExpectUntouched = [](const Framebuffer &Fb) {
+    for (unsigned Y = 0; Y < Fb.height(); ++Y)
+      for (unsigned X = 0; X < Fb.width(); ++X)
+        ASSERT_TRUE(bitIdentical(Fb.at(X, Y), Value()))
+            << "pixel " << X << "," << Y << " was written";
+  };
+
+  Framebuffer Small(8, 6);
+  EXPECT_FALSE(Spec->readFrame(Engine, Lab.grid(), Controls, &Small));
+  EXPECT_NE(Engine.lastTrap().find("framebuffer is 8x6"), std::string::npos)
+      << Engine.lastTrap();
+  ExpectUntouched(Small);
+
+  // The arena was loaded for 16x12; an 8x6 grid must not index it.
+  RenderGrid SmallGrid(8, 6);
+  EXPECT_FALSE(Spec->readFrame(Engine, SmallGrid, Controls, &Small));
+  EXPECT_NE(Engine.lastTrap().find("arena holds 192 pixels"),
+            std::string::npos)
+      << Engine.lastTrap();
+  ExpectUntouched(Small);
+}
+
 /// A chunk whose cache instruction reaches past the layout traps on every
 /// pixel; the engine must report pixel 0 no matter how many threads race.
 TEST(RenderEngineTest, TrapReportsLowestPixelAtEveryThreadCount) {

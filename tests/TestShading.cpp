@@ -4,12 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "service/UnitCache.h"
 #include "shading/ShaderLab.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
 
 using namespace dspec;
 
@@ -53,6 +58,96 @@ TEST(RenderGrid, PixelsAreDistinct) {
   RenderGrid Grid(6, 3);
   for (size_t I = 1; I < Grid.pixels().size(); ++I)
     EXPECT_FALSE(Grid.pixels()[I].P.equals(Grid.pixels()[I - 1].P));
+}
+
+bool sameBits(const Value &A, const Value &B) {
+  return A.Kind == B.Kind && A.I == B.I &&
+         std::memcmp(A.F, B.F, sizeof(A.F)) == 0;
+}
+
+/// Bit equality of two input arrays. References are copies, so the
+/// comparison never reads the shared array it is checking against itself.
+bool sameInputs(const std::vector<PixelInput> &A,
+                const std::vector<PixelInput> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (!sameBits(A[I].UV, B[I].UV) || !sameBits(A[I].P, B[I].P) ||
+        !sameBits(A[I].N, B[I].N) || !sameBits(A[I].I, B[I].I))
+      return false;
+  return true;
+}
+
+TEST(RenderGrid, OneSizeSharesOnePixelArray) {
+  RenderGrid A(12, 9), B(12, 9), Other(9, 12);
+  EXPECT_EQ(A.pixels().data(), B.pixels().data());
+  EXPECT_NE(A.pixels().data(), Other.pixels().data());
+  EXPECT_EQ(Other.pixelCount(), 108u);
+
+  // Copies and moves share the array too, and a moved-from grid keeps it.
+  RenderGrid Copy = A;
+  RenderGrid Moved = std::move(B);
+  EXPECT_EQ(Copy.pixels().data(), A.pixels().data());
+  EXPECT_EQ(Moved.pixels().data(), A.pixels().data());
+  EXPECT_EQ(B.pixels().data(), A.pixels().data());
+  Other = std::move(Copy);
+  EXPECT_EQ(Other.pixels().data(), A.pixels().data());
+  EXPECT_EQ(Copy.pixelCount(), 108u);
+}
+
+TEST(RenderGrid, OutlivesTheUnitThatFirstBuiltIt) {
+  // The cached unit builds the 14x10 array; the held unit shares it.
+  UnitCache Cache(/*Capacity=*/1, /*ShardCount=*/1);
+  UnitKey First;
+  First.Shader = "first";
+  UnitPtr Cached = Cache.getOrBuild(First, [](std::string &) {
+    return std::make_shared<SpecializationUnit>(14u, 10u);
+  });
+  ASSERT_TRUE(Cached);
+  auto Held = std::make_shared<SpecializationUnit>(14u, 10u);
+  EXPECT_EQ(Held->Grid.pixels().data(), Cached->Grid.pixels().data());
+  const std::vector<PixelInput> Before = Held->Grid.pixels();
+
+  // A unit of another size evicts the first, whose last holder is gone.
+  Cached.reset();
+  UnitKey Second;
+  Second.Shader = "second";
+  ASSERT_TRUE(Cache.getOrBuild(Second, [](std::string &) {
+    return std::make_shared<SpecializationUnit>(6u, 4u);
+  }));
+  ASSERT_EQ(Cache.stats().Evictions, 1u);
+
+  EXPECT_EQ(Held->Grid.pixelCount(), 140u);
+  EXPECT_TRUE(sameInputs(Held->Grid.pixels(), Before));
+  EXPECT_EQ(RenderGrid(14, 10).pixels().data(), Held->Grid.pixels().data())
+      << "a live array must be shared, not rebuilt";
+}
+
+TEST(RenderGrid, ConcurrentBuildsAndDropsMatchAReference) {
+  const std::pair<unsigned, unsigned> Sizes[] = {{8, 6}, {16, 12}, {7, 5}};
+  // Copied out, and the grids dropped, before any thread starts: every
+  // array the threads see is built, shared and freed among themselves.
+  std::vector<std::vector<PixelInput>> Reference;
+  for (const auto &[W, H] : Sizes)
+    Reference.push_back(RenderGrid(W, H).pixels());
+
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 8; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned Round = 0; Round < 200; ++Round)
+        for (size_t S = 0; S < 3; ++S) {
+          const size_t Pick = (S + T + Round) % 3;
+          RenderGrid Grid(Sizes[Pick].first, Sizes[Pick].second);
+          if (Grid.width() != Sizes[Pick].first ||
+              Grid.height() != Sizes[Pick].second ||
+              !sameInputs(Grid.pixels(), Reference[Pick]))
+            ++Mismatches;
+        }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
 }
 
 TEST(Framebuffer, StoresAndRenders) {
