@@ -53,7 +53,7 @@ public:
   /// per-frame *reuse* estimate for a cached slot — >= 1 means the reader
   /// touches the slot on every evaluation (hot), < 1 means the slot sits
   /// under a conditional and is read less often than once per frame
-  /// (cold). The arena's cold-slot packing keys off this figure.
+  /// (cold). The measured-bytes limiter charges hot slots only.
   double structureWeight(const Expr *E) const;
 
   /// The base cost of \p E's own operator, excluding subterms. Vector

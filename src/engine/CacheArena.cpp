@@ -6,133 +6,85 @@
 
 #include "engine/CacheArena.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <dirent.h>
+#include <string>
 
 using namespace dspec;
 
-size_t CacheArena::buildMap() {
-  Map.clear();
-  BlockPx = 1;
-  if (Pixels == 0 || Stride == 0)
-    return static_cast<size_t>(Pixels) * Stride;
-
-  const bool Packing = Config.PackCold && Shape.hasColdSlots();
-  if (Config.Layout == ArenaLayout::PixelMajor && !Packing)
-    return static_cast<size_t>(Pixels) * Stride; // identity: no map, no slack
-
-  switch (Config.Layout) {
-  case ArenaLayout::PixelMajor:
-    BlockPx = 1;
-    break;
-  case ArenaLayout::SlotMajor:
-    BlockPx = Pixels;
-    break;
-  case ArenaLayout::TileBlocked:
-    BlockPx = Config.TilePixels ? Config.TilePixels : 1024;
-    break;
-  }
-
-  // Physical block = [hot columns][cold columns], BlockPx lanes each,
-  // lane-major within a column. Canonical word w of (block B, lane L):
-  //   physOff(slot) * BlockPx  +  B * (BlockPx * Stride)
-  //   + L * slotWidth  +  wordDisplacementInSlot
-  // where physOff reorders cold slots behind the hot prefix.
-  const unsigned HotBytes = Packing ? Shape.hotBytes() : Stride;
-  unsigned HotOff = 0, ColdOff = 0;
-  Map.assign(Stride / 4, ArenaSlotAddr());
-  for (const CacheSlot &S : Shape.slots()) {
-    const unsigned Width = S.SlotType.sizeInBytes();
-    if (Width == 0)
-      continue;
-    const bool Cold = Packing && S.isCold();
-    const unsigned PhysOff = Cold ? HotBytes + ColdOff : HotOff;
-    (Cold ? ColdOff : HotOff) += Width;
-    for (unsigned D = 0; D < Width; D += 4) {
-      ArenaSlotAddr &E = Map[(S.Offset + D) / 4];
-      E.Base = PhysOff * BlockPx + D;
-      E.Block = BlockPx * Stride;
-      E.LaneW = Width;
-    }
-  }
-
-  const size_t NumBlocks = (static_cast<size_t>(Pixels) + BlockPx - 1) / BlockPx;
-  return NumBlocks * BlockPx * Stride + kTailSlackBytes;
-}
-
-void CacheArena::reset(unsigned PixelCount, const CacheLayout &CacheShape,
-                       const ArenaLayoutConfig &Cfg) {
+void CacheArena::reset(unsigned PixelCount, const CacheLayout &CacheShape) {
   Shape = CacheShape;
-  Config = Cfg;
   Pixels = PixelCount;
   Stride = CacheShape.totalBytes();
-  Storage.assign(buildMap(), 0);
+  Storage.assign(totalBytes(), 0);
 }
 
 bool CacheArena::restore(unsigned PixelCount, const CacheLayout &CacheShape,
-                         const unsigned char *Bytes, size_t Size,
-                         const ArenaLayoutConfig &Cfg) {
-  if (Size !=
-      static_cast<size_t>(PixelCount) * CacheShape.totalBytes()) {
-    reset(0, CacheLayout());
-    return false;
-  }
-  reset(PixelCount, CacheShape, Cfg);
-  if (Map.empty()) {
-    std::memcpy(Storage.data(), Bytes, Size);
-    return true;
-  }
-  // Scatter canonical words into the blocked arrangement.
-  const unsigned Words = Stride / 4;
-  for (unsigned P = 0; P < Pixels; ++P) {
-    const size_t B = P / BlockPx, L = P % BlockPx;
-    const unsigned char *Src = Bytes + static_cast<size_t>(P) * Stride;
-    for (unsigned W = 0; W < Words; ++W) {
-      const ArenaSlotAddr &E = Map[W];
-      std::memcpy(Storage.data() + E.Base + B * E.Block + L * E.LaneW,
-                  Src + 4 * W, 4);
-    }
-  }
-  return true;
-}
-
-bool CacheArena::restore(unsigned PixelCount, const CacheLayout &CacheShape,
-                         ArenaBuffer &&Bytes, const ArenaLayoutConfig &Cfg) {
+                         ArenaBuffer &&Bytes) {
   if (Bytes.size() !=
       static_cast<size_t>(PixelCount) * CacheShape.totalBytes()) {
     reset(0, CacheLayout());
     return false;
   }
-  // Identity layouts adopt the canonical buffer outright (the physical
-  // image *is* the canonical image, and ArenaBuffer keeps it aligned);
-  // anything else must re-block, so the copy path applies.
+  // ArenaBuffer keeps the adopted bytes aligned.
   Shape = CacheShape;
-  Config = Cfg;
   Pixels = PixelCount;
   Stride = CacheShape.totalBytes();
-  if (buildMap() == Bytes.size() && Map.empty()) {
-    Storage = std::move(Bytes);
-    return true;
-  }
-  return restore(PixelCount, CacheShape, Bytes.data(), Bytes.size(), Cfg);
+  Storage = std::move(Bytes);
+  return true;
 }
 
-ArenaBuffer CacheArena::canonicalBytes() const {
-  ArenaBuffer Out;
-  const size_t Logical = totalBytes();
-  if (Map.empty()) {
-    Out.assign(Storage.begin(), Storage.begin() + Logical);
-    return Out;
-  }
-  Out.resize(Logical);
-  const unsigned Words = Stride / 4;
-  for (unsigned P = 0; P < Pixels; ++P) {
-    const size_t B = P / BlockPx, L = P % BlockPx;
-    unsigned char *Dst = Out.data() + static_cast<size_t>(P) * Stride;
-    for (unsigned W = 0; W < Words; ++W) {
-      const ArenaSlotAddr &E = Map[W];
-      std::memcpy(Dst + 4 * W,
-                  Storage.data() + E.Base + B * E.Block + L * E.LaneW, 4);
+namespace {
+
+/// Reads one small sysfs file into \p Out. Returns false when absent.
+bool readSysfsLine(const std::string &Path, char *Out, size_t OutSize) {
+  std::FILE *F = std::fopen(Path.c_str(), "r");
+  if (!F)
+    return false;
+  bool Ok = std::fgets(Out, static_cast<int>(OutSize), F) != nullptr;
+  std::fclose(F);
+  return Ok;
+}
+
+/// Parses "32768K" / "12M" / plain bytes from a sysfs size file.
+uint64_t parseCacheSize(const char *Text) {
+  char *End = nullptr;
+  uint64_t V = std::strtoull(Text, &End, 10);
+  if (End == Text)
+    return 0;
+  if (*End == 'K' || *End == 'k')
+    V <<= 10;
+  else if (*End == 'M' || *End == 'm')
+    V <<= 20;
+  else if (*End == 'G' || *End == 'g')
+    V <<= 30;
+  return V;
+}
+
+} // namespace
+
+uint64_t dspec::detectLlcBytes(uint64_t Fallback) {
+  const char *Root = "/sys/devices/system/cpu/cpu0/cache";
+  uint64_t Best = 0;
+  if (DIR *D = opendir(Root)) {
+    while (dirent *E = readdir(D)) {
+      if (std::strncmp(E->d_name, "index", 5) != 0)
+        continue;
+      std::string Dir = std::string(Root) + "/" + E->d_name;
+      char Line[64];
+      // Only data or unified caches count toward the working-set bound.
+      if (readSysfsLine(Dir + "/type", Line, sizeof(Line)) &&
+          std::strncmp(Line, "Instruction", 11) == 0)
+        continue;
+      if (!readSysfsLine(Dir + "/size", Line, sizeof(Line)))
+        continue;
+      uint64_t Bytes = parseCacheSize(Line);
+      if (Bytes > Best)
+        Best = Bytes;
     }
+    closedir(D);
   }
-  return Out;
+  return Best ? Best : (Fallback ? Fallback : 32ull << 20);
 }

@@ -29,9 +29,8 @@ enum class ExecTier {
   /// ExecChunk. Uniform branches run in lockstep and divergent maskable
   /// diamonds run both arms under a per-lane mask (GPU-warp style).
   /// Everything it cannot batch runs per-pixel on the switch tier:
-  /// effectful or undecodable chunks and arenas that are not batch-
-  /// compatible for the whole pass, and a tile that diverges at an
-  /// unmaskable branch or traps.
+  /// effectful or undecodable chunks for the whole pass, and a tile that
+  /// diverges at an unmaskable branch or traps.
   Batched,
 };
 

@@ -45,16 +45,14 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   // of the chunk, negligible against per-pixel execution, and rebuilding
   // here is what keeps snapshots format-stable: files persist the plain
   // Chunk and every load re-fuses. Whatever the batched tier cannot run
-  // — an invalid decode (hand-built or hostile bytecode), an effectful
-  // chunk, or an arena whose blocks a work tile would straddle — runs
-  // per-pixel on the switch interpreter, whose dynamic checks produce
-  // the canonical diagnostics and whose views resolve any arena map.
+  // — an invalid decode (hand-built or hostile bytecode) or an effectful
+  // chunk — runs per-pixel on the switch interpreter, whose dynamic
+  // checks produce the canonical diagnostics.
   ExecChunk Decoded;
   if (Tier == ExecTier::Batched)
     Decoded = buildExecChunk(Code);
-  const bool UseBatched = Tier == ExecTier::Batched && Decoded.Valid &&
-                          Decoded.BatchSafe &&
-                          (!Arena || Arena->batchCompatible(TileSize));
+  const bool UseBatched =
+      Tier == ExecTier::Batched && Decoded.Valid && Decoded.BatchSafe;
 
   /// Per-worker frame state: the reusable argument vectors (scalar and
   /// lane-major batched forms), the first trap this worker hit, and the
@@ -115,23 +113,11 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
       Req.Lanes = Lanes;
       if (Arena) {
         Req.CacheBytes = Arena->strideBytes();
-        if (Arena->denseViews()) {
-          Req.CacheBase = Arena->raw() + Begin * Arena->strideBytes();
-          Req.CacheStride = Arena->strideBytes();
-          if (MutArena)
-            Req.CacheStoreBase =
-                MutArena->raw() + Begin * MutArena->strideBytes();
-        } else {
-          // Mapped arena: hand over the whole buffer plus the address
-          // map; slot rows resolve per access. batchCompatible
-          // guaranteed this tile lies inside one block.
-          Req.CacheBase = Arena->raw();
-          Req.CacheMap = Arena->map();
-          Req.CacheBlockPixels = Arena->blockPixels();
-          Req.CacheFirstPixel = static_cast<unsigned>(Begin);
-          if (MutArena)
-            Req.CacheStoreBase = MutArena->raw();
-        }
+        Req.CacheStride = Arena->strideBytes();
+        Req.CacheBase = Arena->raw() + Begin * Arena->strideBytes();
+        if (MutArena)
+          Req.CacheStoreBase =
+              MutArena->raw() + Begin * MutArena->strideBytes();
       }
       Req.Results = S.Results.data();
       ExecResult R = Machine.runBatch(Decoded, Req);
@@ -216,9 +202,8 @@ bool RenderEngine::loaderPass(const Chunk &Loader, const CacheLayout &Layout,
   assert(Loader.CacheBytes <= Layout.totalBytes() &&
          "loader was compiled against a larger layout");
   if (Arena.pixelCount() != Grid.pixelCount() ||
-      Arena.strideBytes() != Layout.totalBytes() ||
-      Arena.layoutConfig() != ArenaCfg)
-    Arena.reset(Grid.pixelCount(), Layout, ArenaCfg);
+      Arena.strideBytes() != Layout.totalBytes())
+    Arena.reset(Grid.pixelCount(), Layout);
   return runPass(Loader, Grid, Controls, &Arena, nullptr, Out);
 }
 
@@ -277,9 +262,7 @@ bool RenderEngine::saveSnapshot(const std::string &Path,
   Snap.Layout = Layout;
   Snap.ArenaPixels = Arena.pixelCount();
   Snap.ArenaStride = Arena.strideBytes();
-  // The ARENA section is always the canonical pixel-major image, whatever
-  // physical layout the arena uses in memory — files stay compatible and
-  // a load re-blocks into the restoring engine's layout.
+  // The ARENA section is the arena's pixel-major bytes, verbatim.
   Snap.ArenaBytes = Arena.canonicalBytes();
   Snap.Variants = Variants;
   return writeSnapshotFile(Path, Snap, Error);

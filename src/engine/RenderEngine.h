@@ -42,6 +42,12 @@
 
 namespace dspec {
 
+/// Empty and read by nothing. This struct, RenderEngine::setArenaLayout
+/// and ServiceConfig::ArenaLayout exist only so that perfbench/Replay.cpp,
+/// which calls `Engine.setArenaLayout(Config.ArenaLayout)`, keeps
+/// building; ROADMAP item 2 deletes them together with that call.
+struct ArenaLayoutConfig {};
+
 /// Runs chunks over pixel grids. Reusable across shaders and frames; the
 /// pool and per-worker VMs are created once.
 class RenderEngine {
@@ -63,22 +69,15 @@ public:
   /// divergent maskable diamonds run both arms masked), and everything
   /// else runs per-pixel on the switch interpreter: a tile whose control
   /// flow diverges at an unmaskable branch or traps, and for the whole
-  /// pass an effectful chunk, a chunk that fails decoding, or an arena
-  /// that is not batch-compatible. Both tiers produce bit-identical
-  /// framebuffers (tests/TestExecTiers.cpp pins this over the whole
-  /// gallery); the knob exists for A/B measurement (`bench_exec_tier`,
-  /// `dspec serve --exec-tier`).
+  /// pass an effectful chunk or a chunk that fails decoding. Both tiers
+  /// produce bit-identical framebuffers (tests/TestExecTiers.cpp pins
+  /// this over the whole gallery); the knob exists for A/B measurement
+  /// (`bench_exec_tier`, `dspec serve --exec-tier`).
   void setExecTier(ExecTier NewTier) { Tier = NewTier; }
   ExecTier execTier() const { return Tier; }
 
-  /// Physical arena layout loaderPass builds (engine/ArenaLayout.h). The
-  /// default is the identity pixel-major arrangement — bit-for-bit the
-  /// seed behavior. Readers accept an arena in *any* layout (views carry
-  /// the address map); this knob only governs what a loader pass on this
-  /// engine produces. `auto` policy: pass chooseArenaLayout(tier,
-  /// tilePixels()).
-  void setArenaLayout(const ArenaLayoutConfig &Cfg) { ArenaCfg = Cfg; }
-  const ArenaLayoutConfig &arenaLayout() const { return ArenaCfg; }
+  /// Does nothing: see ArenaLayoutConfig.
+  void setArenaLayout(const ArenaLayoutConfig &) {}
 
   /// Execution statistics of the last completed pass; the batch figures
   /// cover runBatch attempts only (zero under the switch tier), so the
@@ -203,7 +202,6 @@ private:
   std::vector<VM> Machines; // one per worker
   unsigned TileSize;
   ExecTier Tier = ExecTier::Batched;
-  ArenaLayoutConfig ArenaCfg;
   std::string LastTrap;
   PassExecStats LastStats;
 };

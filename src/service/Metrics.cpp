@@ -60,10 +60,10 @@ std::string MetricsSnapshot::toJson() const {
   if (!NetJson.empty())
     NetSection = ",\"net\":" + NetJson;
   std::string ArenaJson = formatString(
-      "\"arena\":{\"layout\":\"%s\",\"units\":%llu,\"physical_bytes\":%llu,"
+      "\"arena\":{\"units\":%llu,\"physical_bytes\":%llu,"
       "\"hot_frame_bytes\":%llu,\"max_hot_frame_bytes\":%llu,"
       "\"llc_bytes\":%llu,\"fits_llc\":%s}",
-      ArenaLayout.c_str(), static_cast<unsigned long long>(ArenaUnits),
+      static_cast<unsigned long long>(ArenaUnits),
       static_cast<unsigned long long>(ArenaPhysicalBytes),
       static_cast<unsigned long long>(ArenaHotFrameBytes),
       static_cast<unsigned long long>(ArenaMaxHotFrameBytes),

@@ -80,11 +80,9 @@ struct MetricsSnapshot {
   std::string ExecTier = "batched";
 
   /// Arena accounting, aggregated over the live unit cache at snapshot
-  /// time: the configured physical layout, bytes actually allocated
-  /// (padding and tail slack included), and the hot per-frame working
-  /// set — hot stride x pixels per unit — against the configured LLC
-  /// bound (0 = no bound in force).
-  std::string ArenaLayout = "pixel-major";
+  /// time: bytes allocated, and the per-frame working set — stride x
+  /// pixels per unit — against the configured LLC bound (0 = no bound in
+  /// force).
   uint64_t ArenaUnits = 0;
   uint64_t ArenaPhysicalBytes = 0;
   uint64_t ArenaHotFrameBytes = 0;

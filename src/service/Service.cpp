@@ -43,7 +43,6 @@ SpecializationService::SpecializationService(const ServiceConfig &InConfig)
     Engines.push_back(std::make_unique<RenderEngine>(Config.RenderThreads,
                                                      Config.TilePixels));
     Engines.back()->setExecTier(Config.Tier);
-    Engines.back()->setArenaLayout(Config.ArenaLayout);
   }
   DispatcherThreads.reserve(Config.Dispatchers);
   for (unsigned I = 0; I < Config.Dispatchers; ++I)
@@ -430,16 +429,16 @@ MetricsSnapshot SpecializationService::statsz() const {
     Out.SpillBytes = S.Bytes;
   }
   Out.ExecTier = execTierName(Config.Tier);
-  Out.ArenaLayout = arenaLayoutName(Config.ArenaLayout.Layout);
   Out.ArenaLlcBytes = Config.LlcBytes;
   Cache.forEachUnit([&Out](const UnitPtr &Unit) {
     ++Out.ArenaUnits;
-    Out.ArenaPhysicalBytes += Unit->Arena.physicalBytes();
-    uint64_t Hot = static_cast<uint64_t>(Unit->Arena.hotStrideBytes()) *
-                   Unit->Arena.pixelCount();
-    Out.ArenaHotFrameBytes += Hot;
-    if (Hot > Out.ArenaMaxHotFrameBytes)
-      Out.ArenaMaxHotFrameBytes = Hot;
+    // Pixel strides sit back to back, so a reader frame streams the
+    // whole arena.
+    uint64_t Bytes = Unit->Arena.totalBytes();
+    Out.ArenaPhysicalBytes += Bytes;
+    Out.ArenaHotFrameBytes += Bytes;
+    if (Bytes > Out.ArenaMaxHotFrameBytes)
+      Out.ArenaMaxHotFrameBytes = Bytes;
   });
   Out.ArenaFitsLlc =
       Config.LlcBytes == 0 || Out.ArenaMaxHotFrameBytes <= Config.LlcBytes;

@@ -73,14 +73,10 @@ struct ServiceConfig {
   /// min(Request.VariantPins, MaxVariantPins)). 0 disables polyvariance:
   /// every request maps to the generic variant.
   unsigned MaxVariantPins = 4;
-  /// Physical arena layout every engine's loader pass builds
-  /// (engine/ArenaLayout.h). Default is the identity pixel-major
-  /// arrangement; `dspec serve --arena-layout auto` resolves
-  /// chooseArenaLayout(Tier, TilePixels) before constructing the
-  /// service. Readers accept any layout, so this is a pure speed knob.
+  /// Unused: see ArenaLayoutConfig (engine/RenderEngine.h).
   ArenaLayoutConfig ArenaLayout;
   /// Measured Section 4.3 bound: when nonzero, every specialization
-  /// evicts minimum-benefit hot terms until its hot stride x pixel count
+  /// evicts minimum-benefit hot terms until its hot bytes x pixel count
   /// fits this many bytes (`--llc-bytes`; detectLlcBytes() is the usual
   /// source). 0 disables the working-set limiter.
   uint64_t LlcBytes = 0;

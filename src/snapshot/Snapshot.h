@@ -137,9 +137,9 @@ struct SpecializationSnapshot {
   Chunk Loader;
   Chunk Reader;
   CacheLayout Layout;
-  /// Arena shape + raw packed bytes — always canonical pixel-major,
-  /// Pixels x Stride, whatever physical layout the arena ran with. The
-  /// aligned buffer type lets a restore adopt it without a copy.
+  /// Arena shape + raw packed bytes, pixel-major: Pixels x Stride,
+  /// exactly the CacheArena's buffer. The aligned buffer type lets a
+  /// restore adopt it without a copy.
   unsigned ArenaPixels = 0;
   unsigned ArenaStride = 0;
   ArenaBuffer ArenaBytes;

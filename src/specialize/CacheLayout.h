@@ -10,21 +10,19 @@
 /// metric ("single-pixel cache sizes"). All dsc types are 4-byte aligned,
 /// so slots pack densely.
 ///
-/// Offsets are *canonical*: sequential dense packing in slot order,
-/// exactly what bytecode cache instructions address and what a
-/// snapshot's ARENA section stores pixel-major. A CacheArena may place
-/// the bytes elsewhere (engine/ArenaLayout.h), but that is invisible
-/// here — the physical map is derived from this canonical layout.
+/// Offsets are sequential dense packing in slot order: exactly what
+/// bytecode cache instructions address, and each pixel's stride in a
+/// CacheArena and in a snapshot's ARENA section.
 ///
 /// Each slot also carries a reuse weight stamped by the specializer from
 /// the Section 4.3 cost model: the structural execution weight
 /// (LoopMultiplier^loopDepth / CondDivisor^condDepth) of the cached
 /// term. Weight >= 1 means the reader touches the slot at least once per
 /// pixel (hot); weight < 1 means it sits under a conditional and is
-/// touched on some pixels only (cold) — the arena's PackCold layouts
-/// move such slots out of the hot stride. A negative weight means
-/// "unknown, assume hot" (layouts built by hand or loaded from a
-/// version-1 snapshot).
+/// touched on some pixels only (cold). The measured-bytes limiter
+/// charges hot slots only, and --explain reports the census. A negative
+/// weight means "unknown, assume hot" (layouts built by hand or loaded
+/// from a version-1 snapshot).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,22 +74,14 @@ public:
   unsigned totalBytes() const { return NextOffset; }
 
   /// Bytes per pixel the hot (unconditionally touched) slots occupy —
-  /// the stride the Section 4.3 measured-bytes limiter charges against
-  /// the LLC. Unknown-weight slots count as hot.
+  /// what the Section 4.3 measured-bytes limiter charges against the
+  /// LLC. Unknown-weight slots count as hot.
   unsigned hotBytes() const {
     unsigned Bytes = 0;
     for (const CacheSlot &S : Slots)
       if (!S.isCold())
         Bytes += S.SlotType.sizeInBytes();
     return Bytes;
-  }
-
-  /// True when any slot is classified cold (PackCold has work to do).
-  bool hasColdSlots() const {
-    for (const CacheSlot &S : Slots)
-      if (S.isCold())
-        return true;
-    return false;
   }
 
 private:

@@ -103,7 +103,8 @@ WorkingSetLimitResult dspec::limitToWorkingSet(
     }
 
     // Same victim policy as the static limiter, restricted to hot terms
-    // (evicting a cold term cannot shrink the streamed working set).
+    // (the model charges a cold term nothing, so evicting one cannot
+    // shrink the charged working set).
     Expr *Victim = nullptr;
     double VictimCost = 0.0;
     for (Expr *Term : Frontier) {

@@ -42,7 +42,8 @@ struct WorkingSetLimitResult {
   unsigned VictimsRelabeled = 0;
   /// Final bytes per pixel of hot (structureWeight >= 1) cached terms.
   uint64_t HotBytesPerPixel = 0;
-  /// HotBytesPerPixel x ArenaPixels — what a reader frame streams.
+  /// HotBytesPerPixel x ArenaPixels — what a reader frame reads on
+  /// every pixel.
   uint64_t WorkingSetBytes = 0;
   /// Always true on return (an empty hot set trivially fits).
   bool BoundMet = false;
@@ -51,10 +52,11 @@ struct WorkingSetLimitResult {
 /// The measured Section 4.3 variant: shrinks the *hot* per-frame working
 /// set — hot-bytes-per-pixel x \p ArenaPixels — until it fits
 /// \p LlcBytes. A cached term is hot when its structure weight is >= 1
-/// (evaluated at least once per frame); cold terms are exempt because
-/// cold-slot packing moves them behind the streamed hot stride. Victims
-/// are the minimum uncacheCost hot terms, exactly the static limiter's
-/// policy, so the two passes compose.
+/// (read at least once per pixel per frame); cold terms are exempt
+/// because the cost model puts them under a conditional, so a frame
+/// reads them on some pixels only. Victims are the minimum uncacheCost
+/// hot terms, exactly the static limiter's policy, so the two passes
+/// compose.
 WorkingSetLimitResult limitToWorkingSet(CachingAnalysis &CA,
                                         const CostModel &CM,
                                         const ReachingDefs &RD,

@@ -88,8 +88,9 @@ void DataSpecializer::runPipeline(Function *Work,
   Result.Layout = CA.finalizeLayout();
 
   // Stamp each slot's reuse weight (the cost model's structure weight of
-  // its cached term) so the arena can classify slots hot/cold for
-  // cold-slot packing and the measured Section 4.3 accounting.
+  // its cached term): hot slots are read on every pixel, cold ones only
+  // under a conditional. Snapshots carry the weights and --explain
+  // reports the census.
   for (Expr *Term : CA.cachedTerms()) {
     int Slot = CA.slotOf(Term);
     if (Slot >= 0)
@@ -108,10 +109,10 @@ void DataSpecializer::runPipeline(Function *Work,
       if (Slot.isCold())
         ++ColdSlots;
     Result.Explanation +=
-        "\narena hot stride: " + std::to_string(Result.Layout.hotBytes()) +
+        "\ncache hot bytes: " + std::to_string(Result.Layout.hotBytes()) +
         " of " + std::to_string(Result.Layout.totalBytes()) +
         " bytes per pixel (" + std::to_string(ColdSlots) +
-        " cold slot(s) packed behind)\n";
+        " cold slot(s), read under a conditional)\n";
     if (Options.LlcByteBound != 0 && Options.ArenaPixels != 0) {
       Result.Explanation +=
           "working-set limit: " +

@@ -27,8 +27,8 @@ namespace dspec {
 
 /// Bump when the encoded shape of CacheLayout (or the packing rule it
 /// implies) changes. Version 2 appended a presence flag plus per-slot
-/// f32 reuse weights (the hot/cold figures cold-slot packing keys off)
-/// after the stored total.
+/// f32 reuse weights (the hot/cold figures the measured-bytes limiter
+/// and --explain report) after the stored total.
 constexpr uint32_t kLayoutSerdeVersion = 2;
 /// Oldest encoding deserializeLayout accepts. Version-1 layouts decode
 /// with every reuse weight unknown (-1), i.e. all slots hot — exactly

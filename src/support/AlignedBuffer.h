@@ -6,10 +6,9 @@
 ///
 /// \file
 /// A minimal over-aligning allocator and the ArenaBuffer alias built on
-/// it. CacheArena storage must start on a cacheline: an unaligned base
-/// skews any layout comparison (the same logical stride straddles one
-/// more line on some runs than others) and defeats the tile-blocked
-/// layout's premise that a slot column begins at a line boundary.
+/// it. CacheArena storage starts on a cacheline: an unaligned base skews
+/// timings from run to run (the same stride straddles one more line on
+/// some runs than others).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +61,8 @@ template <typename T, size_t Alignment> struct AlignedAllocator {
 constexpr size_t kArenaAlignBytes = 64;
 
 /// Byte buffer whose data() is 64-byte aligned. The type CacheArena
-/// stores and snapshots move in and out of (so a canonical arena image
-/// can be adopted without a copy when the layout is identity).
+/// stores and snapshots move in and out of (so a restored arena image
+/// is adopted without a copy).
 using ArenaBuffer =
     std::vector<unsigned char, AlignedAllocator<unsigned char, kArenaAlignBytes>>;
 

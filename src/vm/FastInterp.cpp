@@ -175,15 +175,13 @@ inline bool arithRowConst(Value *Lv, const Value &K, unsigned Lanes, FOp F) {
 
 /// Strided cache-slot load into a row with the kind switch hoisted out
 /// of the lane loop. Replicates CacheView::load exactly (fresh Value,
-/// zeroed padding, memcpy of the slot width). \p Base already includes
-/// the slot's resolved displacement (lane 0's slot bytes); under a
-/// slot-major arena \p Stride is the slot width, so the loop walks
-/// unit-stride memory.
+/// zeroed padding, memcpy of the slot width). \p Base is lane 0's slot
+/// bytes; lane L's are \p Stride bytes further on per lane.
 inline void cacheLoadRow(Value *Dest, const unsigned char *Base,
                          size_t Stride, TypeKind Kind, unsigned Lanes) {
-  // Unit-stride columns (slot-major / tile-blocked arenas hand the word
-  // slots out contiguously): index the source as a plain array so the
-  // compiler sees a dense load stream instead of a runtime stride.
+  // A one-word stride (a cache of a single float or int slot): index the
+  // source as a plain array so the compiler sees a dense load stream
+  // instead of a runtime stride.
   if (Stride == sizeof(float) &&
       (Kind == TypeKind::TK_Float || Kind == TypeKind::TK_Int ||
        Kind == TypeKind::TK_Bool)) {
@@ -290,6 +288,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
 
   const unsigned Lanes = Req.Lanes;
   const bool UseCache = Req.CacheBase != nullptr;
+  const size_t CacheStride = Req.CacheStride;
   // inBounds for a given (offset, kind) is uniform across lanes, so the
   // per-access bounds decision is made once per instruction below using
   // lane 0's view geometry.
@@ -338,40 +337,6 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
     callBuiltinLanes(Id, ArgRows, Row(SP), Lanes, *this);
     ++SP;
   };
-  // Resolves one canonical slot offset to (displacement of lane 0's slot
-  // bytes from the cache base, per-lane stride). Dense requests keep the
-  // seed behavior: base is pre-offset to the tile, stride is the pixel
-  // stride. Mapped requests consult the arena's affine word table; the
-  // per-pixel-block case (BlockPixels == 1) strides whole blocks, the
-  // within-block case strides the slot width — unit-stride columns. The
-  // caller guarantees the tile never straddles a block
-  // (CacheArena::batchCompatible), so one resolution covers all lanes.
-  // Block coordinates depend only on the tile's first pixel, so the
-  // divide/modulo happen once per tile here, not per slot access inside
-  // the dispatch loop (TilePixels is not a compile-time constant, so the
-  // compiler cannot strength-reduce them away).
-  const unsigned MapTP = Req.CacheBlockPixels;
-  const size_t MapBlockIdx =
-      Req.CacheMap && MapTP > 1 ? Req.CacheFirstPixel / MapTP : 0;
-  const size_t MapLane0 =
-      Req.CacheMap && MapTP > 1 ? Req.CacheFirstPixel % MapTP : 0;
-  auto slotRow = [&](unsigned Offset, size_t &LaneStride) -> size_t {
-    if (!Req.CacheMap) {
-      LaneStride = Req.CacheStride;
-      return Offset;
-    }
-    const ArenaSlotAddr &E = Req.CacheMap[Offset >> 2];
-    if (MapTP <= 1) {
-      LaneStride = E.Block;
-      return static_cast<size_t>(E.Base) +
-             static_cast<size_t>(Req.CacheFirstPixel) * E.Block +
-             (Offset & 3u);
-    }
-    LaneStride = E.LaneW;
-    return static_cast<size_t>(E.Base) + MapBlockIdx * E.Block +
-           MapLane0 * E.LaneW + (Offset & 3u);
-  };
-
   // Divergence state. A null CurMask means every lane is active — the
   // uniform fast path that straight-line chunks and runtime-uniform
   // branches never leave, so they pay no masking cost. A divergent
@@ -604,9 +569,8 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const unsigned Offset = static_cast<unsigned>(In.B);
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache read past the layout in '" + C.Name + "'");
-      size_t RowStride;
-      const size_t Disp = slotRow(Offset, RowStride);
-      cacheLoadRow(Row(SP++), Req.CacheBase + Disp, RowStride, Kind, Lanes);
+      cacheLoadRow(Row(SP++), Req.CacheBase + Offset, CacheStride, Kind,
+                   Lanes);
       break;
     }
     case FusedOp::F_CacheStore: {
@@ -620,15 +584,14 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache store past the layout in '" + C.Name + "'");
       const Value *S = Row(SP - 1);
-      size_t RowStride;
-      unsigned char *Dst = Req.CacheStoreBase + slotRow(Offset, RowStride);
+      unsigned char *Dst = Req.CacheStoreBase + Offset;
       for (unsigned L = 0; L < Lanes; ++L) {
         if (CurMask && !CurMask[L])
           continue; // inactive lane: no store, no type trap
         if (S[L].Kind != Kind)
           TRAP("cache store type mismatch in '" + C.Name + "': slot is " +
                Type(Kind).name() + ", value is " + Type(S[L].Kind).name());
-        CacheView::storeRaw(Dst + L * RowStride, S[L]);
+        CacheView::storeRaw(Dst + L * CacheStride, S[L]);
       }
       break;
     }
@@ -709,9 +672,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       // MaxStack covers the unfused pair's transient push, so Row(SP) is
       // valid scratch for the gathered slot row.
       Value *Scratch = Row(SP);
-      size_t RowStride;
-      const size_t Disp = slotRow(Offset, RowStride);
-      cacheLoadRow(Scratch, Req.CacheBase + Disp, RowStride, Kind, Lanes);
+      cacheLoadRow(Scratch, Req.CacheBase + Offset, CacheStride, Kind, Lanes);
       Value *Lv = Row(SP - 1);
       if (!arithRows(Lv, Scratch, Lanes,
                      [](float A, float B) { return A + B; }))
@@ -727,9 +688,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache read past the layout in '" + C.Name + "'");
       Value *Scratch = Row(SP);
-      size_t RowStride;
-      const size_t Disp = slotRow(Offset, RowStride);
-      cacheLoadRow(Scratch, Req.CacheBase + Disp, RowStride, Kind, Lanes);
+      cacheLoadRow(Scratch, Req.CacheBase + Offset, CacheStride, Kind, Lanes);
       Value *Lv = Row(SP - 1);
       if (!arithRows(Lv, Scratch, Lanes,
                      [](float A, float B) { return A * B; }))
@@ -744,17 +703,14 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const unsigned Offset = static_cast<unsigned>(In.B);
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache read past the layout in '" + C.Name + "'");
-      size_t RowStride;
-      const size_t Disp = slotRow(Offset, RowStride);
+      const unsigned char *Src = Req.CacheBase + Offset;
       if (!CurMask) {
-        cacheLoadRow(LocalRow(In.A2), Req.CacheBase + Disp, RowStride, Kind,
-                     Lanes);
+        cacheLoadRow(LocalRow(In.A2), Src, CacheStride, Kind, Lanes);
       } else {
         Value *D = LocalRow(In.A2);
         for (unsigned L = 0; L < Lanes; ++L)
           if (CurMask[L])
-            D[L] = CacheView::loadRaw(Req.CacheBase + Disp + L * RowStride,
-                                      Kind);
+            D[L] = CacheView::loadRaw(Src + L * CacheStride, Kind);
       }
       break;
     }
@@ -767,9 +723,8 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
         TRAP("cache read past the layout in '" + C.Name + "'");
       if (MaskDepth > 0)
         DIVERGE();
-      size_t RowStride;
-      const size_t Disp = slotRow(Offset, RowStride);
-      cacheLoadRow(Req.Results, Req.CacheBase + Disp, RowStride, Kind, Lanes);
+      cacheLoadRow(Req.Results, Req.CacheBase + Offset, CacheStride, Kind,
+                   Lanes);
       Result.InstructionsExecuted = Executed;
       Result.BatchDispatches = Dispatched;
       return Result;

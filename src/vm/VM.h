@@ -67,27 +67,18 @@ struct BatchRequest {
   unsigned NumArgs = 0;
   unsigned Lanes = 0;
   /// Load-side cache base. Null when the chunk performs no cache access.
-  /// Dense arenas (CacheMap == null): lane 0's packed bytes, lane L's
-  /// cache at CacheBase + L * CacheStride. Mapped arenas: the arena
-  /// buffer start; per-slot rows resolve through CacheMap.
+  /// Lane 0's packed bytes; lane L's cache is at CacheBase + L *
+  /// CacheStride.
   const unsigned char *CacheBase = nullptr;
   /// Store-side base under the same addressing. Null on a read-only pass:
   /// cache stores trap instead of writing (loader-less passes cannot
   /// silently mutate the arena).
   unsigned char *CacheStoreBase = nullptr;
   size_t CacheStride = 0;
-  /// Bytes visible to each lane (the per-lane *logical* view size; must
-  /// cover the chunk's CacheBytes or cache accesses trap, exactly like a
-  /// too-small CacheView would).
+  /// Bytes visible to each lane (the per-lane view size; must cover the
+  /// chunk's CacheBytes or cache accesses trap, exactly like a too-small
+  /// CacheView would).
   unsigned CacheBytes = 0;
-  /// Non-null = the arena is physically slot-major/tile-blocked: the
-  /// per-4-byte-word affine table (see vm/CacheView.h), its block size
-  /// in pixels, and the grid pixel index of lane 0. The caller must
-  /// guarantee the tile does not straddle a block
-  /// (CacheArena::batchCompatible).
-  const ArenaSlotAddr *CacheMap = nullptr;
-  unsigned CacheBlockPixels = 1;
-  unsigned CacheFirstPixel = 0;
   /// Lanes result values, written on success.
   Value *Results = nullptr;
 };

@@ -176,6 +176,64 @@ TEST(CacheLimiter, GalleryShaderShrinksMonotonically) {
   }
 }
 
+TEST(CacheLimiter, WorkingSetLimiterFitsTheHotSetToTheLlcBound) {
+  // Unlimited: three 4-byte slots, all hot.
+  {
+    auto Unit = parseUnit(ThreeSlotSource);
+    auto Spec = specializeAndCompile(*Unit, "f", {"v"});
+    ASSERT_TRUE(Spec.has_value());
+    EXPECT_EQ(Spec->Spec.Layout.hotBytes(), 12u);
+  }
+
+  // A bound of 8 bytes/pixel worth of LLC across 1000 arena pixels must
+  // evict hot terms until the working set fits.
+  VM Machine;
+  std::vector<Value> Args = {Value::makeFloat(1.3f), Value::makeFloat(2.1f),
+                             Value::makeFloat(0.7f), Value::makeFloat(5.0f)};
+  auto Reference = parseUnit(ThreeSlotSource);
+  auto Baseline = compileFunction(*Reference, "f");
+  auto Expected = Machine.run(*Baseline, Args);
+  ASSERT_TRUE(Expected.ok());
+
+  // 8K and 4K bounds force partial evictions; a 1-byte bound (the
+  // smallest still-enabled value — zero disables the pass) empties the
+  // hot set entirely.
+  for (uint64_t Bound : {8000u, 4000u, 1u}) {
+    auto Unit = parseUnit(ThreeSlotSource);
+    SpecializerOptions Options;
+    Options.LlcByteBound = Bound;
+    Options.ArenaPixels = 1000;
+    auto Spec = specializeAndCompile(*Unit, "f", {"v"}, Options);
+    ASSERT_TRUE(Spec.has_value());
+    EXPECT_LE(static_cast<uint64_t>(Spec->Spec.Layout.hotBytes()) * 1000,
+              Bound)
+        << "bound " << Bound << "B";
+
+    CacheArena Slots(1, Spec->Spec.Layout);
+    auto Load = Machine.run(Spec->LoaderChunk, Args, Slots.view(0));
+    auto Read = Machine.run(Spec->ReaderChunk, Args, Slots.view(0));
+    ASSERT_TRUE(Load.ok()) << Load.TrapMessage;
+    ASSERT_TRUE(Read.ok()) << Read.TrapMessage;
+    EXPECT_TRUE(Read.Result.equals(Expected.Result))
+        << "bound " << Bound << "B changed results";
+  }
+
+  // A bound the natural working set already fits is a no-op.
+  auto Unit = parseUnit(ThreeSlotSource);
+  SpecializerOptions Options;
+  Options.LlcByteBound = 1u << 20;
+  Options.ArenaPixels = 1000;
+  auto Spec = specializeAndCompile(*Unit, "f", {"v"}, Options);
+  ASSERT_TRUE(Spec.has_value());
+  EXPECT_EQ(Spec->Spec.Layout.hotBytes(), 12u);
+  EXPECT_EQ(Spec->Spec.Stats.LimiterVictims, 0u);
+}
+
+TEST(CacheLimiter, LlcDetectionNeverReportsZero) {
+  EXPECT_GT(detectLlcBytes(), 0u);
+  EXPECT_GT(detectLlcBytes(123), 0u);
+}
+
 class LimiterEquivalenceOnRings : public ::testing::TestWithParam<unsigned> {
 };
 

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <future>
@@ -408,6 +409,36 @@ TEST(Service, MatchesPlainPassForEveryShader) {
   EXPECT_EQ(Stats.Cache.Misses, shaderGallery().size());
   EXPECT_NE(Stats.toJson().find("\"loader_frame_replies\":10,"),
             std::string::npos);
+}
+
+TEST(Service, StatszArenaChargesEachUnitItsWholeArena) {
+  SpecializationService Service;
+  uint64_t Sum = 0, Max = 0;
+  for (const char *Name : {"plastic", "marble"}) {
+    RenderRequest Request;
+    Request.Shader = Name;
+    Request.Width = 24;
+    Request.Height = 16;
+    ASSERT_TRUE(Service.render(Request).ok()) << Name;
+
+    // The unit the service built: the shader split on its first control.
+    const ShaderInfo *Info = findShader(Name);
+    auto Unit = parseUnit(Info->Source);
+    auto Spec =
+        specializeAndCompile(*Unit, Info->Name, {Info->Controls[0].Name});
+    ASSERT_TRUE(Spec.has_value()) << Name;
+    uint64_t Bytes = uint64_t(24) * 16 * Spec->Spec.Layout.totalBytes();
+    ASSERT_GT(Bytes, 0u) << Name;
+    Sum += Bytes;
+    Max = std::max(Max, Bytes);
+  }
+  const std::string Want =
+      "\"arena\":{\"units\":2,\"physical_bytes\":" + std::to_string(Sum) +
+      ",\"hot_frame_bytes\":" + std::to_string(Sum) +
+      ",\"max_hot_frame_bytes\":" + std::to_string(Max) +
+      ",\"llc_bytes\":0,\"fits_llc\":true}";
+  const std::string Json = Service.statsz().toJson();
+  EXPECT_NE(Json.find(Want), std::string::npos) << Json;
 }
 
 TEST(Service, CacheHitsStayBitIdenticalAcrossVaryingValues) {

@@ -20,6 +20,7 @@
 #include "engine/RenderEngine.h"
 #include "shading/ShaderLab.h"
 #include "snapshot/Snapshot.h"
+#include "specialize/LayoutSerde.h"
 
 #include "gtest/gtest.h"
 
@@ -444,14 +445,103 @@ TEST(Snapshot, WriterRefusesInconsistentState) {
 TEST(Snapshot, ArenaRestoreRejectsWrongSize) {
   CacheLayout Layout;
   Layout.addSlot(Type(TypeKind::TK_Vec3));
-  std::vector<unsigned char> Bytes(Layout.totalBytes() * 3, 0xAB);
+  const ArenaBuffer Bytes(Layout.totalBytes() * 3, 0xAB);
   CacheArena Arena;
-  EXPECT_FALSE(Arena.restore(4, Layout, Bytes.data(), Bytes.size()));
+  EXPECT_FALSE(Arena.restore(4, Layout, ArenaBuffer(Bytes)));
   EXPECT_EQ(Arena.pixelCount(), 0u);
-  EXPECT_TRUE(Arena.restore(3, Layout, Bytes.data(), Bytes.size()));
+  EXPECT_FALSE(
+      Arena.restore(3, Layout, ArenaBuffer(Bytes.begin(), Bytes.end() - 4)));
+  EXPECT_EQ(Arena.pixelCount(), 0u);
+  EXPECT_TRUE(Arena.restore(3, Layout, ArenaBuffer(Bytes)));
   EXPECT_EQ(Arena.pixelCount(), 3u);
   EXPECT_EQ(Arena.strideBytes(), Layout.totalBytes());
   EXPECT_EQ(std::memcmp(Arena.raw(), Bytes.data(), Bytes.size()), 0);
+}
+
+/// A little three-slot layout (float, vec3, float) with the middle slot
+/// cold.
+CacheLayout threeSlotShape() {
+  CacheLayout Shape;
+  Shape.addSlot(Type(TypeKind::TK_Float));
+  Shape.addSlot(Type(TypeKind::TK_Vec3));
+  Shape.addSlot(Type(TypeKind::TK_Float));
+  Shape.setReuseWeight(0, 2.0f);
+  Shape.setReuseWeight(1, 0.25f); // cold
+  Shape.setReuseWeight(2, 1.0f);
+  return Shape;
+}
+
+TEST(Snapshot, ArenaRestoreAdoptsTheBuffer) {
+  CacheLayout Shape = threeSlotShape();
+  CacheArena Source(25, Shape);
+  for (unsigned P = 0; P < Source.pixelCount(); ++P) {
+    CacheView View = Source.view(P);
+    for (const CacheSlot &S : Shape.slots())
+      View.store(S.Offset,
+                 S.SlotType.kind() == TypeKind::TK_Vec3
+                     ? Value::makeVec3(P + 0.5f, S.Index + 0.25f, P * 2.0f)
+                     : Value::makeFloat(P * 10.0f + S.Index));
+  }
+  ArenaBuffer Bytes = Source.canonicalBytes();
+
+  // No copy: same backing pointer, same slots.
+  const unsigned char *Donor = Bytes.data();
+  CacheArena Adopted;
+  ASSERT_TRUE(Adopted.restore(25, Shape, std::move(Bytes)));
+  EXPECT_EQ(Adopted.raw(), Donor);
+  for (unsigned P = 0; P < 25; ++P) {
+    std::vector<Value> Want = Source.decode(P), Got = Adopted.decode(P);
+    ASSERT_EQ(Want.size(), Got.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_TRUE(bitIdentical(Want[I], Got[I]))
+          << "pixel " << P << " slot " << I;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Layout serde: reuse weights across processes
+//===----------------------------------------------------------------------===//
+
+TEST(Snapshot, LayoutSerdeCarriesReuseWeights) {
+  CacheLayout Layout = threeSlotShape();
+  ByteWriter Writer;
+  serializeLayout(Writer, Layout);
+
+  ByteReader Reader(Writer.bytes());
+  CacheLayout Back;
+  std::string Error;
+  ASSERT_TRUE(deserializeLayout(Reader, Back, Error)) << Error;
+  ASSERT_EQ(Back.slotCount(), Layout.slotCount());
+  EXPECT_EQ(Back.totalBytes(), Layout.totalBytes());
+  EXPECT_EQ(Back.hotBytes(), Layout.hotBytes());
+  for (unsigned I = 0; I < Back.slotCount(); ++I) {
+    EXPECT_EQ(Back.slot(I).Offset, Layout.slot(I).Offset);
+    EXPECT_FLOAT_EQ(Back.slot(I).ReuseWeight, Layout.slot(I).ReuseWeight);
+  }
+}
+
+TEST(Snapshot, VersionOneLayoutsDecodeAllHot) {
+  // Hand-build a version-1 payload: slots + total, no weights tail.
+  CacheLayout Layout = threeSlotShape();
+  ByteWriter Writer;
+  Writer.writeU32(Layout.slotCount());
+  for (const CacheSlot &Slot : Layout.slots()) {
+    Writer.writeU8(static_cast<uint8_t>(Slot.SlotType.kind()));
+    Writer.writeU32(Slot.Offset);
+  }
+  Writer.writeU32(Layout.totalBytes());
+
+  ByteReader Reader(Writer.bytes());
+  CacheLayout Back;
+  std::string Error;
+  ASSERT_TRUE(deserializeLayout(Reader, Back, Error, /*Version=*/1)) << Error;
+  ASSERT_EQ(Back.slotCount(), Layout.slotCount());
+  // Pre-weights payloads decode as "unknown", which counts as hot.
+  EXPECT_EQ(Back.hotBytes(), Back.totalBytes());
+  for (unsigned I = 0; I < Back.slotCount(); ++I) {
+    EXPECT_LT(Back.slot(I).ReuseWeight, 0.0f);
+    EXPECT_FALSE(Back.slot(I).isCold());
+  }
 }
 
 } // namespace

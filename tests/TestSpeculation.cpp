@@ -186,4 +186,35 @@ float f(float a, float p, float v) {
             SpecLoose->Spec.Layout.slotCount());
 }
 
+TEST(Speculation, SpecializerStampsColdSlots) {
+  // The invariant term under the dynamic conditional is speculatively
+  // cached and read on only some pixels, so the specializer stamps it
+  // with a sub-unit reuse weight: a cold slot.
+  auto Unit = parseUnit(R"(
+vec3 coldshader(vec2 uv, vec3 P, vec3 N, vec3 I,
+                float freq, float gain, float v) {
+  float base = v * (uv.x + uv.y);
+  float extra = 0.0;
+  if (v > 0.5) {
+    extra = pow(freq, gain) * sin(freq * uv.x) + cos(gain * uv.y);
+  }
+  return clamp(vec3(base + extra, base * 0.5, extra), 0.0, 1.0);
+})");
+  ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
+  SpecializerOptions Options;
+  Options.AllowSpeculation = true;
+  auto Spec = specializeAndCompile(*Unit, "coldshader", {"v"}, Options);
+  ASSERT_TRUE(Spec.has_value());
+
+  const CacheLayout &Layout = Spec->Spec.Layout;
+  unsigned ColdSlots = 0;
+  for (const CacheSlot &Slot : Layout.slots()) {
+    EXPECT_GE(Slot.ReuseWeight, 0.0f) << "slot " << Slot.Index;
+    if (Slot.isCold())
+      ++ColdSlots;
+  }
+  EXPECT_GT(ColdSlots, 0u);
+  EXPECT_LT(Layout.hotBytes(), Layout.totalBytes());
+}
+
 } // namespace

@@ -100,7 +100,6 @@ void usage(const char *Argv0) {
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
       "            [--variants N]\n"
       "            [--exec-tier switch|batched] [--quota-rps R]\n"
-      "            [--arena-layout pixel-major|slot-major|tile-blocked|auto]\n"
       "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
       "            [--stream-chunk PIXELS] [--spill-dir PATH]\n"
@@ -454,7 +453,6 @@ int serveMain(int Argc, char **Argv) {
   const char *ListenHostPort = nullptr;
   ServiceConfig Config;
   NetServerConfig Net;
-  bool ArenaLayoutAuto = false;
 
   for (int I = 0; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -511,21 +509,6 @@ int serveMain(int Argc, char **Argv) {
                      Name);
         return kExitUsage;
       }
-    } else if (std::strcmp(Arg, "--arena-layout") == 0) {
-      const char *Name = NextValue();
-      if (std::strcmp(Name, "auto") == 0) {
-        ArenaLayoutAuto = true;
-      } else if (std::optional<ArenaLayout> Parsed = parseArenaLayout(Name)) {
-        ArenaLayoutAuto = false;
-        Config.ArenaLayout = ArenaLayoutConfig{
-            *Parsed, 0, *Parsed != ArenaLayout::PixelMajor};
-      } else {
-        std::fprintf(stderr,
-                     "error: --arena-layout expects pixel-major, slot-major, "
-                     "tile-blocked, or auto (got '%s')\n",
-                     Name);
-        return kExitUsage;
-      }
     } else if (std::strcmp(Arg, "--llc-bytes") == 0) {
       const char *Value = NextValue();
       Config.LlcBytes = std::strcmp(Value, "auto") == 0
@@ -536,10 +519,6 @@ int serveMain(int Argc, char **Argv) {
       return kExitUsage;
     }
   }
-  // `auto` resolves against the final tier/tile choice, so it cannot be
-  // computed until every flag is parsed.
-  if (ArenaLayoutAuto)
-    Config.ArenaLayout = chooseArenaLayout(Config.Tier, Config.TilePixels);
   if (!SocketPath && !ListenHostPort) {
     std::fprintf(stderr,
                  "error: serve requires --socket PATH and/or --listen "
@@ -575,12 +554,11 @@ int serveMain(int Argc, char **Argv) {
     Where += formatString(" (port %u)", Server.boundTcpPort());
   }
   std::printf("dspec serve: listening on %s (%u io thread(s), %u render "
-              "thread(s), cache %u units, queue %u, %s tier, %s arena%s%s)\n",
+              "thread(s), cache %u units, queue %u, %s tier%s%s)\n",
               Where.c_str(), Server.config().IoThreads,
               Service.config().RenderThreads, Service.config().CacheUnits,
               Service.config().QueueCapacity,
               execTierName(Service.config().Tier),
-              arenaLayoutName(Service.config().ArenaLayout.Layout),
               Config.LlcBytes != 0 ? ", llc bound" : "",
               Config.SpillDir.empty() ? "" : ", spill on");
   std::fflush(stdout);
