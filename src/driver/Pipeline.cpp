@@ -89,57 +89,16 @@ dspec::specializeAndCompile(CompilationUnit &Unit,
   return compileSpecialization(F, std::move(*Spec));
 }
 
-std::vector<VariantKey> CompiledVariantSet::keys() const {
-  std::vector<VariantKey> Out;
-  Out.reserve(Variants.size());
-  for (const CompiledVariant &V : Variants)
-    Out.push_back(V.Key);
-  return Out;
-}
-
-const CompiledVariant *CompiledVariantSet::find(const VariantKey &Key) const {
-  for (const CompiledVariant &V : Variants)
-    if (V.Key == Key)
-      return &V;
-  return nullptr;
-}
-
-std::optional<CompiledVariantSet>
-dspec::specializeAndCompileVariants(CompilationUnit &Unit,
-                                    const std::string &FragmentName,
-                                    const std::vector<std::string> &VaryingParams,
-                                    const SpecializerOptions &Options,
-                                    const VariantSetOptions &VOptions) {
-  if (!Unit.ok())
+std::optional<CompiledVariantSet> dspec::specializeAndCompileVariants(
+    CompilationUnit &Unit, const std::string &FragmentName,
+    const std::vector<std::string> &VaryingParams,
+    const SpecializerOptions &Options, const VariantSetOptions &) {
+  auto Spec = specializeAndCompile(Unit, FragmentName, VaryingParams, Options);
+  if (!Spec)
     return std::nullopt;
-  Function *F = Unit.Prog->findFunction(FragmentName);
-  if (!F) {
-    Unit.Diags.error(SourceLoc(),
-                     "no function named '" + FragmentName + "' in unit");
-    return std::nullopt;
-  }
-
-  DataSpecializer Specializer(Unit.Ctx, Unit.Diags);
-  auto Set = Specializer.specializeVariants(F, VaryingParams, Options,
-                                            VOptions);
-  if (!Set)
-    return std::nullopt;
-
-  CompiledVariantSet Out;
-  Out.VariantsEvicted = Set->VariantsEvicted;
-  Out.TotalCacheBytes = Set->TotalCacheBytes;
-  Out.Table = formatVariantTable(*Set);
-  Out.Variants.reserve(Set->Variants.size());
-  for (SpecializedVariant &V : Set->Variants) {
-    CompiledVariant C;
-    C.Key = std::move(V.Key);
-    C.Label = std::move(V.Label);
-    C.Fold = V.Fold;
-    C.PredictedBenefit = V.PredictedBenefit;
-    C.Compiled = compileSpecialization(F, std::move(V.Result));
-    Out.Variants.push_back(std::move(C));
-  }
-  return Out;
+  CompiledVariantSet Set;
+  Set.Variants.push_back({VariantKey(), "generic", std::move(*Spec)});
+  return Set;
 }
 
 std::optional<Chunk> dspec::compileFunction(CompilationUnit &Unit,

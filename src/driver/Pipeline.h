@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace dspec {
 
@@ -71,34 +72,36 @@ specializeAndCompile(CompilationUnit &Unit, const std::string &FragmentName,
                      const std::vector<std::string> &VaryingParams,
                      const SpecializerOptions &Options = {});
 
-/// One compiled member of a variant set.
+/// Empty and read by nothing. VariantKey, VariantSetOptions,
+/// CompiledVariant, CompiledVariantSet, specializeAndCompileVariants and
+/// SpecializationUnit::{Variant, VariantLabel} (service/UnitCache.h) exist
+/// only so that perfbench/Replay.cpp, which builds its units through
+/// specializeAndCompileVariants, keeps building; nothing else may call or
+/// read them. ROADMAP item 2 deletes them together with that call and the
+/// ArenaLayoutConfig shim.
+struct VariantKey {
+  bool operator==(const VariantKey &) const = default;
+};
+
+/// See VariantKey.
+struct VariantSetOptions {
+  unsigned MaxVariants = 1;
+};
+
+/// See VariantKey.
 struct CompiledVariant {
   VariantKey Key;
-  std::string Label; // "generic", "grain=0", ...
-  ConstantFoldStats Fold;
-  /// Generic reader weighted cost minus this variant's (zero for the
-  /// generic variant itself).
-  double PredictedBenefit = 0.0;
+  std::string Label = "generic";
   CompiledSpecialization Compiled;
 };
 
-/// A compiled variant set; Variants[0] is always the generic variant.
+/// See VariantKey.
 struct CompiledVariantSet {
   std::vector<CompiledVariant> Variants;
-  unsigned VariantsEvicted = 0;
-  unsigned TotalCacheBytes = 0;
-  /// The `dspec --explain` variant table, rendered at build time.
-  std::string Table;
-
-  std::vector<VariantKey> keys() const;
-  /// The variant with this exact (canonical) key, or null.
-  const CompiledVariant *find(const VariantKey &Key) const;
 };
 
-/// Polyvariant counterpart of specializeAndCompile: builds and compiles
-/// the generic variant plus the property-keyed variants (proposed, or
-/// VOptions.ExplicitKeys verbatim), applying the cross-variant cache
-/// budget. Returns nullopt (with diagnostics in the unit) on failure.
+/// specializeAndCompile's result as the one member of a set; see
+/// VariantKey.
 std::optional<CompiledVariantSet>
 specializeAndCompileVariants(CompilationUnit &Unit,
                              const std::string &FragmentName,

@@ -239,15 +239,6 @@ bool RenderEngine::saveSnapshot(const std::string &Path,
                                 const SnapshotMeta &Meta, const Chunk &Loader,
                                 const Chunk &Reader, const CacheLayout &Layout,
                                 const CacheArena &Arena, std::string *Error) {
-  return saveSnapshot(Path, Meta, Loader, Reader, Layout, Arena, {}, Error);
-}
-
-bool RenderEngine::saveSnapshot(const std::string &Path,
-                                const SnapshotMeta &Meta, const Chunk &Loader,
-                                const Chunk &Reader, const CacheLayout &Layout,
-                                const CacheArena &Arena,
-                                const std::vector<SnapshotVariant> &Variants,
-                                std::string *Error) {
   if (Arena.strideBytes() != Layout.totalBytes() ||
       Arena.pixelCount() != Meta.GridWidth * Meta.GridHeight) {
     if (Error)
@@ -255,33 +246,12 @@ bool RenderEngine::saveSnapshot(const std::string &Path,
                "loaderPass run?)";
     return false;
   }
-  SpecializationSnapshot Snap;
-  Snap.Meta = Meta;
-  Snap.Loader = Loader;
-  Snap.Reader = Reader;
-  Snap.Layout = Layout;
-  Snap.ArenaPixels = Arena.pixelCount();
-  Snap.ArenaStride = Arena.strideBytes();
   // The ARENA section is the arena's pixel-major bytes, verbatim.
-  Snap.ArenaBytes = Arena.canonicalBytes();
-  Snap.Variants = Variants;
-  return writeSnapshotFile(Path, Snap, Error);
-}
-
-std::optional<size_t> RenderEngine::WarmStart::selectVariant(
-    const std::vector<float> &Controls) const {
-  std::optional<size_t> Best;
-  unsigned BestSpecificity = 0;
-  for (size_t I = 0; I < Variants.size(); ++I) {
-    if (!Variants[I].Key.admits(Controls, NumPixelParams))
-      continue;
-    unsigned S = Variants[I].Key.specificity();
-    if (!Best || S > BestSpecificity) {
-      Best = I;
-      BestSpecificity = S;
-    }
-  }
-  return Best;
+  return writeSnapshotFile(Path,
+                           {Meta, Loader, Reader, Layout, Arena.pixelCount(),
+                            Arena.strideBytes(), Arena.raw(),
+                            Arena.totalBytes()},
+                           Error);
 }
 
 std::optional<RenderEngine::WarmStart>
@@ -313,23 +283,6 @@ RenderEngine::fromSnapshot(const std::string &Path, std::string *Error) {
     if (Error)
       *Error = "snapshot: arena payload does not match pixels x stride";
     return std::nullopt;
-  }
-  Warm->Variants.reserve(Snap.Variants.size());
-  for (SnapshotVariant &V : Snap.Variants) {
-    WarmVariant W;
-    W.Key = std::move(V.Key);
-    W.Label = std::move(V.Label);
-    W.Loader = std::move(V.Loader);
-    W.Reader = std::move(V.Reader);
-    W.Layout = V.Layout;
-    if (!W.Arena.restore(V.ArenaPixels, V.Layout,
-                         std::move(V.ArenaBytes))) {
-      if (Error)
-        *Error = "snapshot: variant '" + W.Label +
-                 "' arena payload does not match pixels x stride";
-      return std::nullopt;
-    }
-    Warm->Variants.push_back(std::move(W));
   }
   return Warm;
 }

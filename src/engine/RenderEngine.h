@@ -126,23 +126,10 @@ public:
   // Warm start: persist a loader pass, resume in a fresh process.
   //===--------------------------------------------------------------------===//
 
-  /// One restored property-specialized variant: its own reader (and
-  /// loader, for provenance), layout, and loader-filled arena over the
-  /// warm start's grid.
-  struct WarmVariant {
-    VariantKey Key;
-    std::string Label;
-    Chunk Loader;
-    Chunk Reader;
-    CacheLayout Layout;
-    CacheArena Arena;
-  };
-
   /// Everything fromSnapshot restores: the specialization unit plus the
   /// loader-filled arena, with the grid rebuilt procedurally from the
   /// snapshot's dimensions. readerPass(Warm.Reader, Warm.Grid, Controls,
   /// Warm.Arena) then serves frames without ever running the loader.
-  /// Version-2 snapshots additionally populate Variants, all warm.
   struct WarmStart {
     SnapshotMeta Meta;
     Chunk Loader;
@@ -150,34 +137,19 @@ public:
     CacheLayout Layout;
     RenderGrid Grid;
     CacheArena Arena;
-    /// Property-specialized variants (empty for version-1 snapshots).
-    std::vector<WarmVariant> Variants;
 
     WarmStart(unsigned Width, unsigned Height) : Grid(Width, Height) {}
-
-    /// Index into Variants of the most specific variant admissible for
-    /// \p Controls, or nullopt when only the generic unit applies.
-    std::optional<size_t>
-    selectVariant(const std::vector<float> &Controls) const;
   };
 
   /// Writes \p Path: the specialization unit (\p Loader, \p Reader,
-  /// \p Layout, provenance in \p Meta) and the loader-filled \p Arena.
-  /// Call after a successful loaderPass over a grid whose dimensions are
-  /// recorded in \p Meta. Returns false with \p Error set on
-  /// inconsistent state or I/O failure.
+  /// \p Layout, provenance in \p Meta) and the loader-filled \p Arena,
+  /// whose bytes are written straight from its buffer. Call after a
+  /// successful loaderPass over a grid whose dimensions are recorded in
+  /// \p Meta. Returns false with \p Error set on inconsistent state or
+  /// I/O failure.
   static bool saveSnapshot(const std::string &Path, const SnapshotMeta &Meta,
                            const Chunk &Loader, const Chunk &Reader,
                            const CacheLayout &Layout, const CacheArena &Arena,
-                           std::string *Error = nullptr);
-
-  /// As above, but also persists a property-specialized variant set (each
-  /// with its own loader-filled arena over the same grid). With a
-  /// non-empty \p Variants the file is written at format version 2.
-  static bool saveSnapshot(const std::string &Path, const SnapshotMeta &Meta,
-                           const Chunk &Loader, const Chunk &Reader,
-                           const CacheLayout &Layout, const CacheArena &Arena,
-                           const std::vector<SnapshotVariant> &Variants,
                            std::string *Error = nullptr);
 
   /// Validates and loads \p Path (header/version checks, per-section

@@ -142,10 +142,9 @@ bool Conn::parseFrames() {
   return true;
 }
 
-uint64_t Conn::openRenderSlot(bool Stream) {
+uint64_t Conn::openRenderSlot() {
   Slot S;
   S.Seq = NextSeq++;
-  S.Stream = Stream;
   S.CountsInFlight = true;
   ++InFlightRenders;
   Pending.push_back(std::move(S));
@@ -195,51 +194,9 @@ void Conn::serializeSlot(Slot &S) {
                 S.StatsJson.size());
     return;
   }
-  if (!S.Stream) {
-    ByteWriter W;
-    encodeRenderReply(W, S.Reply);
-    appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
-    return;
-  }
-  // Streamed reply: chop the framebuffer into RenderPartial frames, then
-  // a RenderDone trailer carrying status + a CRC over all the pixels.
-  uint32_t Partials = 0;
-  if (S.Reply.ok()) {
-    uint64_t Total = static_cast<uint64_t>(S.Reply.Width) * S.Reply.Height;
-    uint32_t Chunk = Server.config().StreamChunkPixels;
-    if (Chunk == 0)
-      Chunk = 4096;
-    for (uint64_t Offset = 0; Offset < Total; Offset += Chunk) {
-      RenderPartialChunk Part;
-      Part.Width = S.Reply.Width;
-      Part.Height = S.Reply.Height;
-      Part.PixelOffset = static_cast<uint32_t>(Offset);
-      Part.PixelCount =
-          static_cast<uint32_t>(std::min<uint64_t>(Chunk, Total - Offset));
-      Part.Pixels.assign(
-          S.Reply.Pixels.begin() + static_cast<size_t>(Offset) * 3,
-          S.Reply.Pixels.begin() +
-              static_cast<size_t>(Offset + Part.PixelCount) * 3);
-      ByteWriter W;
-      encodeRenderPartial(W, Part);
-      appendFrame(OutBuf, FrameType::RenderPartial, W.bytes().data(),
-                  W.size());
-      ++Partials;
-    }
-    Server.StatStreamedChunks += Partials;
-  }
-  RenderStreamDone Done;
-  Done.Status = S.Reply.Status;
-  Done.Error = S.Reply.Error;
-  Done.Width = S.Reply.Width;
-  Done.Height = S.Reply.Height;
-  Done.CacheHit = S.Reply.CacheHit;
-  Done.ServiceMicros = S.Reply.ServiceMicros;
-  Done.NumPartials = Partials;
-  Done.PixelCrc = S.Reply.ok() ? pixelCrc(S.Reply.Pixels) : 0;
   ByteWriter W;
-  encodeRenderDone(W, Done);
-  appendFrame(OutBuf, FrameType::RenderDone, W.bytes().data(), W.size());
+  encodeRenderReply(W, S.Reply);
+  appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
 }
 
 void Conn::flushReady() {

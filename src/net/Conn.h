@@ -78,7 +78,7 @@ public:
 
   /// Reserves the next render reply slot (counts toward the in-flight
   /// cap); replies flush strictly in slot order.
-  uint64_t openRenderSlot(bool Stream);
+  uint64_t openRenderSlot();
   /// Reserves the next stats reply slot.
   uint64_t openStatsSlot();
   /// Completes a render slot (loop thread; posted from the dispatcher).
@@ -92,7 +92,6 @@ private:
   struct Slot {
     uint64_t Seq = 0;
     bool Done = false;
-    bool Stream = false;
     bool IsStats = false;
     bool CountsInFlight = false;
     RenderReply Reply;

@@ -160,7 +160,7 @@ void NetServer::handleRenderRequest(
   ByteReader R(Payload);
   std::string Error;
   if (!decodeRenderRequest(R, Request, &Error)) {
-    uint64_t Seq = C.openRenderSlot(/*Stream=*/false);
+    uint64_t Seq = C.openRenderSlot();
     RenderReply Reply;
     Reply.Status = RenderStatus::BadRequest;
     Reply.Error = std::move(Error);
@@ -180,7 +180,7 @@ void NetServer::handleRenderRequest(
   if (ShedWhy) {
     ++StatQuotaSheds;
     Service.recordShedQuota();
-    uint64_t Seq = C.openRenderSlot(Request.StreamTiles);
+    uint64_t Seq = C.openRenderSlot();
     RenderReply Reply;
     Reply.Status = RenderStatus::ShedQuota;
     Reply.Error = ShedWhy;
@@ -188,7 +188,7 @@ void NetServer::handleRenderRequest(
     return;
   }
 
-  uint64_t Seq = C.openRenderSlot(Request.StreamTiles);
+  uint64_t Seq = C.openRenderSlot();
   // The dispatcher finishes on its own thread; hop back to the loop with
   // a weak_ptr so a connection that died mid-render is skipped, and hold
   // the loop by pointer — loops outlive the service drain (see serve's
@@ -275,7 +275,6 @@ NetServerStats NetServer::stats() const {
   Out.DeadlineReaps = StatDeadlineReaps;
   Out.ProtocolErrors = StatProtocolErrors;
   Out.BackpressureCloses = StatBackpressureCloses;
-  Out.StreamedChunks = StatStreamedChunks;
   return Out;
 }
 
@@ -284,13 +283,11 @@ std::string NetServer::statsJson() const {
   return formatString(
       "{\"io_threads\":%u,\"accepted\":%llu,\"active_conns\":%llu,"
       "\"quota_sheds\":%llu,\"deadline_reaps\":%llu,"
-      "\"protocol_errors\":%llu,\"backpressure_closes\":%llu,"
-      "\"streamed_chunks\":%llu}",
+      "\"protocol_errors\":%llu,\"backpressure_closes\":%llu}",
       Config.IoThreads, static_cast<unsigned long long>(S.Accepted),
       static_cast<unsigned long long>(S.ActiveConns),
       static_cast<unsigned long long>(S.QuotaSheds),
       static_cast<unsigned long long>(S.DeadlineReaps),
       static_cast<unsigned long long>(S.ProtocolErrors),
-      static_cast<unsigned long long>(S.BackpressureCloses),
-      static_cast<unsigned long long>(S.StreamedChunks));
+      static_cast<unsigned long long>(S.BackpressureCloses));
 }

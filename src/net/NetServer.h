@@ -68,8 +68,6 @@ struct NetServerConfig {
   /// A connection whose unread replies exceed this many bytes is closed
   /// (a reader this slow is indistinguishable from a dead one).
   size_t MaxWriteBacklog = 64u << 20;
-  /// Pixels per RenderPartial frame when a client asks for StreamTiles.
-  unsigned StreamChunkPixels = 4096;
 };
 
 /// Monotonic front-end counters (all atomics; readable while serving).
@@ -80,7 +78,6 @@ struct NetServerStats {
   uint64_t DeadlineReaps = 0;
   uint64_t ProtocolErrors = 0;
   uint64_t BackpressureCloses = 0;
-  uint64_t StreamedChunks = 0;
 };
 
 class NetServer {
@@ -158,7 +155,6 @@ private:
   std::atomic<uint64_t> StatDeadlineReaps{0};
   std::atomic<uint64_t> StatProtocolErrors{0};
   std::atomic<uint64_t> StatBackpressureCloses{0};
-  std::atomic<uint64_t> StatStreamedChunks{0};
 };
 
 } // namespace dspec

@@ -34,17 +34,6 @@ double MetricsSnapshot::cacheHitRate() const {
 }
 
 std::string MetricsSnapshot::toJson() const {
-  std::string VariantsJson = "{";
-  for (size_t I = 0; I < Variants.size(); ++I) {
-    const VariantStat &V = Variants[I];
-    if (I != 0)
-      VariantsJson += ",";
-    VariantsJson += formatString(
-        "\"%s\":{\"hits\":%llu,\"misses\":%llu}", V.Label.c_str(),
-        static_cast<unsigned long long>(V.Hits),
-        static_cast<unsigned long long>(V.Misses));
-  }
-  VariantsJson += "}";
   std::string SpillJson;
   if (SpillEnabled)
     SpillJson = formatString(
@@ -78,7 +67,6 @@ std::string MetricsSnapshot::toJson() const {
       "\"unit_cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
       "\"coalesced_waits\":%llu,\"build_failures\":%llu,\"entries\":%llu,"
       "\"capacity\":%llu,\"hit_rate\":%.4f}%s,"
-      "\"variants\":%s,"
       "\"exec_tier\":\"%s\","
       "%s,"
       "\"queue_depth\":%llu,"
@@ -102,8 +90,7 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(Cache.BuildFailures),
       static_cast<unsigned long long>(Cache.Entries),
       static_cast<unsigned long long>(CacheCapacity), cacheHitRate(),
-      SpillJson.c_str(), VariantsJson.c_str(), ExecTier.c_str(),
-      ArenaJson.c_str(),
+      SpillJson.c_str(), ExecTier.c_str(), ArenaJson.c_str(),
       static_cast<unsigned long long>(QueueDepth),
       static_cast<unsigned long long>(LatencySamples), LatencyP50, LatencyP95,
       LatencyP99, NetSection.c_str());
@@ -118,15 +105,6 @@ void ServiceMetrics::recordLatency(double Seconds) {
   LatencyNext = (LatencyNext + 1) % Latencies.size();
   if (LatencyCount < Latencies.size())
     ++LatencyCount;
-}
-
-void ServiceMetrics::recordVariant(const std::string &Label, bool CacheHit) {
-  std::lock_guard<std::mutex> Lock(VariantMutex);
-  auto &Counts = VariantCounts[Label];
-  if (CacheHit)
-    ++Counts.first;
-  else
-    ++Counts.second;
 }
 
 void ServiceMetrics::recordOk(double LatencySeconds, bool CacheHit) {
@@ -173,12 +151,5 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   Out.LatencyP50 = percentileOf(Samples, 50.0);
   Out.LatencyP95 = percentileOf(Samples, 95.0);
   Out.LatencyP99 = percentileOf(Samples, 99.0);
-
-  {
-    std::lock_guard<std::mutex> Lock(VariantMutex);
-    Out.Variants.reserve(VariantCounts.size());
-    for (const auto &[Label, Counts] : VariantCounts)
-      Out.Variants.push_back({Label, Counts.first, Counts.second});
-  }
   return Out;
 }

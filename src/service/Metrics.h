@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,14 +28,6 @@ namespace dspec {
 
 /// Percentile over a sample set (nearest-rank); 0 for an empty set.
 double percentileOf(std::vector<double> Samples, double Pct);
-
-/// Per-variant request accounting: how many requests resolved to this
-/// property variant, split by whether the unit came from the cache.
-struct VariantStat {
-  std::string Label; // "generic", "grain=0", ...
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-};
 
 /// Everything one statsz scrape reports. Plain data, so tests can assert
 /// on fields instead of parsing JSON.
@@ -70,10 +61,6 @@ struct MetricsSnapshot {
   uint64_t SpillFiles = 0;
   uint64_t SpillBytes = 0;
   bool SpillEnabled = false;
-
-  /// Per-variant hit/miss breakdown, sorted by label ("generic" first
-  /// when present only by accident of ordering — labels sort lexically).
-  std::vector<VariantStat> Variants;
 
   /// The execution tier every dispatcher's engine runs (the configured
   /// ServiceConfig::Tier).
@@ -123,9 +110,6 @@ public:
   explicit ServiceMetrics(size_t ReservoirSize = 4096);
 
   void recordOk(double LatencySeconds, bool CacheHit);
-  /// Attributes one served request to the property variant it rendered
-  /// with. \p CacheHit mirrors the reply's cache-hit flag.
-  void recordVariant(const std::string &Label, bool CacheHit);
   /// Counts an Ok reply whose pixels came from the build's loader pass.
   void recordLoaderFrameReply() { ++LoaderFrameReplies; }
   void recordBadRequest() { ++RequestsTotal; ++BadRequests; }
@@ -159,10 +143,6 @@ private:
   std::vector<double> Latencies; // ring buffer
   size_t LatencyNext = 0;
   size_t LatencyCount = 0;
-
-  mutable std::mutex VariantMutex;
-  /// Ordered so the snapshot comes out sorted without an extra pass.
-  std::map<std::string, std::pair<uint64_t, uint64_t>> VariantCounts;
 };
 
 } // namespace dspec

@@ -9,8 +9,6 @@
 #include "service/Transport.h"
 #include "support/Crc32.h"
 
-#include <algorithm>
-
 using namespace dspec;
 
 const char *dspec::renderStatusName(RenderStatus Status) {
@@ -80,8 +78,6 @@ void dspec::encodeRenderRequest(ByteWriter &W, const RenderRequest &Request) {
   W.writeU8(Request.Speculation ? 1 : 0);
   W.writeU8(Request.CacheByteLimit.has_value() ? 1 : 0);
   W.writeU32(Request.CacheByteLimit.value_or(0));
-  W.writeU32(Request.VariantPins);
-  W.writeU8(Request.StreamTiles ? 1 : 0);
 }
 
 bool dspec::decodeRenderRequest(ByteReader &R, RenderRequest &Out,
@@ -109,10 +105,9 @@ bool dspec::decodeRenderRequest(ByteReader &R, RenderRequest &Out,
   uint32_t Limit = R.readU32();
   Out.CacheByteLimit =
       HasLimit ? std::optional<uint32_t>(Limit) : std::nullopt;
-  // Trailing fields, absent in older payloads: default (0 pins, no
-  // streaming) instead of failing so old encoders keep working.
-  Out.VariantPins = R.ok() && R.remaining() >= 4 ? R.readU32() : 0;
-  Out.StreamTiles = R.ok() && R.remaining() >= 1 && R.readU8() != 0;
+  // Older clients follow with a u32 of variant pins and a u8 streaming
+  // flag. Both features are retired, so those bytes stay unread and such
+  // a request is served like any other.
   if (!R.ok() && Error)
     *Error = "render request: " + R.error();
   return R.ok();
@@ -164,63 +159,6 @@ uint32_t dspec::pixelCrc(const std::vector<float> &Pixels) {
                Pixels.size() * sizeof(float));
 }
 
-void dspec::encodeRenderPartial(ByteWriter &W,
-                                const RenderPartialChunk &Chunk) {
-  W.writeU32(Chunk.Width);
-  W.writeU32(Chunk.Height);
-  W.writeU32(Chunk.PixelOffset);
-  W.writeU32(Chunk.PixelCount);
-  W.writeF32Array(Chunk.Pixels.data(), Chunk.Pixels.size());
-}
-
-bool dspec::decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
-                                std::string *Error) {
-  Out.Width = R.readU32();
-  Out.Height = R.readU32();
-  Out.PixelOffset = R.readU32();
-  Out.PixelCount = R.readU32();
-  uint64_t Total = static_cast<uint64_t>(Out.Width) * Out.Height;
-  if (Out.PixelCount == 0 ||
-      static_cast<uint64_t>(Out.PixelOffset) + Out.PixelCount > Total)
-    R.fail("partial chunk range outside the image");
-  uint64_t NumFloats = static_cast<uint64_t>(Out.PixelCount) * 3;
-  if (NumFloats * sizeof(float) > R.remaining())
-    R.fail("partial chunk payload truncated");
-  R.readF32Array(Out.Pixels, NumFloats);
-  if (!R.ok() && Error)
-    *Error = "render partial: " + R.error();
-  return R.ok();
-}
-
-void dspec::encodeRenderDone(ByteWriter &W, const RenderStreamDone &Done) {
-  W.writeU8(static_cast<uint8_t>(Done.Status));
-  W.writeString(Done.Error);
-  W.writeU32(Done.Width);
-  W.writeU32(Done.Height);
-  W.writeU8(Done.CacheHit ? 1 : 0);
-  W.writeU64(Done.ServiceMicros);
-  W.writeU32(Done.NumPartials);
-  W.writeU32(Done.PixelCrc);
-}
-
-bool dspec::decodeRenderDone(ByteReader &R, RenderStreamDone &Out,
-                             std::string *Error) {
-  uint8_t Status = R.readU8();
-  if (Status > static_cast<uint8_t>(RenderStatus::ShedQuota))
-    R.fail("unknown render status " + std::to_string(Status));
-  Out.Status = static_cast<RenderStatus>(Status);
-  Out.Error = R.readString();
-  Out.Width = R.readU32();
-  Out.Height = R.readU32();
-  Out.CacheHit = R.readU8() != 0;
-  Out.ServiceMicros = R.readU64();
-  Out.NumPartials = R.readU32();
-  Out.PixelCrc = R.readU32();
-  if (!R.ok() && Error)
-    *Error = "render done: " + R.error();
-  return R.ok();
-}
-
 //===----------------------------------------------------------------------===//
 // Framing
 //===----------------------------------------------------------------------===//
@@ -269,8 +207,9 @@ bool dspec::decodeFrameHeader(const unsigned char *Bytes, FrameHeader &Out,
       *Error = "bad frame magic";
     return false;
   }
+  // Types 5 and 6 (streamed replies, retired) are unknown like any other.
   if (RawType < static_cast<uint8_t>(FrameType::RenderRequest) ||
-      RawType > static_cast<uint8_t>(FrameType::RenderDone)) {
+      RawType > static_cast<uint8_t>(FrameType::StatsReply)) {
     if (Error)
       *Error = "unknown frame type " + std::to_string(RawType);
     return false;
@@ -323,98 +262,25 @@ std::optional<RenderReply> dspec::requestRender(Transport &T,
       *Error = "cannot send request (connection closed?)";
     return std::nullopt;
   }
-  // The reply is either one RenderReply frame, or — when the server
-  // honors StreamTiles — RenderPartial frames closed by a RenderDone
-  // trailer. Reassemble the latter into the same RenderReply shape.
-  std::vector<float> Assembled;
-  uint32_t Partials = 0;
-  // Every pixel-carrying frame must describe the image that was asked
-  // for; the assembly buffer is sized from the request, never from a
-  // frame's own dimensions.
-  auto SizeIsRequested = [&](uint32_t Width, uint32_t Height) {
-    if (Width == Request.Width && Height == Request.Height)
-      return true;
+  FrameType Type;
+  std::vector<unsigned char> Payload;
+  std::string FrameError;
+  if (!readFrame(T, Type, Payload, &FrameError)) {
     if (Error)
-      *Error = "streamed reply is " + std::to_string(Width) + "x" +
-               std::to_string(Height) + ", not the requested " +
-               std::to_string(Request.Width) + "x" +
-               std::to_string(Request.Height);
-    return false;
-  };
-  for (;;) {
-    FrameType Type;
-    std::vector<unsigned char> Payload;
-    std::string FrameError;
-    if (!readFrame(T, Type, Payload, &FrameError)) {
-      if (Error)
-        *Error = FrameError.empty() ? "connection closed before the reply"
-                                    : FrameError;
-      return std::nullopt;
-    }
-    ByteReader R(Payload);
-    if (Type == FrameType::RenderReply) {
-      if (Partials != 0) {
-        if (Error)
-          *Error = "plain reply arrived inside a streamed reply";
-        return std::nullopt;
-      }
-      RenderReply Reply;
-      if (!decodeRenderReply(R, Reply, Error))
-        return std::nullopt;
-      return Reply;
-    }
-    if (Type == FrameType::RenderPartial) {
-      RenderPartialChunk Chunk;
-      if (!decodeRenderPartial(R, Chunk, Error) ||
-          !SizeIsRequested(Chunk.Width, Chunk.Height))
-        return std::nullopt;
-      size_t Needed = static_cast<size_t>(Request.Width) * Request.Height * 3;
-      if (Assembled.size() < Needed)
-        Assembled.resize(Needed, 0.0f);
-      std::copy(Chunk.Pixels.begin(), Chunk.Pixels.end(),
-                Assembled.begin() + static_cast<size_t>(Chunk.PixelOffset) * 3);
-      ++Partials;
-      continue;
-    }
-    if (Type == FrameType::RenderDone) {
-      RenderStreamDone Done;
-      if (!decodeRenderDone(R, Done, Error))
-        return std::nullopt;
-      if (Done.NumPartials != Partials) {
-        if (Error)
-          *Error = "streamed reply lost chunks (" + std::to_string(Partials) +
-                   " of " + std::to_string(Done.NumPartials) + " arrived)";
-        return std::nullopt;
-      }
-      RenderReply Reply;
-      Reply.Status = Done.Status;
-      Reply.Error = Done.Error;
-      Reply.Width = Done.Width;
-      Reply.Height = Done.Height;
-      Reply.CacheHit = Done.CacheHit;
-      Reply.ServiceMicros = Done.ServiceMicros;
-      if (Reply.ok()) {
-        if (!SizeIsRequested(Done.Width, Done.Height))
-          return std::nullopt;
-        size_t Needed = static_cast<size_t>(Done.Width) * Done.Height * 3;
-        if (Assembled.size() != Needed) {
-          if (Error)
-            *Error = "streamed reply pixel count does not match the image";
-          return std::nullopt;
-        }
-        if (pixelCrc(Assembled) != Done.PixelCrc) {
-          if (Error)
-            *Error = "streamed reply pixel CRC mismatch";
-          return std::nullopt;
-        }
-        Reply.Pixels = std::move(Assembled);
-      }
-      return Reply;
-    }
+      *Error = FrameError.empty() ? "connection closed before the reply"
+                                  : FrameError;
+    return std::nullopt;
+  }
+  if (Type != FrameType::RenderReply) {
     if (Error)
       *Error = "unexpected frame type in reply";
     return std::nullopt;
   }
+  ByteReader R(Payload);
+  RenderReply Reply;
+  if (!decodeRenderReply(R, Reply, Error))
+    return std::nullopt;
+  return Reply;
 }
 
 std::optional<std::string> dspec::requestStats(Transport &T,

@@ -19,10 +19,13 @@
 /// Frame types: RenderRequest (shader + varying set + control values +
 /// image size + deadline + options), RenderReply (framebuffer or a
 /// structured error with a shed/failure reason), StatsRequest, and
-/// StatsReply (a JSON metrics snapshot). Like the snapshot reader, the
-/// decoder treats input as untrusted: magic/type/length bounds and the
-/// CRC are validated and every payload read is bounds-checked, so a
-/// corrupt or malicious peer produces a diagnostic, never UB.
+/// StatsReply (a JSON metrics snapshot). Every request is answered with
+/// exactly one RenderReply. Types 5 and 6 carried streamed replies,
+/// which are retired: they are unknown types now and are not reused.
+/// Like the snapshot reader, the decoder treats input as untrusted:
+/// magic/type/length bounds and the CRC are validated and every payload
+/// read is bounds-checked, so a corrupt or malicious peer produces a
+/// diagnostic, never UB.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,11 +61,6 @@ enum class FrameType : uint8_t {
   RenderReply = 2,
   StatsRequest = 3,
   StatsReply = 4,
-  /// One contiguous run of pixels from a streamed reply (StreamTiles).
-  RenderPartial = 5,
-  /// Trailer of a streamed reply: status, metadata, and a CRC over the
-  /// pixels delivered by the preceding RenderPartial frames.
-  RenderDone = 6,
 };
 
 /// One render request: which gallery shader, over what grid, with which
@@ -78,18 +76,6 @@ struct RenderRequest {
   /// Queue deadline in milliseconds from submission; 0 = none. Requests
   /// still queued past their deadline are shed, not rendered late.
   uint32_t DeadlineMillis = 0;
-  /// Maximum abstract-property pins the service may canonicalize this
-  /// request onto (0 = generic variant only). When positive, controls
-  /// whose value is exactly 0.0 or 1.0 pin the request to the most
-  /// specific admissible property variant — a distinct cache entry with a
-  /// leaner reader. Encoded as a trailing field; absent on the wire means
-  /// 0, so pre-variant encoders stay compatible.
-  uint32_t VariantPins = 0;
-  /// Ask the server to stream the framebuffer as RenderPartial frames
-  /// followed by a RenderDone trailer instead of one RenderReply. Only
-  /// the event-loop front end honors this; requestRender() reassembles
-  /// transparently. Trailing field: absent on the wire means false.
-  bool StreamTiles = false;
 
   // Specializer options (the fields that change the generated unit, and
   // therefore the cache key).
@@ -153,53 +139,20 @@ struct RenderReply {
   static RenderReply fromFramebuffer(const Framebuffer &Fb);
 };
 
-/// One contiguous pixel run of a streamed reply.
-struct RenderPartialChunk {
-  uint32_t Width = 0;
-  uint32_t Height = 0;
-  /// Offset of the first pixel in this chunk (row-major pixel index).
-  uint32_t PixelOffset = 0;
-  /// RGB triples for PixelCount pixels (Pixels.size() == PixelCount*3).
-  uint32_t PixelCount = 0;
-  std::vector<float> Pixels;
-};
-
-/// Trailer of a streamed reply (everything RenderReply carries except
-/// the pixels, which arrived in RenderPartial frames).
-struct RenderStreamDone {
-  RenderStatus Status = RenderStatus::Ok;
-  std::string Error;
-  uint32_t Width = 0;
-  uint32_t Height = 0;
-  bool CacheHit = false;
-  uint64_t ServiceMicros = 0;
-  /// How many RenderPartial frames preceded this trailer.
-  uint32_t NumPartials = 0;
-  /// CRC-32 over the assembled pixel floats (their IEEE-754 bytes), so
-  /// a dropped or reordered chunk is detected even if sizes line up.
-  uint32_t PixelCrc = 0;
-};
-
 //===----------------------------------------------------------------------===//
 // Payload serde
 //===----------------------------------------------------------------------===//
 
 void encodeRenderRequest(ByteWriter &W, const RenderRequest &Request);
+/// Requests from older clients end with a u32 of variant pins and a u8
+/// streaming flag, both retired; those trailing bytes are left unread.
 bool decodeRenderRequest(ByteReader &R, RenderRequest &Out,
                          std::string *Error);
 
 void encodeRenderReply(ByteWriter &W, const RenderReply &Reply);
 bool decodeRenderReply(ByteReader &R, RenderReply &Out, std::string *Error);
 
-void encodeRenderPartial(ByteWriter &W, const RenderPartialChunk &Chunk);
-bool decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
-                         std::string *Error);
-
-void encodeRenderDone(ByteWriter &W, const RenderStreamDone &Done);
-bool decodeRenderDone(ByteReader &R, RenderStreamDone &Out,
-                      std::string *Error);
-
-/// CRC-32 over a pixel vector's float bytes (the streaming checksum).
+/// CRC-32 over a pixel vector's float bytes (their IEEE-754 patterns).
 uint32_t pixelCrc(const std::vector<float> &Pixels);
 
 //===----------------------------------------------------------------------===//
@@ -240,7 +193,7 @@ bool writeFrame(Transport &T, FrameType Type,
 bool readFrame(Transport &T, FrameType &Type,
                std::vector<unsigned char> &Payload, std::string *Error);
 
-/// Client convenience: send a render request, wait for the reply.
+/// Client convenience: send a render request, read its one RenderReply.
 /// Nullopt with \p Error set on transport/protocol failure (a rejected
 /// request is a *successful* round trip carrying a non-Ok status).
 std::optional<RenderReply> requestRender(Transport &T,

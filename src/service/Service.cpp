@@ -11,7 +11,6 @@
 #include "shading/ShaderLab.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace dspec;
 
@@ -99,18 +98,12 @@ bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
   Request.Varying.erase(
       std::unique(Request.Varying.begin(), Request.Varying.end()),
       Request.Varying.end());
-  std::vector<bool> IsVarying(Info->Controls.size(), false);
-  for (const std::string &Name : Request.Varying) {
-    size_t Index = 0;
-    while (Index < Info->Controls.size() &&
-           Info->Controls[Index].Name != Name)
-      ++Index;
-    if (Index == Info->Controls.size()) {
+  for (const std::string &Name : Request.Varying)
+    if (std::none_of(Info->Controls.begin(), Info->Controls.end(),
+                     [&](const ControlParam &C) { return C.Name == Name; })) {
       Error = "'" + Request.Shader + "' has no control named '" + Name + "'";
       return false;
     }
-    IsVarying[Index] = true;
-  }
 
   // The key covers everything invariant across a parameter drag: the
   // grid, the partition (which controls vary), and the *fixed* controls'
@@ -120,40 +113,6 @@ bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
   Key.InvariantHash = invariantHash(*Info, Request.Width, Request.Height,
                                     Request.Varying, Request.Controls);
   Key.OptionsFingerprint = optionsFingerprint(effectiveOptions(Request));
-
-  // Polyvariant canonicalization: map the request onto the most specific
-  // admissible abstract-property variant the client allows. A control
-  // whose value is bit-exactly 0.0 or 1.0 (memcmp, so -0.0 stays generic)
-  // pins that property; varying controls pin first because pinning one
-  // turns its whole dependence cone invariant, which is where the reader
-  // savings live. Fixed controls are already invariant, but a pin still
-  // settles their branches and folds their literals out of the reader.
-  Key.Variant = VariantKey();
-  unsigned MaxPins = std::min<unsigned>(Request.VariantPins,
-                                        Config.MaxVariantPins);
-  if (MaxPins > 0) {
-    auto TryPin = [&](size_t I) {
-      if (Key.Variant.Pins.size() >= MaxPins)
-        return;
-      constexpr float Zero = 0.0f, One = 1.0f;
-      ParamProp Prop;
-      if (std::memcmp(&Request.Controls[I], &Zero, sizeof(float)) == 0)
-        Prop = ParamProp::PP_Zero;
-      else if (std::memcmp(&Request.Controls[I], &One, sizeof(float)) == 0)
-        Prop = ParamProp::PP_One;
-      else
-        return;
-      Key.Variant.Pins.push_back(
-          {ShaderInfo::NumPixelParams + static_cast<uint32_t>(I), Prop});
-    };
-    for (size_t I = 0; I < Request.Controls.size(); ++I)
-      if (IsVarying[I])
-        TryPin(I);
-    for (size_t I = 0; I < Request.Controls.size(); ++I)
-      if (!IsVarying[I])
-        TryPin(I);
-    Key.Variant.canonicalize();
-  }
   return true;
 }
 
@@ -231,7 +190,6 @@ SpecializationService::effectiveOptions(const RenderRequest &Request) const {
 }
 
 UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
-                                         const VariantKey &Variant,
                                          RenderEngine &Engine,
                                          Framebuffer &LoaderFrame,
                                          std::string &Error) const {
@@ -246,29 +204,10 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
     Error = Unit->Diags.str();
     return nullptr;
   }
-  // Build exactly the variant the request canonicalized onto (the
-  // generic build still goes through the variant path so the keys and
-  // labels stay uniform; MaxVariants=1 keeps it to one specialization).
-  VariantSetOptions VOptions;
-  if (Variant.isGeneric()) {
-    VOptions.MaxVariants = 1;
-  } else {
-    VOptions.ExplicitKeys = {Variant};
-    VOptions.MaxVariants = 2;
-  }
-  auto Set = specializeAndCompileVariants(*Unit, Request.Shader,
-                                          Request.Varying,
-                                          effectiveOptions(Request), VOptions);
-  if (!Set) {
-    Error = Unit->Diags.str();
-    return nullptr;
-  }
-  CompiledVariant *Spec = nullptr;
-  for (CompiledVariant &V : Set->Variants)
-    if (V.Key == Variant)
-      Spec = &V;
+  auto Spec = specializeAndCompile(*Unit, Request.Shader, Request.Varying,
+                                   effectiveOptions(Request));
   if (!Spec) {
-    Error = "variant could not be built for '" + Request.Shader + "'";
+    Error = Unit->Diags.str();
     return nullptr;
   }
   auto Built =
@@ -277,11 +216,9 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
   Built->Options = effectiveOptions(Request);
   Built->Varying = Request.Varying;
   Built->LoadControls = Request.Controls;
-  Built->Variant = Spec->Key;
-  Built->VariantLabel = Spec->Label;
-  Built->Layout = Spec->Compiled.Spec.Layout;
-  Built->Loader = std::move(Spec->Compiled.LoaderChunk);
-  Built->Reader = std::move(Spec->Compiled.ReaderChunk);
+  Built->Layout = Spec->Spec.Layout;
+  Built->Loader = std::move(Spec->LoaderChunk);
+  Built->Reader = std::move(Spec->ReaderChunk);
   // The arena's cached slots hold invariant values only, so the varying
   // controls' build-time values are irrelevant to every later hit. The
   // loader is the original fragment plus cache stores, so the frame it
@@ -308,7 +245,7 @@ UnitPtr SpecializationService::loadOrBuildUnit(
   }
   // Allocated only here, so hits and disk restores never pay for it.
   LoaderFrame.emplace(P.Request.Width, P.Request.Height);
-  return buildUnit(P.Request, P.Key.Variant, Engine, *LoaderFrame, Error);
+  return buildUnit(P.Request, Engine, *LoaderFrame, Error);
 }
 
 void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
@@ -333,7 +270,6 @@ void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
   double Latency = secondsSince(P.Enqueued);
   Reply.ServiceMicros = static_cast<uint64_t>(Latency * 1e6);
   Metrics.recordOk(Latency, CacheHit);
-  Metrics.recordVariant(Unit->VariantLabel, CacheHit);
   P.Done(std::move(Reply));
 }
 

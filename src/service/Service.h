@@ -68,11 +68,6 @@ struct ServiceConfig {
   /// Execution tier for every engine (`dspec serve --exec-tier`); all
   /// tiers render bit-identical frames, so this is a pure speed knob.
   ExecTier Tier = ExecTier::Batched;
-  /// Server-side ceiling on the abstract-property pins a request may
-  /// canonicalize onto (the effective count is
-  /// min(Request.VariantPins, MaxVariantPins)). 0 disables polyvariance:
-  /// every request maps to the generic variant.
-  unsigned MaxVariantPins = 4;
   /// Unused: see ArenaLayoutConfig (engine/RenderEngine.h).
   ArenaLayoutConfig ArenaLayout;
   /// Measured Section 4.3 bound: when nonzero, every specialization
@@ -165,12 +160,10 @@ private:
   void dispatcherLoop(unsigned DispatcherIndex);
 
   /// Builds the specialization unit for \p Request on \p Engine
-  /// (parse + specialize + compile + loader pass), pinned to the
-  /// abstract-property \p Variant the request canonicalized onto. The
-  /// loader pass renders \p Request's frame into \p LoaderFrame.
-  UnitPtr buildUnit(const RenderRequest &Request, const VariantKey &Variant,
-                    RenderEngine &Engine, Framebuffer &LoaderFrame,
-                    std::string &Error) const;
+  /// (parse + specialize + compile + loader pass). The loader pass
+  /// renders \p Request's frame into \p LoaderFrame.
+  UnitPtr buildUnit(const RenderRequest &Request, RenderEngine &Engine,
+                    Framebuffer &LoaderFrame, std::string &Error) const;
 
   /// Resolves a unit for \p P: spilled snapshot from disk (a disk hit —
   /// no specializer run) or a fresh build. \p FromDisk reports which; a

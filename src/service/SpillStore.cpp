@@ -6,9 +6,9 @@
 
 #include "service/SpillStore.h"
 
+#include "engine/RenderEngine.h"
 #include "shading/ShaderGallery.h"
 #include "snapshot/Snapshot.h"
-#include "support/ByteStream.h"
 #include "support/StringUtil.h"
 
 #include <cerrno>
@@ -40,18 +40,12 @@ bool endsWith(const std::string &Name, const char *Suffix) {
 } // namespace
 
 uint64_t SpillStore::keyHash(const UnitKey &Key) const {
-  // Hash the full key — shader, invariant partition, options, and the
-  // variant pins — so each variant spills to its own file. Stable across
-  // processes (that is the whole point: restarts must find these files).
+  // Hash the full key — shader, invariant partition, options. Stable
+  // across processes (that is the whole point: restarts must find these
+  // files).
   uint64_t H = fnv1a64(Key.Shader.data(), Key.Shader.size());
   H = fnv1a64(&Key.InvariantHash, sizeof(Key.InvariantHash), H);
   H = fnv1a64(&Key.OptionsFingerprint, sizeof(Key.OptionsFingerprint), H);
-  for (const VariantPin &Pin : Key.Variant.Pins) {
-    uint32_t Param = Pin.ParamIndex;
-    uint32_t Prop = static_cast<uint32_t>(Pin.Prop);
-    H = fnv1a64(&Param, sizeof(Param), H);
-    H = fnv1a64(&Prop, sizeof(Prop), H);
-  }
   return H;
 }
 
@@ -131,25 +125,19 @@ void SpillStore::store(const UnitKey &Key, const UnitPtr &Unit) {
   if (!enabled() || !Unit)
     return;
 
-  SpecializationSnapshot Snap;
-  Snap.Meta = SnapshotMeta::fromOptions(Unit->Options);
-  Snap.Meta.FragmentName = Unit->Shader;
-  Snap.Meta.VaryingParams = Unit->Varying;
-  Snap.Meta.GridWidth = Unit->Grid.width();
-  Snap.Meta.GridHeight = Unit->Grid.height();
-  Snap.Meta.Controls = Unit->LoadControls;
-  Snap.Loader = Unit->Loader;
-  Snap.Reader = Unit->Reader;
-  Snap.Layout = Unit->Layout;
-  Snap.ArenaPixels = Unit->Arena.pixelCount();
-  Snap.ArenaStride = Unit->Arena.strideBytes();
-  Snap.ArenaBytes = Unit->Arena.canonicalBytes();
+  SnapshotMeta Meta = SnapshotMeta::fromOptions(Unit->Options);
+  Meta.FragmentName = Unit->Shader;
+  Meta.VaryingParams = Unit->Varying;
+  Meta.GridWidth = Unit->Grid.width();
+  Meta.GridHeight = Unit->Grid.height();
+  Meta.Controls = Unit->LoadControls;
 
   std::string Path = pathFor(Key);
   std::string TmpPath =
       Path + formatString(".tmp.%ld", static_cast<long>(::getpid()));
   std::string WriteError;
-  if (!writeSnapshotFile(TmpPath, Snap, &WriteError)) {
+  if (!RenderEngine::saveSnapshot(TmpPath, Meta, Unit->Loader, Unit->Reader,
+                                  Unit->Layout, Unit->Arena, &WriteError)) {
     ::unlink(TmpPath.c_str());
     std::lock_guard<std::mutex> Lock(M);
     ++Counters.Errors;
@@ -230,13 +218,6 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
   Unit->Layout = Snap.Layout;
   Unit->Loader = std::move(Snap.Loader);
   Unit->Reader = std::move(Snap.Reader);
-  Unit->Variant = Key.Variant;
-  if (!Key.Variant.isGeneric()) {
-    std::vector<std::string> Names;
-    for (const ControlParam &Control : Info->Controls)
-      Names.push_back(Control.Name);
-    Unit->VariantLabel = Key.Variant.label(Names, ShaderInfo::NumPixelParams);
-  }
   if (!Unit->Arena.restore(Snap.ArenaPixels, Snap.Layout,
                            std::move(Snap.ArenaBytes)))
     return Reject("spilled arena shape does not match its layout");

@@ -14,10 +14,11 @@
 /// spill directory.
 ///
 /// Layout: one `<key-hash>.dsnp` snapshot per unit, key-hashed over the
-/// shader name, invariant hash, options fingerprint, and variant pins —
-/// the full UnitKey, so distinct variants land in distinct files. Writes
-/// go through a temp file + rename, so a crash mid-spill never leaves a
-/// half-written snapshot under a valid name. The byte cap is enforced by
+/// shader name, invariant hash and options fingerprint — the full
+/// UnitKey. Writes go through RenderEngine::saveSnapshot, which streams
+/// the unit's arena from its own buffer, into a temp file + rename, so a
+/// crash mid-spill never leaves a half-written snapshot under a valid
+/// name. The byte cap is enforced by
 /// deleting least-recently-used files (by mtime; loads bump it).
 ///
 /// Thread-safe: store/load/stats may race from dispatchers and eviction

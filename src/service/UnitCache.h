@@ -11,9 +11,9 @@
 /// One unit is everything the paper says you pay for once per input
 /// partition — the compiled cache loader and reader plus a loader-warmed
 /// packed CacheArena — so a cache hit turns a render request into pure
-/// reader frames. This is the polyvariant, memo-table view of
-/// specialization (Gallagher; Leuschel & Bruynooghe) realized for data
-/// specialization: one cache entry per invariant-input partition.
+/// reader frames. This is the memo-table view of specialization
+/// (Leuschel & Bruynooghe) realized for data specialization: one cache
+/// entry per invariant-input partition.
 ///
 /// Concurrency contract:
 ///  - getOrBuild is safe from any number of threads; concurrent misses on
@@ -29,9 +29,9 @@
 #ifndef DATASPEC_SERVICE_UNITCACHE_H
 #define DATASPEC_SERVICE_UNITCACHE_H
 
+#include "driver/Pipeline.h"
 #include "engine/CacheArena.h"
 #include "engine/RenderContext.h"
-#include "specialize/Polyvariant.h"
 #include "specialize/SpecializerOptions.h"
 #include "vm/Bytecode.h"
 
@@ -64,9 +64,8 @@ struct SpecializationUnit {
   /// cached slots never depend on them).
   std::vector<std::string> Varying;
   std::vector<float> LoadControls;
-  /// The abstract-property key this unit was specialized under, and its
-  /// human-readable rendering ("generic", "grain=0"). The generic key is
-  /// the empty pin list.
+  /// Set by perfbench/Replay.cpp only and read by nothing: see
+  /// VariantKey (driver/Pipeline.h).
   VariantKey Variant;
   std::string VariantLabel = "generic";
   /// Wall-clock cost of specialize + compile + loader pass (what a miss
@@ -118,10 +117,6 @@ struct UnitKey {
   std::string Shader;
   uint64_t InvariantHash = 0;
   uint64_t OptionsFingerprint = 0;
-  /// The abstract-property variant this entry holds (empty = generic).
-  /// Requests canonicalized to different variants must build distinct
-  /// units even when their invariant partitions coincide.
-  VariantKey Variant;
 
   bool operator==(const UnitKey &RHS) const = default;
 };
@@ -131,8 +126,12 @@ struct UnitKeyHasher {
     uint64_t H = fnv1a64(Key.Shader.data(), Key.Shader.size());
     H = fnv1a64(&Key.InvariantHash, sizeof(Key.InvariantHash), H);
     H = fnv1a64(&Key.OptionsFingerprint, sizeof(Key.OptionsFingerprint), H);
-    uint64_t V = Key.Variant.hash();
-    H = fnv1a64(&V, sizeof(V), H);
+    // Keys once ended with a property-variant hash, the same constant on
+    // every key the service built. Folding it in keeps every key's hash,
+    // and so its shard, as it was: perfbench picks its workloads' units
+    // per shard through this hash.
+    const uint64_t RetiredVariantHash = 0x8f462907235ab4d9ull;
+    H = fnv1a64(&RetiredVariantHash, sizeof(RetiredVariantHash), H);
     return static_cast<size_t>(H);
   }
 };

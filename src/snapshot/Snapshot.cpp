@@ -56,8 +56,8 @@ bool readWholeFile(const std::string &Path, std::vector<unsigned char> &Out,
   return true;
 }
 
-void serializeMeta(ByteWriter &Writer, const SpecializationSnapshot &Snap) {
-  const SnapshotMeta &Meta = Snap.Meta;
+void serializeMeta(ByteWriter &Writer, const SnapshotParts &Parts) {
+  const SnapshotMeta &Meta = Parts.Meta;
   Writer.writeU32(kChunkSerdeVersion);
   Writer.writeU32(kLayoutSerdeVersion);
   Writer.writeString(Meta.FragmentName);
@@ -74,8 +74,8 @@ void serializeMeta(ByteWriter &Writer, const SpecializationSnapshot &Snap) {
   Writer.writeU32(static_cast<uint32_t>(Meta.Controls.size()));
   for (float Control : Meta.Controls)
     Writer.writeF32(Control);
-  Writer.writeU32(Snap.ArenaPixels);
-  Writer.writeU32(Snap.ArenaStride);
+  Writer.writeU32(Parts.ArenaPixels);
+  Writer.writeU32(Parts.ArenaStride);
 }
 
 bool deserializeMeta(ByteReader &Reader, SpecializationSnapshot &Snap,
@@ -129,77 +129,6 @@ bool deserializeMeta(ByteReader &Reader, SpecializationSnapshot &Snap,
     return setError(Error, "malformed META section: " + Reader.error());
   if (!Reader.atEnd())
     return setError(Error, "trailing bytes in META section");
-  return true;
-}
-
-void serializeVariants(ByteWriter &Writer,
-                       const std::vector<SnapshotVariant> &Variants) {
-  Writer.writeU32(static_cast<uint32_t>(Variants.size()));
-  for (const SnapshotVariant &V : Variants) {
-    Writer.writeU32(static_cast<uint32_t>(V.Key.Pins.size()));
-    for (const VariantPin &Pin : V.Key.Pins) {
-      Writer.writeU32(Pin.ParamIndex);
-      Writer.writeU8(static_cast<uint8_t>(Pin.Prop));
-    }
-    Writer.writeString(V.Label);
-    serializeLayout(Writer, V.Layout);
-    serializeChunk(Writer, V.Loader);
-    serializeChunk(Writer, V.Reader);
-    Writer.writeU32(V.ArenaPixels);
-    Writer.writeU32(V.ArenaStride);
-    Writer.writeBytes(V.ArenaBytes.data(), V.ArenaBytes.size());
-  }
-}
-
-bool deserializeVariants(ByteReader &Reader,
-                         std::vector<SnapshotVariant> &Out,
-                         uint32_t LayoutVersion, std::string *Error) {
-  uint32_t Count = Reader.readU32();
-  if (Reader.ok() && Count > 256)
-    Reader.fail("implausible variant count " + std::to_string(Count));
-  for (uint32_t I = 0; I < Count && Reader.ok(); ++I) {
-    SnapshotVariant V;
-    uint32_t PinCount = Reader.readU32();
-    if (Reader.ok() && static_cast<uint64_t>(PinCount) * 5 > Reader.remaining())
-      Reader.fail("pin count exceeds the remaining data");
-    for (uint32_t P = 0; P < PinCount && Reader.ok(); ++P) {
-      VariantPin Pin;
-      Pin.ParamIndex = Reader.readU32();
-      uint8_t Prop = Reader.readU8();
-      if (Prop > static_cast<uint8_t>(ParamProp::PP_One)) {
-        Reader.fail("unknown property kind " + std::to_string(Prop));
-        break;
-      }
-      Pin.Prop = static_cast<ParamProp>(Prop);
-      V.Key.Pins.push_back(Pin);
-    }
-    V.Label = Reader.readString();
-    std::string SectionError;
-    if (Reader.ok() &&
-        !deserializeLayout(Reader, V.Layout, SectionError, LayoutVersion))
-      return setError(Error, "VARIANTS section: " + SectionError);
-    if (Reader.ok() && !deserializeChunk(Reader, V.Loader, SectionError))
-      return setError(Error, "VARIANTS section: " + SectionError);
-    if (Reader.ok() && !deserializeChunk(Reader, V.Reader, SectionError))
-      return setError(Error, "VARIANTS section: " + SectionError);
-    V.ArenaPixels = Reader.readU32();
-    V.ArenaStride = Reader.readU32();
-    uint64_t ArenaBytes =
-        static_cast<uint64_t>(V.ArenaPixels) * V.ArenaStride;
-    if (Reader.ok() && ArenaBytes > Reader.remaining())
-      Reader.fail("variant arena exceeds the remaining data");
-    if (Reader.ok()) {
-      std::vector<unsigned char> Raw =
-          Reader.readBytes(static_cast<size_t>(ArenaBytes));
-      V.ArenaBytes.assign(Raw.begin(), Raw.end());
-    }
-    if (Reader.ok())
-      Out.push_back(std::move(V));
-  }
-  if (!Reader.ok())
-    return setError(Error, "malformed VARIANTS section: " + Reader.error());
-  if (!Reader.atEnd())
-    return setError(Error, "trailing bytes in VARIANTS section");
   return true;
 }
 
@@ -326,106 +255,85 @@ std::string SnapshotMeta::optionsSummary() const {
 }
 
 bool dspec::writeSnapshotFile(const std::string &Path,
-                              const SpecializationSnapshot &Snap,
-                              std::string *Error) {
+                              const SnapshotParts &Parts, std::string *Error) {
   // Refuse to persist inconsistent state; the reader enforces the same
   // invariants, so a file we write always loads.
-  if (Snap.ArenaStride != Snap.Layout.totalBytes())
+  if (Parts.ArenaStride != Parts.Layout.totalBytes())
     return setError(Error, "arena stride does not match the cache layout");
-  if (Snap.ArenaBytes.size() !=
-      static_cast<size_t>(Snap.ArenaPixels) * Snap.ArenaStride)
+  if (Parts.ArenaBytes !=
+      static_cast<size_t>(Parts.ArenaPixels) * Parts.ArenaStride)
     return setError(Error, "arena byte count does not match pixels x stride");
-  if (Snap.Meta.GridWidth * Snap.Meta.GridHeight != Snap.ArenaPixels)
+  if (Parts.Meta.GridWidth * Parts.Meta.GridHeight != Parts.ArenaPixels)
     return setError(Error, "grid dimensions do not match the arena");
   std::string VerifyError;
-  if (!verifyChunk(Snap.Loader, VerifyError) ||
-      !verifyChunk(Snap.Reader, VerifyError))
+  if (!verifyChunk(Parts.Loader, VerifyError) ||
+      !verifyChunk(Parts.Reader, VerifyError))
     return setError(Error, "refusing to persist a broken chunk: " +
                                VerifyError);
-  for (const SnapshotVariant &V : Snap.Variants) {
-    if (V.ArenaStride != V.Layout.totalBytes())
-      return setError(Error, "variant '" + V.Label +
-                                 "': arena stride does not match its layout");
-    if (V.ArenaBytes.size() !=
-        static_cast<size_t>(V.ArenaPixels) * V.ArenaStride)
-      return setError(Error, "variant '" + V.Label +
-                                 "': arena byte count does not match pixels "
-                                 "x stride");
-    if (V.ArenaPixels != Snap.ArenaPixels)
-      return setError(Error, "variant '" + V.Label +
-                                 "': arena covers a different grid than the "
-                                 "generic variant");
-    if (!verifyChunk(V.Loader, VerifyError) ||
-        !verifyChunk(V.Reader, VerifyError))
-      return setError(Error, "refusing to persist a broken variant chunk: " +
-                                 VerifyError);
-  }
 
-  ByteWriter Meta, Layout, Loader, Reader, Variants;
-  serializeMeta(Meta, Snap);
-  serializeLayout(Layout, Snap.Layout);
-  serializeChunk(Loader, Snap.Loader);
-  serializeChunk(Reader, Snap.Reader);
-  serializeVariants(Variants, Snap.Variants);
+  ByteWriter Meta, Layout, Loader, Reader;
+  serializeMeta(Meta, Parts);
+  serializeLayout(Layout, Parts.Layout);
+  serializeChunk(Loader, Parts.Loader);
+  serializeChunk(Reader, Parts.Reader);
 
   struct Pending {
     SnapshotSection Id;
     const unsigned char *Data;
     size_t Bytes;
   };
-  std::vector<Pending> Sections = {
+  // The arena stays last so its 64-byte alignment padding is the file's
+  // only gap.
+  const Pending Sections[] = {
       {SnapshotSection::Meta, Meta.bytes().data(), Meta.size()},
       {SnapshotSection::Layout, Layout.bytes().data(), Layout.size()},
       {SnapshotSection::Loader, Loader.bytes().data(), Loader.size()},
       {SnapshotSection::Reader, Reader.bytes().data(), Reader.size()},
+      {SnapshotSection::Arena, Parts.Arena, Parts.ArenaBytes},
   };
-  if (!Snap.Variants.empty())
-    Sections.push_back({SnapshotSection::Variants, Variants.bytes().data(),
-                        Variants.size()});
-  // The arena stays last so its 64-byte alignment padding is the file's
-  // only gap.
-  Sections.push_back({SnapshotSection::Arena, Snap.ArenaBytes.data(),
-                      Snap.ArenaBytes.size()});
-  const size_t SectionCount = Sections.size();
+  constexpr size_t SectionCount = std::size(Sections);
 
-  ByteWriter File;
-  File.writeBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  File.writeU32(kSnapshotFormatVersion);
-  File.writeU32(static_cast<uint32_t>(SectionCount));
-
-  // Lay out payload offsets: sequential after the table, with the arena
-  // (always last) aligned so an mmap'd file exposes 64-byte-aligned
-  // cache strides.
+  // The header and section table. Payload offsets run sequentially
+  // after the table, with the arena (always last) aligned so an mmap'd
+  // file exposes 64-byte-aligned cache strides.
+  ByteWriter Head;
+  Head.writeBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  Head.writeU32(kSnapshotFormatVersion);
+  Head.writeU32(static_cast<uint32_t>(SectionCount));
   uint64_t Offset = kHeaderBytes + SectionCount * kTableEntryBytes;
-  std::vector<uint64_t> Offsets(SectionCount);
+  uint64_t Offsets[SectionCount];
   for (size_t I = 0; I < SectionCount; ++I) {
     if (Sections[I].Id == SnapshotSection::Arena)
       Offset = (Offset + kArenaAlignment - 1) / kArenaAlignment *
                kArenaAlignment;
     Offsets[I] = Offset;
     Offset += Sections[I].Bytes;
+    Head.writeU32(static_cast<uint32_t>(Sections[I].Id));
+    Head.writeU32(0); // reserved
+    Head.writeU64(Offsets[I]);
+    Head.writeU64(Sections[I].Bytes);
+    Head.writeU32(crc32(Sections[I].Data, Sections[I].Bytes));
   }
 
-  for (size_t I = 0; I < SectionCount; ++I) {
-    File.writeU32(static_cast<uint32_t>(Sections[I].Id));
-    File.writeU32(0); // reserved
-    File.writeU64(Offsets[I]);
-    File.writeU64(Sections[I].Bytes);
-    File.writeU32(crc32(Sections[I].Data, Sections[I].Bytes));
-  }
-  for (size_t I = 0; I < SectionCount; ++I) {
-    while (File.size() < Offsets[I])
-      File.writeU8(0);
-    File.writeBytes(Sections[I].Data, Sections[I].Bytes);
-  }
-
+  // Then each payload from its owner's buffer, zero padding where the
+  // arena's alignment leaves a gap.
   std::FILE *Out = std::fopen(Path.c_str(), "wb");
   if (!Out)
     return setError(Error, "cannot open '" + Path + "' for writing");
-  size_t Written =
-      std::fwrite(File.bytes().data(), 1, File.size(), Out);
+  const unsigned char Zeros[kArenaAlignment] = {};
+  uint64_t Written = 0;
+  auto Put = [&](const void *Data, size_t Bytes) {
+    if (Bytes != 0 && std::fwrite(Data, 1, Bytes, Out) != Bytes)
+      return false;
+    Written += Bytes;
+    return true;
+  };
+  bool Ok = Put(Head.bytes().data(), Head.size());
+  for (size_t I = 0; I < SectionCount && Ok; ++I)
+    Ok = Put(Zeros, static_cast<size_t>(Offsets[I] - Written)) &&
+         Put(Sections[I].Data, Sections[I].Bytes);
   bool Flushed = std::fclose(Out) == 0;
-  if (Written != File.size() || !Flushed)
+  if (!Ok || !Flushed)
     return setError(Error, "short write to '" + Path + "'");
   return true;
 }
@@ -515,40 +423,9 @@ bool dspec::readSnapshotFile(const std::string &Path,
   Out.ArenaBytes.assign(Image.data() + Arena->Offset,
                         Image.data() + Arena->Offset + Arena->Bytes);
 
-  // Version 2: the variant set. A version-1 file simply has none; a
-  // version-2 file without the section also decodes to the empty set.
-  if (const SnapshotSectionInfo *Variants =
-          Container.find(SnapshotSection::Variants)) {
-    if (!Variants->CrcOk)
-      return setError(Error,
-                      "VARIANTS section fails its CRC-32 check (corrupt "
-                      "file)");
-    ByteReader R(Image.data() + Variants->Offset,
-                 static_cast<size_t>(Variants->Bytes));
-    if (!deserializeVariants(R, Out.Variants, LayoutVersion, Error))
-      return false;
-    for (const SnapshotVariant &V : Out.Variants) {
-      if (V.ArenaStride != V.Layout.totalBytes())
-        return setError(Error, "variant '" + V.Label +
-                                   "': arena stride does not match its "
-                                   "layout");
-      if (V.ArenaPixels != Out.ArenaPixels)
-        return setError(Error, "variant '" + V.Label +
-                                   "': arena covers a different grid than "
-                                   "the generic variant");
-      for (const Chunk *C : {&V.Loader, &V.Reader})
-        if (C->CacheBytes > V.Layout.totalBytes() ||
-            C->CacheSlotCount > V.Layout.slotCount())
-          return setError(Error, "variant chunk '" + C->Name +
-                                     "' was compiled against a larger cache "
-                                     "layout than the snapshot's");
-      if (V.Loader.NumParams != Out.Loader.NumParams ||
-          V.Reader.NumParams != Out.Reader.NumParams)
-        return setError(Error, "variant '" + V.Label +
-                                   "' disagrees with the generic variant on "
-                                   "the parameter count");
-    }
-  }
+  // A VARIANTS section, from a file written while property variants
+  // existed, is read past: parseContainer bounds-checked it, and nothing
+  // here needs it.
   return true;
 }
 

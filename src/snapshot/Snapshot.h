@@ -27,16 +27,12 @@
 ///                 straight into a cache arena
 ///
 /// Sections: META (serde versions + provenance + grid/arena shape),
-/// LAYOUT (CacheLayout), LOADER / READER (chunks), ARENA (raw packed
-/// cache bytes, exactly pixels x stride), and — format version 2 —
-/// VARIANTS (the property-specialized variant set: per variant the
-/// abstract-property pins, label, layout, both chunks, and a
-/// loader-filled arena). The five v1 sections always describe the
-/// *generic* variant, so a version-1 file is simply a snapshot whose
-/// variant set is empty: the reader accepts both versions, and a
-/// variant-free version-2 file (which merely omits the VARIANTS
-/// section) is byte-identical to version 1 except for the version
-/// field.
+/// LAYOUT (CacheLayout), LOADER / READER (chunks), and ARENA (raw packed
+/// cache bytes, exactly pixels x stride). The writer emits exactly these
+/// five at format version 2, which is byte-identical to version 1 except
+/// for the version field; the reader accepts both. Files written before
+/// property variants were retired may also hold a VARIANTS section
+/// (id 6): it is read past, never written.
 ///
 /// Reading treats the file as untrusted input: magic/version/section
 /// bounds are validated, every section's CRC-32 is checked, chunks are
@@ -50,11 +46,11 @@
 #define DATASPEC_SNAPSHOT_SNAPSHOT_H
 
 #include "specialize/CacheLayout.h"
-#include "specialize/Polyvariant.h"
 #include "specialize/SpecializerOptions.h"
 #include "support/AlignedBuffer.h"
 #include "vm/Bytecode.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -63,7 +59,7 @@
 namespace dspec {
 
 /// Container version this build writes. Version 2 added the VARIANTS
-/// section; version-1 files (no variants) still load as generic-only.
+/// section, which is no longer written; version-1 files still load.
 /// Chunk and layout payloads carry their own serde versions.
 constexpr uint32_t kSnapshotFormatVersion = 2;
 /// Oldest container version readSnapshotFile accepts.
@@ -79,7 +75,7 @@ enum class SnapshotSection : uint32_t {
   Loader = 3,
   Reader = 4,
   Arena = 5,
-  /// Format version 2: the property-specialized variant set.
+  /// Property-specialized variants, retired: read past, never written.
   Variants = 6,
 };
 
@@ -115,23 +111,7 @@ struct SnapshotMeta {
   std::string optionsSummary() const;
 };
 
-/// One property-specialized variant persisted alongside the generic
-/// unit: its abstract-property key, the human-readable label, its own
-/// layout and chunks, and a loader-filled arena over the same grid.
-struct SnapshotVariant {
-  VariantKey Key;
-  std::string Label;
-  Chunk Loader;
-  Chunk Reader;
-  CacheLayout Layout;
-  unsigned ArenaPixels = 0;
-  unsigned ArenaStride = 0;
-  ArenaBuffer ArenaBytes;
-};
-
-/// Everything one snapshot file holds, decoded. The top-level fields are
-/// the generic variant; Variants holds the property-specialized set
-/// (empty for version-1 files).
+/// Everything one snapshot file holds, decoded.
 struct SpecializationSnapshot {
   SnapshotMeta Meta;
   Chunk Loader;
@@ -143,15 +123,29 @@ struct SpecializationSnapshot {
   unsigned ArenaPixels = 0;
   unsigned ArenaStride = 0;
   ArenaBuffer ArenaBytes;
-  /// Property-specialized variants (never includes the generic one).
-  std::vector<SnapshotVariant> Variants;
 };
 
-/// Serializes \p Snap to \p Path. Returns false with \p Error set on
-/// inconsistent contents (arena shape not matching the layout/grid) or
-/// I/O failure.
-bool writeSnapshotFile(const std::string &Path,
-                       const SpecializationSnapshot &Snap,
+/// The contents of one snapshot file, borrowed from whoever owns them
+/// (a live unit's chunks and cache arena, say), so writing a file copies
+/// none of them.
+struct SnapshotParts {
+  const SnapshotMeta &Meta;
+  const Chunk &Loader;
+  const Chunk &Reader;
+  const CacheLayout &Layout;
+  unsigned ArenaPixels;
+  unsigned ArenaStride;
+  /// The arena's pixel-major bytes and their count (pixels x stride in a
+  /// consistent snapshot).
+  const unsigned char *Arena;
+  size_t ArenaBytes;
+};
+
+/// Serializes \p Parts to \p Path: the header and section table, then
+/// each payload from its own buffer. Returns false with \p Error set on
+/// inconsistent contents (arena shape not matching the layout/grid, a
+/// chunk failing verification) or I/O failure.
+bool writeSnapshotFile(const std::string &Path, const SnapshotParts &Parts,
                        std::string *Error = nullptr);
 
 /// Reads and fully validates \p Path (bounds, CRCs, chunk verification,

@@ -18,19 +18,7 @@
 #include "specialize/Splitter.h"
 #include "transform/JoinNormalize.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <unordered_set>
-
 using namespace dspec;
-
-std::vector<VariantKey> VariantSetResult::keys() const {
-  std::vector<VariantKey> Out;
-  Out.reserve(Variants.size());
-  for (const SpecializedVariant &V : Variants)
-    Out.push_back(V.Key);
-  return Out;
-}
 
 void DataSpecializer::runPipeline(Function *Work,
                                   const std::vector<VarDecl *> &Varying,
@@ -195,196 +183,4 @@ DataSpecializer::specialize(Function *F,
 
   runPipeline(Work, Varying, Options, Result);
   return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Polyvariant specialization.
-//===----------------------------------------------------------------------===//
-
-/// Weighted per-pixel execution cost of a reader, the currency the §4.3
-/// benefit comparison is made in.
-static double readerWeightedCost(Function *Reader, const CostOptions &Cost,
-                                 ASTContext &Ctx) {
-  StructureInfo SI;
-  SI.build(Reader, Ctx.numNodeIds());
-  CostModel CM;
-  CM.build(Reader, SI, Cost, Ctx.numNodeIds());
-  double Total = 0.0;
-  walkStmts(Reader->body(), [&](Stmt *S) {
-    forEachExprOfStmt(S, [&](Expr *E) { Total += CM.weightedCost(E); });
-  });
-  return Total;
-}
-
-std::optional<SpecializedVariant>
-DataSpecializer::buildVariant(Function *F,
-                              const std::vector<std::string> &VaryingParams,
-                              const SpecializerOptions &Options,
-                              const VariantKey &Key) {
-  SpecializedVariant V;
-  V.Key = Key;
-
-  std::vector<std::string> Names;
-  Names.reserve(F->params().size());
-  for (VarDecl *P : F->params())
-    Names.push_back(P->name());
-  V.Label = Key.label(Names);
-
-  V.Result.Stats.FragmentTerms = countTerms(F);
-
-  ASTCloner Cloner(Ctx);
-  Function *Work = Cloner.cloneFunction(F, F->name());
-
-  std::vector<std::pair<VarDecl *, float>> Pins;
-  std::unordered_set<std::string> PinnedNames;
-  for (const VariantPin &Pin : Key.Pins) {
-    if (Pin.ParamIndex >= F->params().size()) {
-      Diags.error(F->loc(), "variant key pins parameter index " +
-                                std::to_string(Pin.ParamIndex) +
-                                " beyond fragment '" + F->name() + "'");
-      return std::nullopt;
-    }
-    VarDecl *Orig = F->params()[Pin.ParamIndex];
-    if (!Orig->type().isFloat()) {
-      Diags.error(F->loc(), "variant key pins non-float parameter '" +
-                                Orig->name() + "'");
-      return std::nullopt;
-    }
-    Pins.emplace_back(Cloner.lookupDecl(Orig), paramPropValue(Pin.Prop));
-    PinnedNames.insert(Orig->name());
-  }
-
-  // A pinned varying parameter leaves the variant's varying set: the
-  // variant only serves requests where the parameter equals the pin, so
-  // within the variant it is a genuine invariant.
-  std::vector<VarDecl *> Varying;
-  for (const std::string &Name : VaryingParams) {
-    if (PinnedNames.count(Name))
-      continue;
-    VarDecl *Orig = F->findParam(Name);
-    if (!Orig) {
-      Diags.error(F->loc(), "input partition names unknown parameter '" +
-                                Name + "' of fragment '" + F->name() + "'");
-      return std::nullopt;
-    }
-    Varying.push_back(Cloner.lookupDecl(Orig));
-  }
-
-  V.Fold = constantFoldWithPins(Work, Ctx, Pins);
-  runPipeline(Work, Varying, Options, V.Result);
-  return V;
-}
-
-std::optional<VariantSetResult>
-DataSpecializer::specializeVariants(Function *F,
-                                    const std::vector<std::string> &VaryingParams,
-                                    const SpecializerOptions &Options,
-                                    const VariantSetOptions &VOptions) {
-  VariantSetResult Set;
-
-  // The generic variant anchors the set; it is always admissible.
-  std::optional<SpecializedVariant> Generic =
-      buildVariant(F, VaryingParams, Options, VariantKey());
-  if (!Generic)
-    return std::nullopt;
-  double GenericCost =
-      readerWeightedCost(Generic->Result.Reader, Options.Cost, Ctx);
-  Set.Variants.push_back(std::move(*Generic));
-
-  // Candidate keys: explicit or proposed.
-  std::vector<VariantKey> Keys = VOptions.ExplicitKeys;
-  if (Keys.empty() && VOptions.MaxVariants > 1)
-    Keys = proposeVariantKeys(F, VaryingParams, VOptions.MaxVariants - 1);
-
-  std::vector<VariantKey> Built;
-  for (VariantKey Key : Keys) {
-    if (Set.Variants.size() >= std::max(1u, VOptions.MaxVariants) &&
-        VOptions.ExplicitKeys.empty())
-      break;
-    Key.canonicalize();
-    if (Key.isGeneric() ||
-        std::find(Built.begin(), Built.end(), Key) != Built.end())
-      continue;
-    std::optional<SpecializedVariant> V =
-        buildVariant(F, VaryingParams, Options, Key);
-    if (!V)
-      return std::nullopt;
-    V->PredictedBenefit =
-        GenericCost - readerWeightedCost(V->Result.Reader, Options.Cost, Ctx);
-    Built.push_back(Key);
-    Set.Variants.push_back(std::move(*V));
-  }
-
-  // Cross-variant Section 4.3: evict whole low-benefit variants until the
-  // set fits the budget; only then relabel slots (of the generic variant,
-  // the one that cannot be evicted).
-  auto TotalBytes = [&Set]() {
-    unsigned Total = 0;
-    for (const SpecializedVariant &V : Set.Variants)
-      Total += V.Result.Layout.totalBytes();
-    return Total;
-  };
-  if (VOptions.TotalCacheByteLimit) {
-    unsigned Limit = *VOptions.TotalCacheByteLimit;
-    while (TotalBytes() > Limit && Set.Variants.size() > 1) {
-      // Victim: the non-generic variant with the least predicted benefit;
-      // ties break toward the larger layout (cheapest benefit per byte).
-      size_t Victim = 1;
-      for (size_t I = 2; I < Set.Variants.size(); ++I) {
-        const SpecializedVariant &A = Set.Variants[I];
-        const SpecializedVariant &B = Set.Variants[Victim];
-        if (A.PredictedBenefit < B.PredictedBenefit ||
-            (A.PredictedBenefit == B.PredictedBenefit &&
-             A.Result.Layout.totalBytes() > B.Result.Layout.totalBytes()))
-          Victim = I;
-      }
-      Set.Variants.erase(Set.Variants.begin() +
-                         static_cast<ptrdiff_t>(Victim));
-      ++Set.VariantsEvicted;
-    }
-    if (TotalBytes() > Limit) {
-      // Only the generic variant remains and it alone busts the budget:
-      // fall back to the classic per-slot §4.3 relabeling.
-      SpecializerOptions Narrowed = Options;
-      Narrowed.CacheByteLimit = Limit;
-      std::optional<SpecializedVariant> Replacement =
-          buildVariant(F, VaryingParams, Narrowed, VariantKey());
-      if (!Replacement)
-        return std::nullopt;
-      Set.Variants.front() = std::move(*Replacement);
-    }
-  }
-
-  Set.TotalCacheBytes = TotalBytes();
-  return Set;
-}
-
-std::string dspec::formatVariantTable(const VariantSetResult &Set) {
-  std::string Out;
-  Out += "variant table (" + std::to_string(Set.Variants.size()) +
-         " variant(s), " + std::to_string(Set.TotalCacheBytes) +
-         " cache byte(s) total";
-  if (Set.VariantsEvicted)
-    Out += ", " + std::to_string(Set.VariantsEvicted) +
-           " evicted by the cross-variant budget";
-  Out += ")\n";
-  Out += "  properties            reader terms  branches m/u  cache B  "
-         "tier          predicted benefit\n";
-  for (const SpecializedVariant &V : Set.Variants) {
-    const SpecializationStats &St = V.Result.Stats;
-    // Every effect-free reader starts batched; unmaskable branches mean
-    // a divergent tile bails to the switch tier at runtime.
-    const char *TierName = St.ReaderUnmaskableBranches
-                               ? "batched/bail"
-                               : "batched";
-    char Line[160];
-    std::snprintf(Line, sizeof(Line),
-                  "  %-20s  %12u  %7u %2u/%-2u  %7u  %-12s  %17.1f\n",
-                  V.Label.c_str(), St.ReaderTerms, St.ReaderBranchStmts,
-                  St.ReaderMaskableBranches, St.ReaderUnmaskableBranches,
-                  V.Result.Layout.totalBytes(), TierName,
-                  V.PredictedBenefit);
-    Out += Line;
-  }
-  return Out;
 }

@@ -26,10 +26,8 @@
 
 #include "lang/ASTContext.h"
 #include "specialize/CacheLayout.h"
-#include "specialize/Polyvariant.h"
 #include "specialize/SpecializerOptions.h"
 #include "support/Diagnostics.h"
-#include "transform/ConstantFold.h"
 
 #include <cstdint>
 #include <optional>
@@ -90,52 +88,6 @@ struct SpecializationResult {
   std::string Explanation;
 };
 
-/// One member of a variant set: the property key plus a full
-/// specialization built from the pinned fragment.
-struct SpecializedVariant {
-  VariantKey Key;
-  /// Key rendered against the fragment's parameter names ("generic",
-  /// "grain=0").
-  std::string Label;
-  SpecializationResult Result;
-  ConstantFoldStats Fold;
-  /// Estimated per-pixel reader savings versus the generic reader:
-  /// generic reader weighted cost minus this variant's (Section 4.3's
-  /// benefit currency). Zero for the generic variant.
-  double PredictedBenefit = 0.0;
-};
-
-/// Controls variant-set construction.
-struct VariantSetOptions {
-  /// Upper bound on emitted variants, including the generic one.
-  unsigned MaxVariants = 4;
-  /// Section 4.3 byte budget applied across the whole set: whole
-  /// low-benefit variants are evicted first; if the generic variant alone
-  /// still exceeds the budget, its slots are relabeled (classic §4.3).
-  std::optional<unsigned> TotalCacheByteLimit;
-  /// When non-empty, these keys are built verbatim (after
-  /// canonicalization) instead of running the proposal pass. The generic
-  /// key need not be listed; it is always built.
-  std::vector<VariantKey> ExplicitKeys;
-};
-
-/// Everything specializeVariants produces.
-struct VariantSetResult {
-  /// Variants[0] is always the generic variant.
-  std::vector<SpecializedVariant> Variants;
-  /// Whole variants evicted by the cross-variant §4.3 budget.
-  unsigned VariantsEvicted = 0;
-  /// Sum of surviving variants' per-pixel cache bytes.
-  unsigned TotalCacheBytes = 0;
-
-  /// The keys of the surviving variants, in order.
-  std::vector<VariantKey> keys() const;
-};
-
-/// Renders the human-readable variant table printed by `dspec --explain`:
-/// properties, reader size, cache bytes, predicted §4.3 benefit.
-std::string formatVariantTable(const VariantSetResult &Set);
-
 /// Drives the full specialization pipeline.
 class DataSpecializer {
 public:
@@ -149,29 +101,11 @@ public:
   specialize(Function *F, const std::vector<std::string> &VaryingParams,
              const SpecializerOptions &Options = {});
 
-  /// Polyvariant entry point: builds the generic specialization plus one
-  /// specialization per admissible property key (proposed automatically
-  /// unless VOptions.ExplicitKeys is set), then applies the cross-variant
-  /// §4.3 budget. Pins on a varying parameter remove it from that
-  /// variant's varying set — the variant is only admissible when the
-  /// request value equals the pin, so treating it as invariant is exact.
-  std::optional<VariantSetResult>
-  specializeVariants(Function *F,
-                     const std::vector<std::string> &VaryingParams,
-                     const SpecializerOptions &Options = {},
-                     const VariantSetOptions &VOptions = {});
-
 private:
-  /// Shared pipeline tail: analyses through splitting on an already
-  /// cloned (and possibly pinned/folded) working copy.
+  /// Analyses through splitting on the cloned working copy \p Work.
   void runPipeline(Function *Work, const std::vector<VarDecl *> &Varying,
                    const SpecializerOptions &Options,
                    SpecializationResult &Result);
-
-  /// Builds one variant from scratch (clone, pin, fold, pipeline).
-  std::optional<SpecializedVariant>
-  buildVariant(Function *F, const std::vector<std::string> &VaryingParams,
-               const SpecializerOptions &Options, const VariantKey &Key);
 
   ASTContext &Ctx;
   DiagnosticEngine &Diags;

@@ -20,7 +20,7 @@ void dspec::serializeLayout(ByteWriter &Writer, const CacheLayout &Layout) {
 
   // Version 2 tail: per-slot reuse weights behind a presence flag. The
   // flag (rather than "if bytes remain") keeps the encoding usable
-  // mid-stream — variant sets embed layouts between other payloads.
+  // mid-stream, with other payloads after it.
   bool HasWeights = false;
   for (const CacheSlot &Slot : Layout.slots())
     if (Slot.ReuseWeight >= 0.0f) {

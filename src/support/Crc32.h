@@ -6,10 +6,10 @@
 ///
 /// \file
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). It checksums
-/// every DSPF frame the service sends or receives, every streamed reply's
-/// pixels, and every snapshot and spill file section, so it runs over
-/// hundreds of kilobytes per request. Portable slicing-by-16: the same
-/// values as the textbook byte-at-a-time loop, several times faster.
+/// every DSPF frame the service sends or receives and every snapshot
+/// and spill file section, so it runs over hundreds of kilobytes per
+/// request. Portable slicing-by-16: the same values as the textbook
+/// byte-at-a-time loop, several times faster.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -318,6 +318,67 @@ TEST(ExecTiers, GalleryDifferentialAcrossTiersAndThreads) {
   }
 }
 
+/// A fixed control read only by a branch condition, at exactly 0.0 and
+/// 1.0 and between, and the varying control at 0.0 and 1.0: the generic
+/// loader and reader of the fragment match the plain pass bit for bit on
+/// every tier at 1 and 4 threads, and every run loads the same arena.
+TEST(ExecTiers, BranchyFragmentMatchesEverywhere) {
+  const char *Source = R"(
+vec3 branchy(vec2 uv, vec3 P, vec3 N, vec3 I, float gain, float mode) {
+  vec3 base = N * 0.5 + vec3(0.5, 0.5, 0.5);
+  float w = 0.0;
+  if (mode > 0.5) {
+    w = uv.x * gain + noise(P);
+  } else {
+    w = uv.y + gain * 0.25;
+  }
+  return base * (w + 1.0);
+}
+)";
+  auto Unit = parseUnit(Source);
+  ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
+  auto Spec = specializeAndCompile(*Unit, "branchy", {"gain"});
+  ASSERT_TRUE(Spec.has_value()) << Unit->Diags.str();
+  RenderGrid Grid(16, 12);
+
+  const std::vector<float> ControlSets[] = {
+      {0.6f, 0.7f}, {0.6f, 0.0f}, {0.6f, 1.0f}, {0.0f, 0.7f}, {1.0f, 0.7f}};
+  for (const std::vector<float> &Controls : ControlSets) {
+    const std::string At = "gain=" + std::to_string(Controls[0]) +
+                           " mode=" + std::to_string(Controls[1]);
+    RenderEngine Ref(1);
+    Ref.setExecTier(ExecTier::Switch);
+    Framebuffer Plain(Grid.width(), Grid.height());
+    ASSERT_TRUE(Ref.plainPass(Spec->OriginalChunk, Grid, Controls, &Plain))
+        << At << ": " << Ref.lastTrap();
+    CacheArena RefArena;
+    ASSERT_TRUE(Ref.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid,
+                               Controls, RefArena));
+    const std::vector<unsigned char> RefBytes = arenaBytes(RefArena);
+
+    for (ExecTier Tier : kTiers) {
+      for (unsigned Threads : {1u, 4u}) {
+        RenderEngine Engine(Threads);
+        Engine.setExecTier(Tier);
+        const std::string Tag = At + " [" + execTierName(Tier) + " @" +
+                                std::to_string(Threads) + "t]";
+        CacheArena Arena;
+        Framebuffer Loaded(Grid.width(), Grid.height());
+        Framebuffer Read(Grid.width(), Grid.height());
+        ASSERT_TRUE(Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout,
+                                      Grid, Controls, Arena, &Loaded))
+            << Tag << ": " << Engine.lastTrap();
+        EXPECT_EQ(arenaBytes(Arena), RefBytes) << Tag << ": arena differs";
+        expectSameImage(Plain, Loaded, "loader " + Tag);
+        ASSERT_TRUE(Engine.readerPass(Spec->ReaderChunk, Grid, Controls,
+                                      Arena, &Read))
+            << Tag << ": " << Engine.lastTrap();
+        expectSameImage(Plain, Read, "reader " + Tag);
+      }
+    }
+  }
+}
+
 /// Builtins run lane-wise, the noise kernel four lanes per step. A tile
 /// of 37 pixels over a 16x9 grid (tiles of 37, 37, 37 and 33 lanes) puts
 /// a 1-lane tail on every group walk: loader, reader and original frames

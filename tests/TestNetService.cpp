@@ -7,10 +7,11 @@
 /// \file
 /// Tests of the event-loop network front end (src/net/) and the
 /// disk-spilling unit cache: TCP end-to-end bit-identity against the
-/// plain pass, pipelined reply ordering, streamed replies, the
-/// slow-loris read deadline, per-client quota shedding (and that a
-/// well-behaved client is untouched by a greedy neighbor), and
-/// spill/warm-restart disk hits.
+/// plain pass, pipelined reply ordering, one plain reply for a request
+/// carrying the retired variant and streaming fields, the slow-loris
+/// read deadline, per-client quota shedding (and that a well-behaved
+/// client is untouched by a greedy neighbor), and spill/warm-restart
+/// disk hits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -180,30 +181,47 @@ TEST(NetTcp, PipelinedRepliesArriveInRequestOrder) {
   }
 }
 
-TEST(NetTcp, StreamedReplyReassemblesBitIdentical) {
-  NetServerConfig Net;
-  Net.StreamChunkPixels = 64; // force many RenderPartial frames
-  TcpServer S({}, Net);
+TEST(NetTcp, LegacyVariantAndStreamFieldsGetOnePlainReply) {
+  // A request as an older client sent it: trailing u32 variant pins (4)
+  // and u8 streaming flag (1), with the varying control at a pin value.
+  // Both features are retired, so the server answers with exactly one
+  // RenderReply, bit-identical to the plain pass; the next frame on the
+  // connection is the stats reply asked for after it.
+  TcpServer S;
   auto Client = S.connect();
   ASSERT_NE(Client, nullptr);
-
+  const ShaderInfo *Info = findShader("marble");
+  ASSERT_NE(Info, nullptr);
   RenderRequest Request;
   Request.Shader = "marble";
   Request.Width = 24;
   Request.Height = 16;
-  Request.StreamTiles = true;
-  std::string Error;
-  auto Reply = requestRender(*Client, Request, &Error);
-  ASSERT_TRUE(Reply.has_value()) << Error;
-  ASSERT_TRUE(Reply->ok()) << Reply->Error;
+  Request.Controls = ShaderLab::defaultControls(*Info);
+  Request.Controls[0] = 0.0f;
+  ByteWriter Payload;
+  encodeRenderRequest(Payload, Request);
+  Payload.writeU32(4);
+  Payload.writeU8(1);
+  ASSERT_TRUE(writeFrame(*Client, FrameType::RenderRequest, Payload.bytes()));
+  ASSERT_TRUE(writeFrame(*Client, FrameType::StatsRequest, {}));
 
-  const ShaderInfo *Info = findShader("marble");
-  ASSERT_NE(Info, nullptr);
-  Framebuffer Reference =
-      plainReference(*Info, 24, 16, ShaderLab::defaultControls(*Info));
-  EXPECT_TRUE(bitIdentical(Reply->toFramebuffer(), Reference));
-  // 24*16 = 384 pixels at 64 per chunk = 6 partial frames.
-  EXPECT_GE(S.Server->stats().StreamedChunks, 6u);
+  FrameType Type;
+  std::vector<unsigned char> Bytes;
+  std::string Error;
+  ASSERT_TRUE(readFrame(*Client, Type, Bytes, &Error)) << Error;
+  ASSERT_EQ(Type, FrameType::RenderReply);
+  RenderReply Reply;
+  ByteReader R(Bytes);
+  ASSERT_TRUE(decodeRenderReply(R, Reply, &Error)) << Error;
+  ASSERT_TRUE(Reply.ok()) << Reply.Error;
+  EXPECT_TRUE(bitIdentical(Reply.toFramebuffer(),
+                           plainReference(*Info, 24, 16, Request.Controls)));
+
+  ASSERT_TRUE(readFrame(*Client, Type, Bytes, &Error)) << Error;
+  ASSERT_EQ(Type, FrameType::StatsReply);
+  std::string Json(Bytes.begin(), Bytes.end());
+  EXPECT_EQ(Json.find("\"variants\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"protocol_errors\":0"), std::string::npos) << Json;
 }
 
 TEST(NetTcp, ProtocolViolationDropsOnlyThatConnection) {
@@ -602,8 +620,8 @@ TEST(Spill, StoreNeverEvictsTheUnitJustWritten) {
 // Spill restores verify the file against the key it was found under
 //===----------------------------------------------------------------------===//
 
-/// The key the service files \p R under: default options, no variant
-/// pins, and \p R's own (canonical) varying set and controls.
+/// The key the service files \p R under: default options, and \p R's
+/// own (canonical) varying set and controls.
 UnitKey serviceKeyOf(const RenderRequest &R) {
   UnitKey K;
   K.Shader = R.Shader;
@@ -691,59 +709,6 @@ TEST(Spill, RestoreRefusesAUnitOfAnotherFixedControl) {
       spillUnderKeyOf(Dir, marbleRequest(16, 12), Requested));
   expectRefusedAndRebuilt(Dir, Requested);
   clearSpillDir(Dir);
-}
-
-//===----------------------------------------------------------------------===//
-// Streaming serde
-//===----------------------------------------------------------------------===//
-
-TEST(NetProtocol, StreamTilesFlagRoundTrips) {
-  RenderRequest In;
-  In.Shader = "wood";
-  In.StreamTiles = true;
-  ByteWriter W;
-  encodeRenderRequest(W, In);
-  ByteReader R(W.bytes());
-  RenderRequest Out;
-  std::string Error;
-  ASSERT_TRUE(decodeRenderRequest(R, Out, &Error)) << Error;
-  EXPECT_TRUE(Out.StreamTiles);
-}
-
-TEST(NetProtocol, PartialAndDoneRoundTrip) {
-  RenderPartialChunk In;
-  In.Width = 4;
-  In.Height = 4;
-  In.PixelOffset = 8;
-  In.PixelCount = 2;
-  In.Pixels = {0.25f, -1.0f, 3.5f, 0.0f, 1.0f, -0.125f};
-  ByteWriter W;
-  encodeRenderPartial(W, In);
-  ByteReader R(W.bytes());
-  RenderPartialChunk Out;
-  std::string Error;
-  ASSERT_TRUE(decodeRenderPartial(R, Out, &Error)) << Error;
-  EXPECT_EQ(Out.PixelOffset, 8u);
-  EXPECT_EQ(Out.PixelCount, 2u);
-  EXPECT_EQ(Out.Pixels, In.Pixels);
-
-  RenderStreamDone Done;
-  Done.Status = RenderStatus::Ok;
-  Done.Width = 4;
-  Done.Height = 4;
-  Done.CacheHit = true;
-  Done.ServiceMicros = 1234;
-  Done.NumPartials = 8;
-  Done.PixelCrc = pixelCrc(In.Pixels);
-  ByteWriter DW;
-  encodeRenderDone(DW, Done);
-  ByteReader DR(DW.bytes());
-  RenderStreamDone DOut;
-  ASSERT_TRUE(decodeRenderDone(DR, DOut, &Error)) << Error;
-  EXPECT_EQ(DOut.Status, RenderStatus::Ok);
-  EXPECT_TRUE(DOut.CacheHit);
-  EXPECT_EQ(DOut.NumPartials, 8u);
-  EXPECT_EQ(DOut.PixelCrc, Done.PixelCrc);
 }
 
 } // namespace

@@ -283,69 +283,51 @@ TEST(ServiceProtocol, FrameRejectsCorruption) {
   EXPECT_TRUE(Error.empty());
 }
 
-/// Frames a streamed reply: one RenderPartial carrying \p Part, then a
-/// RenderDone trailer for an ok reply of \p Done's size.
-std::vector<unsigned char> streamedReply(const RenderPartialChunk &Part,
-                                         RenderStreamDone Done) {
-  std::vector<unsigned char> Bytes;
-  ByteWriter PartW;
-  encodeRenderPartial(PartW, Part);
-  appendFrame(Bytes, FrameType::RenderPartial, PartW.bytes().data(),
-              PartW.bytes().size());
-  Done.NumPartials = 1;
-  Done.PixelCrc = pixelCrc(Part.Pixels);
-  ByteWriter DoneW;
-  encodeRenderDone(DoneW, Done);
-  appendFrame(Bytes, FrameType::RenderDone, DoneW.bytes().data(),
-              DoneW.bytes().size());
-  return Bytes;
+TEST(ServiceProtocol, RetiredStreamedFrameTypesAreUnknown) {
+  // Types 5 and 6 carried streamed replies; they are not reused, and
+  // readFrame refuses them like any other unknown type.
+  for (unsigned char Retired : {5, 6}) {
+    std::vector<unsigned char> Frame =
+        encodeFrame(FrameType::RenderReply, {1, 2, 3, 4});
+    Frame[4] = Retired;
+    ScriptedTransport T(Frame);
+    FrameType Type;
+    std::vector<unsigned char> Got;
+    std::string Error;
+    EXPECT_FALSE(readFrame(T, Type, Got, &Error));
+    EXPECT_EQ(Error, "unknown frame type " + std::to_string(Retired));
+  }
 }
 
-TEST(ServiceProtocol, StreamedReplyMustMatchTheRequestedSize) {
-  RenderRequest Request;
-  Request.Shader = "plastic";
-  Request.Width = 2;
-  Request.Height = 1;
-  Request.StreamTiles = true;
+TEST(ServiceProtocol, LegacyTrailingFieldsAreReadPast) {
+  // Older clients end a request with a u32 of variant pins and a u8
+  // streaming flag; with both features retired, the request decodes as
+  // if they were absent.
+  RenderRequest In;
+  In.Shader = "marble";
+  In.Width = 12;
+  In.Height = 5;
+  In.Varying = {"ka"};
+  In.Controls = {0.0f, 1.0f};
+  In.CacheByteLimit = 40;
+  ByteWriter Plain;
+  encodeRenderRequest(Plain, In);
+  ByteWriter Legacy;
+  encodeRenderRequest(Legacy, In);
+  Legacy.writeU32(4);
+  Legacy.writeU8(1);
 
-  RenderPartialChunk Part;
-  Part.Width = 2;
-  Part.Height = 1;
-  Part.PixelCount = 2;
-  Part.Pixels = {1, 2, 3, 4, 5, 6};
-  RenderStreamDone Done;
-  Done.Width = 2;
-  Done.Height = 1;
+  RenderRequest FromPlain, FromLegacy;
   std::string Error;
-
-  // The well-formed stream reassembles.
-  ScriptedTransport Good(streamedReply(Part, Done));
-  auto Reply = requestRender(Good, Request, &Error);
-  ASSERT_TRUE(Reply.has_value()) << Error;
-  ASSERT_TRUE(Reply->ok());
-  EXPECT_EQ(Reply->Pixels, Part.Pixels);
-
-  // A CRC-valid partial for an image whose Width x Height x 3 wraps to
-  // a small count, with its pixel far past that count: rejected before
-  // any pixel is copied.
-  RenderPartialChunk Wrapping;
-  Wrapping.Width = kWrappingWidth;
-  Wrapping.Height = kWrappingHeight;
-  Wrapping.PixelOffset = 1000000;
-  Wrapping.PixelCount = 1;
-  Wrapping.Pixels = {1, 2, 3};
-  ScriptedTransport Hostile(streamedReply(Wrapping, Done));
-  Error.clear();
-  EXPECT_FALSE(requestRender(Hostile, Request, &Error).has_value());
-  EXPECT_NE(Error.find("not the requested 2x1"), std::string::npos) << Error;
-
-  // An ok trailer of another size is rejected too.
-  RenderStreamDone Bigger = Done;
-  Bigger.Width = 3;
-  ScriptedTransport Resized(streamedReply(Part, Bigger));
-  Error.clear();
-  EXPECT_FALSE(requestRender(Resized, Request, &Error).has_value());
-  EXPECT_NE(Error.find("not the requested 2x1"), std::string::npos) << Error;
+  ByteReader PlainR(Plain.bytes());
+  ASSERT_TRUE(decodeRenderRequest(PlainR, FromPlain, &Error)) << Error;
+  ByteReader LegacyR(Legacy.bytes());
+  ASSERT_TRUE(decodeRenderRequest(LegacyR, FromLegacy, &Error)) << Error;
+  ByteWriter Again, AgainLegacy;
+  encodeRenderRequest(Again, FromPlain);
+  encodeRenderRequest(AgainLegacy, FromLegacy);
+  EXPECT_EQ(AgainLegacy.bytes(), Again.bytes());
+  EXPECT_EQ(Again.bytes(), Plain.bytes());
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,11 +13,15 @@
 ///  - hostile-input property: truncations at arbitrary lengths, single
 ///    bit flips, future format versions, and garbage files all fail
 ///    with a diagnostic — never UB or a crash (CI runs this under
-///    ASan+UBSan).
+///    ASan+UBSan);
+///  - files written by earlier builds (version 1, or with a VARIANTS
+///    section) still load, warm-start and serve bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/RenderEngine.h"
+#include "service/Service.h"
+#include "service/SpillStore.h"
 #include "shading/ShaderLab.h"
 #include "snapshot/Snapshot.h"
 #include "specialize/LayoutSerde.h"
@@ -245,6 +249,119 @@ TEST(Snapshot, ArenaPayloadIsAligned) {
 }
 
 //===----------------------------------------------------------------------===//
+// Files written by earlier builds
+//===----------------------------------------------------------------------===//
+
+/// This build writes version 2, byte-identical to version 1 except for
+/// the version field (the header carries no CRC), so rewriting that field
+/// yields a genuine version-1 file: it must still warm-start.
+TEST(Snapshot, VersionOneFilesStillLoad) {
+  const ShaderInfo *Info = findShader("stripes");
+  ASSERT_NE(Info, nullptr);
+  RenderGrid Grid(12, 8);
+  const std::string Path = tempPath("v1compat.dsnap");
+  Framebuffer Cold(Grid.width(), Grid.height());
+  auto Controls = buildAndSave(*Info, Grid, Path, &Cold);
+
+  std::vector<unsigned char> Image = slurp(Path);
+  ASSERT_GE(Image.size(), 12u);
+  uint32_t Version = 0;
+  std::memcpy(&Version, Image.data() + 8, sizeof(Version));
+  EXPECT_EQ(Version, 2u);
+  const uint32_t V1 = 1;
+  std::memcpy(Image.data() + 8, &V1, sizeof(V1));
+  spit(Path, Image);
+
+  std::string Error;
+  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
+  ASSERT_TRUE(Warm.has_value()) << Error;
+  RenderEngine Engine(1);
+  Framebuffer WarmFrame(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
+                                Warm->Arena, &WarmFrame))
+      << Engine.lastTrap();
+  expectSameImage(Cold, WarmFrame, "v1 warm start");
+  std::remove(Path.c_str());
+}
+
+/// tests/data/marble_8x6_variants.dsnp was written by `dspec snapshot
+/// save --gallery marble --width 8 --height 6 --variants 3` while
+/// property variants existed: META, LAYOUT, LOADER, READER, a VARIANTS
+/// section with two pinned readers, and ARENA. The reader reads past
+/// VARIANTS, so the file verifies, warm-starts, and, filed in a spill
+/// directory under the key a request for its unit resolves to, restores
+/// and serves; every frame matches the plain pass bit for bit.
+TEST(Snapshot, VariantsFileLoadsAndServesBitIdentically) {
+  const std::string Path = DSPEC_TEST_DATA_DIR "/marble_8x6_variants.dsnp";
+  SnapshotFileInfo FileInfo;
+  std::string Error;
+  ASSERT_TRUE(inspectSnapshotFile(Path, FileInfo, &Error)) << Error;
+  ASSERT_EQ(FileInfo.Sections.size(), 6u);
+  EXPECT_STREQ(snapshotSectionName(FileInfo.Sections[4].Id), "VARIANTS");
+  for (const SnapshotSectionInfo &S : FileInfo.Sections)
+    EXPECT_TRUE(S.CrcOk) << snapshotSectionName(S.Id);
+
+  SpecializationSnapshot Snap;
+  ASSERT_TRUE(readSnapshotFile(Path, Snap, &Error)) << Error;
+  EXPECT_EQ(Snap.Meta.FragmentName, "marble");
+  EXPECT_EQ(Snap.Meta.GridWidth, 8u);
+  EXPECT_EQ(Snap.Meta.GridHeight, 6u);
+
+  // Frames at a varying value other than the one the loader ran with.
+  const ShaderInfo *Info = findShader("marble");
+  ASSERT_NE(Info, nullptr);
+  std::vector<float> Controls = ShaderLab::defaultControls(*Info);
+  ASSERT_EQ(Snap.Meta.Controls, Controls);
+  Controls[0] = Info->Controls[0].SweepMax;
+  RenderGrid Grid(8, 6);
+  auto Unit = parseUnit(Info->Source);
+  ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
+  auto Original = compileFunction(*Unit, Info->Name);
+  ASSERT_TRUE(Original.has_value());
+  RenderEngine Engine(1);
+  Framebuffer Plain(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.plainPass(*Original, Grid, Controls, &Plain));
+
+  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
+  ASSERT_TRUE(Warm.has_value()) << Error;
+  Framebuffer WarmFrame(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
+                                Warm->Arena, &WarmFrame))
+      << Engine.lastTrap();
+  expectSameImage(Plain, WarmFrame, "warm start");
+
+  RenderRequest Request;
+  Request.Shader = Info->Name;
+  Request.Width = Grid.width();
+  Request.Height = Grid.height();
+  Request.Varying = Snap.Meta.VaryingParams;
+  Request.Controls = Controls;
+  UnitKey Key;
+  Key.Shader = Info->Name;
+  Key.InvariantHash = invariantHash(*Info, Request.Width, Request.Height,
+                                    Request.Varying, Request.Controls);
+  Key.OptionsFingerprint = optionsFingerprint(Request.toOptions());
+  ServiceConfig Config;
+  Config.SpillDir = tempPath("variants_spill");
+  std::string Filed;
+  {
+    SpillStore Names;
+    ASSERT_TRUE(Names.open(Config.SpillDir, /*MaxBytes=*/0, &Error)) << Error;
+    Filed = Names.pathFor(Key);
+  }
+  spit(Filed, slurp(Path));
+
+  SpecializationService Service(Config);
+  RenderReply Reply = Service.render(Request);
+  ASSERT_TRUE(Reply.ok()) << Reply.Error;
+  expectSameImage(Plain, Reply.toFramebuffer(), "spill restore");
+  MetricsSnapshot Stats = Service.statsz();
+  EXPECT_EQ(Stats.SpillDiskHits, 1u);
+  EXPECT_EQ(Stats.SpillErrors, 0u);
+  std::remove(Filed.c_str());
+}
+
+//===----------------------------------------------------------------------===//
 // Hostile input: diagnostics, never crashes
 //===----------------------------------------------------------------------===//
 
@@ -416,27 +533,34 @@ TEST(Snapshot, WriterRefusesInconsistentState) {
   };
   const std::string Path = tempPath("writer.dsnap");
   std::string Error;
+  auto Write = [&](const SpecializationSnapshot &Snap) {
+    return writeSnapshotFile(Path,
+                             {Snap.Meta, Snap.Loader, Snap.Reader, Snap.Layout,
+                              Snap.ArenaPixels, Snap.ArenaStride,
+                              Snap.ArenaBytes.data(), Snap.ArenaBytes.size()},
+                             &Error);
+  };
 
-  ASSERT_TRUE(writeSnapshotFile(Path, makeValid(), &Error)) << Error;
+  ASSERT_TRUE(Write(makeValid())) << Error;
 
   auto BadStride = makeValid();
   BadStride.ArenaStride += 4;
   BadStride.ArenaBytes.assign(size_t(4) * BadStride.ArenaStride, 0);
-  EXPECT_FALSE(writeSnapshotFile(Path, BadStride, &Error));
+  EXPECT_FALSE(Write(BadStride));
 
   auto BadBytes = makeValid();
   BadBytes.ArenaBytes.pop_back();
-  EXPECT_FALSE(writeSnapshotFile(Path, BadBytes, &Error));
+  EXPECT_FALSE(Write(BadBytes));
 
   auto BadGrid = makeValid();
   BadGrid.Meta.GridWidth = 3;
-  EXPECT_FALSE(writeSnapshotFile(Path, BadGrid, &Error));
+  EXPECT_FALSE(Write(BadGrid));
 
   auto BadChunk = makeValid();
   BadChunk.Reader.Code.clear();
   BadChunk.Reader.Code.push_back({OpCode::OC_Const, 99, 0, 0});
   BadChunk.Reader.Code.push_back({OpCode::OC_Return, 0, 0, 0});
-  EXPECT_FALSE(writeSnapshotFile(Path, BadChunk, &Error));
+  EXPECT_FALSE(Write(BadChunk));
   EXPECT_NE(Error.find("broken chunk"), std::string::npos) << Error;
 
   std::remove(Path.c_str());

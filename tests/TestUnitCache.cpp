@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "service/SpillStore.h"
 #include "service/UnitCache.h"
 
 #include <gtest/gtest.h>
@@ -188,25 +189,20 @@ TEST(UnitCache, FingerprintDriftsOnEveryOptionField) {
   }
 }
 
-TEST(UnitCache, VariantKeySeparatesEntries) {
-  // Keys identical except for the property variant must not share a
-  // cache entry: the units hold different readers.
-  UnitKey Generic = keyFor("a", 7, 9);
-  UnitKey Pinned = keyFor("a", 7, 9);
-  Pinned.Variant.Pins = {{4, ParamProp::PP_Zero}};
-  Pinned.Variant.canonicalize();
-  ASSERT_FALSE(Generic == Pinned);
-  EXPECT_NE(UnitKeyHasher()(Generic), UnitKeyHasher()(Pinned));
+TEST(UnitCache, KeyHashesAndSpillNamesStayPinned) {
+  // Computed by the build that still had property variants, whose every
+  // key carried the generic variant: perfbench picks units per shard
+  // through UnitKeyHasher, and spill files are found again by name, so
+  // neither value may move.
+  EXPECT_EQ(UnitKeyHasher()(keyFor("a", 7, 9)), 0x2746c1984966a857ull);
+  EXPECT_EQ(UnitKeyHasher()(keyFor("marble", 1, 1)), 0xb2345ca88395e5c9ull);
 
-  UnitCache Cache(8, 1);
-  std::atomic<unsigned> Builds{0};
-  bool WasHit = true;
-  Cache.getOrBuild(Generic, builderFor("a", &Builds), &WasHit);
-  EXPECT_FALSE(WasHit);
-  Cache.getOrBuild(Pinned, builderFor("a", &Builds), &WasHit);
-  EXPECT_FALSE(WasHit);
-  EXPECT_EQ(Builds, 2u);
-  EXPECT_EQ(Cache.stats().Entries, 2u);
+  SpillStore Store;
+  std::string Error;
+  const std::string Dir = testing::TempDir() + "dspec_spill_names";
+  ASSERT_TRUE(Store.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  EXPECT_EQ(Store.pathFor(keyFor("marble", 1, 1)),
+            Dir + "/71b395d967bc4040.dsnp");
 }
 
 TEST(UnitCache, ConcurrentDistinctKeysOnOneShardStayCoherent) {

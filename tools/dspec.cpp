@@ -30,12 +30,10 @@
 ///         [--threads N] [--tile PIXELS] [--cache-units N] [--queue N]
 ///         [--dispatchers N] [--exec-tier switch|batched]
 ///         [--quota-rps R] [--quota-burst B] [--client-queue N]
-///         [--read-deadline MS] [--stream-chunk PIXELS]
-///         [--spill-dir PATH] [--spill-cap-mb N]
+///         [--read-deadline MS] [--spill-dir PATH] [--spill-cap-mb N]
 ///   dspec request (--socket PATH | --tcp HOST:PORT) --gallery SHADER
 ///         [--width W] [--height H] [--vary P1[,P2...]] [--controls v1,...]
-///         [--deadline MS] [--repeat N] [--stream] [--check-plain]
-///         [--ppm PATH]
+///         [--deadline MS] [--repeat N] [--check-plain] [--ppm PATH]
 ///   dspec request (--socket PATH | --tcp HOST:PORT) --statsz
 ///
 /// Exit codes (uniform across every subcommand):
@@ -86,28 +84,25 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s FILE --fragment NAME --vary P1[,P2...]\n"
       "            [--limit BYTES] [--llc-bytes N|auto --arena-pixels N]\n"
-      "            [--reassoc] [--no-phi] [--speculate]\n"
-      "            [--explain] [--variants N]\n"
+      "            [--reassoc] [--no-phi] [--speculate] [--explain]\n"
       "            [--show-normalized] [--stats]\n"
       "       %s snapshot save (--gallery SHADER | FILE --fragment NAME)\n"
       "            --out SNAP [--vary P1[,P2...]] [--width W] [--height H]\n"
       "            [--controls v1,v2,...] [--limit BYTES] [--reassoc]\n"
-      "            [--no-phi] [--speculate] [--variants N]\n"
+      "            [--no-phi] [--speculate]\n"
       "       %s snapshot info SNAP\n"
       "       %s snapshot verify SNAP\n"
       "       %s serve (--socket PATH | --listen HOST:PORT) [--io-threads N]\n"
       "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
-      "            [--variants N]\n"
       "            [--exec-tier switch|batched] [--quota-rps R]\n"
       "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
-      "            [--stream-chunk PIXELS] [--spill-dir PATH]\n"
-      "            [--spill-cap-mb N]\n"
+      "            [--spill-dir PATH] [--spill-cap-mb N]\n"
       "       %s request (--socket PATH | --tcp HOST:PORT) --gallery SHADER\n"
       "            [--width W] [--height H] [--vary P1[,P2...]]\n"
       "            [--controls v1,...] [--deadline MS] [--repeat N]\n"
-      "            [--stream] [--check-plain] [--ppm PATH] [--variants N]\n"
+      "            [--check-plain] [--ppm PATH]\n"
       "       %s request (--socket PATH | --tcp HOST:PORT) --statsz\n"
       "\n"
       "Splits the named dsc function into a cache loader and cache reader\n"
@@ -117,9 +112,6 @@ void usage(const char *Argv0) {
       "arena so fresh processes warm-start straight into reader frames.\n"
       "The serve/request subcommands run the specialization service: a\n"
       "long-lived daemon with a keyed cache of specialization units.\n"
-      "--variants N enables polyvariant specialization: up to N\n"
-      "property-keyed reader variants (parameter pinned to 0 or 1) beside\n"
-      "the generic one.\n"
       "\n"
       "exit codes: 0 success, 1 usage error, 2 runtime/verify failure\n",
       Argv0, Argv0, Argv0, Argv0, Argv0, Argv0, Argv0);
@@ -144,7 +136,6 @@ int snapshotSave(int Argc, char **Argv) {
   std::vector<float> UserControls;
   bool HaveUserControls = false;
   unsigned Width = 48, Height = 32;
-  unsigned VariantCount = 0;
   SpecializerOptions Options;
 
   for (int I = 0; I < Argc; ++I) {
@@ -183,9 +174,6 @@ int snapshotSave(int Argc, char **Argv) {
       Options.EnableJoinNormalize = false;
     } else if (std::strcmp(Arg, "--speculate") == 0) {
       Options.AllowSpeculation = true;
-    } else if (std::strcmp(Arg, "--variants") == 0) {
-      VariantCount =
-          static_cast<unsigned>(std::strtoul(NextValue(), nullptr, 10));
     } else if (Arg[0] == '-') {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg);
       return kExitUsage;
@@ -281,43 +269,6 @@ int snapshotSave(int Argc, char **Argv) {
     return kExitFailure;
   }
 
-  // Polyvariant save: build the property-keyed variant set and run the
-  // loader for each variant so every one warm-starts from the file.
-  std::vector<SnapshotVariant> SnapVariants;
-  if (VariantCount > 1) {
-    VariantSetOptions VOptions;
-    VOptions.MaxVariants = VariantCount;
-    auto Set = specializeAndCompileVariants(*Unit, Fragment, Varying, Options,
-                                            VOptions);
-    if (!Set) {
-      std::fprintf(stderr, "%s", Unit->Diags.str().c_str());
-      return kExitFailure;
-    }
-    for (CompiledVariant &V : Set->Variants) {
-      if (V.Key.isGeneric())
-        continue;
-      SnapshotVariant SV;
-      SV.Key = V.Key;
-      SV.Label = V.Label;
-      SV.Layout = V.Compiled.Spec.Layout;
-      SV.Loader = std::move(V.Compiled.LoaderChunk);
-      SV.Reader = std::move(V.Compiled.ReaderChunk);
-      CacheArena VariantArena;
-      if (!Engine.loaderPass(SV.Loader, SV.Layout, Grid, Controls,
-                             VariantArena)) {
-        std::fprintf(stderr, "error: loader pass for variant '%s' trapped: "
-                             "%s\n",
-                     SV.Label.c_str(), Engine.lastTrap().c_str());
-        return kExitFailure;
-      }
-      SV.ArenaPixels = VariantArena.pixelCount();
-      SV.ArenaStride = VariantArena.strideBytes();
-      SV.ArenaBytes.assign(VariantArena.raw(),
-                           VariantArena.raw() + VariantArena.totalBytes());
-      SnapVariants.push_back(std::move(SV));
-    }
-  }
-
   SnapshotMeta Meta = SnapshotMeta::fromOptions(Options);
   Meta.FragmentName = Fragment;
   Meta.VaryingParams = Varying;
@@ -328,7 +279,7 @@ int snapshotSave(int Argc, char **Argv) {
   std::string Error;
   if (!RenderEngine::saveSnapshot(OutPath, Meta, Spec->LoaderChunk,
                                   Spec->ReaderChunk, Spec->Spec.Layout, Arena,
-                                  SnapVariants, &Error)) {
+                                  &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return kExitFailure;
   }
@@ -339,9 +290,6 @@ int snapshotSave(int Argc, char **Argv) {
   std::printf("; %ux%u pixels x %uB cache = %zu arena bytes (%s)\n", Width,
               Height, Spec->Spec.Layout.totalBytes(), Arena.totalBytes(),
               Meta.optionsSummary().c_str());
-  for (const SnapshotVariant &SV : SnapVariants)
-    std::printf("  + variant %-20s %uB/pixel cache\n", SV.Label.c_str(),
-                SV.ArenaStride);
   return kExitOk;
 }
 
@@ -386,12 +334,6 @@ int snapshotInfo(const char *Path) {
   for (const CacheSlot &Slot : Snap.Layout.slots())
     std::printf("    slot%-3u %-6s offset %u\n", Slot.Index,
                 Slot.SlotType.name(), Slot.Offset);
-  if (!Snap.Variants.empty()) {
-    std::printf("  %zu property variant(s):\n", Snap.Variants.size());
-    for (const SnapshotVariant &V : Snap.Variants)
-      std::printf("    %-20s reader %zu instrs, %uB/pixel cache\n",
-                  V.Label.c_str(), V.Reader.Code.size(), V.ArenaStride);
-  }
   return kExitOk;
 }
 
@@ -480,8 +422,6 @@ int serveMain(int Argc, char **Argv) {
       Net.MaxClientQueue = NextUnsigned();
     else if (std::strcmp(Arg, "--read-deadline") == 0)
       Net.ReadDeadlineMillis = NextUnsigned();
-    else if (std::strcmp(Arg, "--stream-chunk") == 0)
-      Net.StreamChunkPixels = NextUnsigned();
     else if (std::strcmp(Arg, "--spill-dir") == 0)
       Config.SpillDir = NextValue();
     else if (std::strcmp(Arg, "--spill-cap-mb") == 0)
@@ -498,8 +438,6 @@ int serveMain(int Argc, char **Argv) {
       Config.QueueCapacity = NextUnsigned();
     else if (std::strcmp(Arg, "--dispatchers") == 0)
       Config.Dispatchers = NextUnsigned();
-    else if (std::strcmp(Arg, "--variants") == 0)
-      Config.MaxVariantPins = NextUnsigned();
     else if (std::strcmp(Arg, "--exec-tier") == 0) {
       const char *Name = NextValue();
       if (!parseExecTier(Name, Config.Tier)) {
@@ -651,8 +589,6 @@ int requestMain(int Argc, char **Argv) {
       SocketPath = NextValue();
     else if (std::strcmp(Arg, "--tcp") == 0)
       TcpHostPort = NextValue();
-    else if (std::strcmp(Arg, "--stream") == 0)
-      Request.StreamTiles = true;
     else if (std::strcmp(Arg, "--gallery") == 0)
       GalleryName = NextValue();
     else if (std::strcmp(Arg, "--statsz") == 0)
@@ -676,9 +612,6 @@ int requestMain(int Argc, char **Argv) {
           static_cast<uint32_t>(std::strtoul(NextValue(), nullptr, 10));
     else if (std::strcmp(Arg, "--repeat") == 0)
       Repeat = static_cast<unsigned>(std::strtoul(NextValue(), nullptr, 10));
-    else if (std::strcmp(Arg, "--variants") == 0)
-      Request.VariantPins =
-          static_cast<uint32_t>(std::strtoul(NextValue(), nullptr, 10));
     else if (std::strcmp(Arg, "--check-plain") == 0)
       CheckPlain = true;
     else if (std::strcmp(Arg, "--ppm") == 0)
@@ -778,7 +711,7 @@ int requestMain(int Argc, char **Argv) {
     uint32_t PixelCrc =
         crc32(Reply->Pixels.data(), Reply->Pixels.size() * sizeof(float));
     // Two latencies per frame: what the service measured and what this
-    // client saw wall-to-wall (framing, transport, reassembly included).
+    // client saw wall-to-wall (framing and transport included).
     std::printf("%s frame %u: %ux%u, %s, service %.3f ms, client %.3f ms, "
                 "pixels crc32 %08x\n",
                 Info->Name.c_str(), Frame, Reply->Width, Reply->Height,
@@ -828,7 +761,6 @@ int main(int Argc, char **Argv) {
   SpecializerOptions Options;
   bool ShowNormalized = false;
   bool ShowStats = false;
-  unsigned VariantCount = 0;
 
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -865,9 +797,6 @@ int main(int Argc, char **Argv) {
       ShowNormalized = true;
     } else if (std::strcmp(Arg, "--explain") == 0) {
       Options.CollectExplanation = true;
-    } else if (std::strcmp(Arg, "--variants") == 0) {
-      VariantCount =
-          static_cast<unsigned>(std::strtoul(NextValue(), nullptr, 10));
     } else if (std::strcmp(Arg, "--stats") == 0) {
       ShowStats = true;
     } else if (std::strcmp(Arg, "--help") == 0) {
@@ -926,23 +855,6 @@ int main(int Argc, char **Argv) {
     std::printf("//   slot%-3u %-6s offset %u%s\n", Slot.Index,
                 Slot.SlotType.name(), Slot.Offset,
                 Slot.isCold() ? "  (cold)" : "");
-
-  // The polyvariant view: build the property-keyed variant set and print
-  // its table whenever variants were requested or an explanation was.
-  if (VariantCount > 1 || Options.CollectExplanation) {
-    VariantSetOptions VOptions;
-    if (VariantCount > 1)
-      VOptions.MaxVariants = VariantCount;
-    SpecializerOptions VariantOptions = Options;
-    VariantOptions.CollectExplanation = false; // table only
-    auto Set = specializeAndCompileVariants(*Unit, FragmentName, Varying,
-                                            VariantOptions, VOptions);
-    if (!Set) {
-      std::fprintf(stderr, "%s", Unit->Diags.str().c_str());
-      return kExitFailure;
-    }
-    std::printf("\n%s", Set->Table.c_str());
-  }
 
   if (Options.CollectExplanation) {
     std::printf("\n%s", Spec->Spec.Explanation.c_str());
