@@ -58,6 +58,13 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(ArenaMaxHotFrameBytes),
       static_cast<unsigned long long>(ArenaLlcBytes),
       ArenaFitsLlc ? "true" : "false");
+  std::string Served;
+  for (uint64_t N : DispatcherServed)
+    Served += (Served.empty() ? "" : ",") + std::to_string(N);
+  std::string DispatchersJson = formatString(
+      "\"dispatchers\":{\"count\":%llu,\"idle\":%llu,\"served\":[%s]}",
+      static_cast<unsigned long long>(DispatcherServed.size()),
+      static_cast<unsigned long long>(IdleDispatchers), Served.c_str());
   return formatString(
       "{\"requests\":{\"total\":%llu,\"ok\":%llu,\"cache_hit\":%llu,"
       "\"loader_frame_replies\":%llu,\"bad_request\":%llu,"
@@ -70,6 +77,7 @@ std::string MetricsSnapshot::toJson() const {
       "\"exec_tier\":\"%s\","
       "%s,"
       "\"queue_depth\":%llu,"
+      "%s,"
       "\"latency_seconds\":{\"samples\":%llu,\"p50\":%.9f,\"p95\":%.9f,"
       "\"p99\":%.9f}%s}",
       static_cast<unsigned long long>(RequestsTotal),
@@ -91,7 +99,7 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(Cache.Entries),
       static_cast<unsigned long long>(CacheCapacity), cacheHitRate(),
       SpillJson.c_str(), ExecTier.c_str(), ArenaJson.c_str(),
-      static_cast<unsigned long long>(QueueDepth),
+      static_cast<unsigned long long>(QueueDepth), DispatchersJson.c_str(),
       static_cast<unsigned long long>(LatencySamples), LatencyP50, LatencyP95,
       LatencyP99, NetSection.c_str());
 }

@@ -80,6 +80,10 @@ struct MetricsSnapshot {
   bool ArenaFitsLlc = true;
 
   uint64_t QueueDepth = 0;
+  /// Dispatchers parked on an empty queue, and the requests each
+  /// dispatcher has finished (its size is the dispatcher count).
+  uint64_t IdleDispatchers = 0;
+  std::vector<uint64_t> DispatcherServed;
   uint64_t LatencySamples = 0;
   double LatencyP50 = 0.0;
   double LatencyP95 = 0.0;

@@ -37,15 +37,13 @@ SpecializationService::SpecializationService(const ServiceConfig &InConfig)
     // An unopenable spill dir degrades to no spilling, not to a dead
     // service — same posture as any other best-effort cache tier.
   }
-  Engines.reserve(Config.Dispatchers);
+  Dispatchers.reserve(Config.Dispatchers);
   for (unsigned I = 0; I < Config.Dispatchers; ++I) {
-    Engines.push_back(std::make_unique<RenderEngine>(Config.RenderThreads,
-                                                     Config.TilePixels));
-    Engines.back()->setExecTier(Config.Tier);
+    Dispatchers.push_back(std::make_unique<Dispatcher>(Config));
+    Dispatchers.back()->Engine.setExecTier(Config.Tier);
   }
-  DispatcherThreads.reserve(Config.Dispatchers);
-  for (unsigned I = 0; I < Config.Dispatchers; ++I)
-    DispatcherThreads.emplace_back([this, I] { dispatcherLoop(I); });
+  for (std::unique_ptr<Dispatcher> &D : Dispatchers)
+    D->Thread = std::thread([this, &Self = *D] { dispatcherLoop(Self); });
 }
 
 SpecializationService::~SpecializationService() { drain(); }
@@ -55,12 +53,14 @@ void SpecializationService::drain() {
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     Draining = true;
+    for (std::unique_ptr<Dispatcher> &D : Dispatchers)
+      D->Signalled = true;
   }
-  QueueReady.notify_all();
-  for (std::thread &T : DispatcherThreads)
-    if (T.joinable())
-      T.join();
-  DispatcherThreads.clear();
+  for (std::unique_ptr<Dispatcher> &D : Dispatchers)
+    D->Wake.notify_one();
+  for (std::unique_ptr<Dispatcher> &D : Dispatchers)
+    if (D->Thread.joinable())
+      D->Thread.join();
 }
 
 bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
@@ -135,6 +135,7 @@ void SpecializationService::submitAsync(RenderRequest Request,
         P->Enqueued + std::chrono::milliseconds(P->Request.DeadlineMillis);
   }
 
+  Dispatcher *Woken = nullptr;
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (Draining) {
@@ -152,8 +153,14 @@ void SpecializationService::submitAsync(RenderRequest Request,
       return;
     }
     Queue.push_back(std::move(P));
+    if (!Idle.empty()) {
+      Woken = Idle.back();
+      Idle.pop_back();
+      Woken->Signalled = true;
+    }
   }
-  QueueReady.notify_one();
+  if (Woken)
+    Woken->Wake.notify_one();
 }
 
 std::future<RenderReply> SpecializationService::submit(RenderRequest Request) {
@@ -273,13 +280,21 @@ void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
   P.Done(std::move(Reply));
 }
 
-void SpecializationService::dispatcherLoop(unsigned DispatcherIndex) {
-  RenderEngine &Engine = *Engines[DispatcherIndex];
+void SpecializationService::dispatcherLoop(Dispatcher &Self) {
   while (true) {
     std::vector<std::unique_ptr<Pending>> Batch;
     {
       std::unique_lock<std::mutex> Lock(QueueMutex);
-      QueueReady.wait(Lock, [&] { return !Queue.empty() || Draining; });
+      // Park only on an empty queue, so a dispatcher that just finished
+      // a batch takes queued work without sleeping. A wake-up whose work
+      // another dispatcher already took parks again.
+      while (Queue.empty() && !Draining) {
+        Idle.push_back(&Self);
+        Self.Wake.wait(Lock, [&] { return Self.Signalled; });
+        Self.Signalled = false;
+      }
+      if (Draining) // woken by drain, not popped by a submission
+        Idle.erase(std::remove(Idle.begin(), Idle.end(), &Self), Idle.end());
       if (Queue.empty())
         return; // draining and nothing left
       Batch.push_back(std::move(Queue.front()));
@@ -296,54 +311,60 @@ void SpecializationService::dispatcherLoop(unsigned DispatcherIndex) {
         }
       }
     }
-
-    // Shed batch members whose queue deadline already passed — spending
-    // render time on an answer nobody is waiting for starves the rest of
-    // the queue.
-    Clock::time_point Now = Clock::now();
-    std::vector<std::unique_ptr<Pending>> Live;
-    for (std::unique_ptr<Pending> &P : Batch) {
-      if (P->HasDeadline && Now > P->Deadline) {
-        Metrics.recordShedDeadline();
-        reject(*P, RenderStatus::ShedDeadline,
-               "deadline of " + std::to_string(P->Request.DeadlineMillis) +
-                   "ms exceeded while queued");
-      } else {
-        Live.push_back(std::move(P));
-      }
-    }
-    if (Live.empty())
-      continue;
-
-    bool WasHit = false;
-    bool FromDisk = false;
-    // Filled only when this dispatcher built the unit: the batch leader's
-    // frame, rendered by the loader pass at the leader's controls.
-    std::optional<Framebuffer> LoaderFrame;
-    std::string Error;
-    UnitPtr Unit = Cache.getOrBuild(
-        Live.front()->Key,
-        [&](std::string &BuildError) {
-          // Disk first: a warm spilled unit is a restore, not a rebuild.
-          return loadOrBuildUnit(*Live.front(), Engine, FromDisk,
-                                 LoaderFrame, BuildError);
-        },
-        &WasHit, &Error);
-    if (!Unit) {
-      for (std::unique_ptr<Pending> &P : Live) {
-        Metrics.recordSpecializeError(secondsSince(P->Enqueued));
-        reject(*P, RenderStatus::SpecializeError, Error);
-      }
-      continue;
-    }
-    for (size_t I = 0; I < Live.size(); ++I)
-      // Followers batched behind the leader never pay a build themselves;
-      // a disk restore counts as a hit too — no specializer ran. Only
-      // the leader's controls match the loader frame; followers, hits,
-      // coalesced waits and restores run the reader.
-      finish(*Live[I], Unit, WasHit || FromDisk || I > 0, Engine,
-             I == 0 && LoaderFrame ? &*LoaderFrame : nullptr);
+    size_t Taken = Batch.size();
+    serveBatch(std::move(Batch), Self.Engine);
+    Self.Served += Taken;
   }
+}
+
+void SpecializationService::serveBatch(
+    std::vector<std::unique_ptr<Pending>> Batch, RenderEngine &Engine) {
+  // Shed batch members whose queue deadline already passed — spending
+  // render time on an answer nobody is waiting for starves the rest of
+  // the queue.
+  Clock::time_point Now = Clock::now();
+  std::vector<std::unique_ptr<Pending>> Live;
+  for (std::unique_ptr<Pending> &P : Batch) {
+    if (P->HasDeadline && Now > P->Deadline) {
+      Metrics.recordShedDeadline();
+      reject(*P, RenderStatus::ShedDeadline,
+             "deadline of " + std::to_string(P->Request.DeadlineMillis) +
+                 "ms exceeded while queued");
+    } else {
+      Live.push_back(std::move(P));
+    }
+  }
+  if (Live.empty())
+    return;
+
+  bool WasHit = false;
+  bool FromDisk = false;
+  // Filled only when this dispatcher built the unit: the batch leader's
+  // frame, rendered by the loader pass at the leader's controls.
+  std::optional<Framebuffer> LoaderFrame;
+  std::string Error;
+  UnitPtr Unit = Cache.getOrBuild(
+      Live.front()->Key,
+      [&](std::string &BuildError) {
+        // Disk first: a warm spilled unit is a restore, not a rebuild.
+        return loadOrBuildUnit(*Live.front(), Engine, FromDisk, LoaderFrame,
+                               BuildError);
+      },
+      &WasHit, &Error);
+  if (!Unit) {
+    for (std::unique_ptr<Pending> &P : Live) {
+      Metrics.recordSpecializeError(secondsSince(P->Enqueued));
+      reject(*P, RenderStatus::SpecializeError, Error);
+    }
+    return;
+  }
+  for (size_t I = 0; I < Live.size(); ++I)
+    // Followers batched behind the leader never pay a build themselves;
+    // a disk restore counts as a hit too — no specializer ran. Only
+    // the leader's controls match the loader frame; followers, hits,
+    // coalesced waits and restores run the reader.
+    finish(*Live[I], Unit, WasHit || FromDisk || I > 0, Engine,
+           I == 0 && LoaderFrame ? &*LoaderFrame : nullptr);
 }
 
 MetricsSnapshot SpecializationService::statsz() const {
@@ -353,7 +374,10 @@ MetricsSnapshot SpecializationService::statsz() const {
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     Out.QueueDepth = Queue.size();
+    Out.IdleDispatchers = Idle.size();
   }
+  for (const std::unique_ptr<Dispatcher> &D : Dispatchers)
+    Out.DispatcherServed.push_back(D->Served);
   if (Spill) {
     SpillStore::Stats S = Spill->stats();
     Out.SpillEnabled = true;

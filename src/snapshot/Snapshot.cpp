@@ -11,9 +11,14 @@
 #include "support/Crc32.h"
 #include "vm/Serde.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace dspec;
 
@@ -35,26 +40,55 @@ bool setError(std::string *Error, const std::string &Message) {
   return false;
 }
 
-/// Reads a whole file; empty optional on I/O failure.
-bool readWholeFile(const std::string &Path, std::vector<unsigned char> &Out,
-                   std::string *Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return setError(Error, "cannot open '" + Path + "'");
-  std::fseek(File, 0, SEEK_END);
-  long Size = std::ftell(File);
-  std::fseek(File, 0, SEEK_SET);
-  if (Size < 0 || static_cast<uint64_t>(Size) > kMaxFileBytes) {
-    std::fclose(File);
-    return setError(Error, "'" + Path + "' is not a plausible snapshot size");
+/// A snapshot file opened for reads at known offsets, so each section
+/// lands straight in the buffer that keeps it.
+class SnapshotFile {
+public:
+  SnapshotFile() = default;
+  SnapshotFile(const SnapshotFile &) = delete;
+  SnapshotFile &operator=(const SnapshotFile &) = delete;
+  ~SnapshotFile() {
+    if (Fd >= 0)
+      ::close(Fd);
   }
-  Out.resize(static_cast<size_t>(Size));
-  size_t Read = Size == 0 ? 0 : std::fread(Out.data(), 1, Out.size(), File);
-  std::fclose(File);
-  if (Read != Out.size())
-    return setError(Error, "short read from '" + Path + "'");
-  return true;
-}
+
+  bool open(const std::string &InPath, std::string *Error) {
+    Path = InPath;
+    Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (Fd < 0)
+      return setError(Error, "cannot open '" + Path + "'");
+    struct stat St;
+    if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode) ||
+        static_cast<uint64_t>(St.st_size) > kMaxFileBytes)
+      return setError(Error, "'" + Path + "' is not a plausible snapshot size");
+    Size = static_cast<uint64_t>(St.st_size);
+    return true;
+  }
+
+  uint64_t size() const { return Size; }
+
+  /// Reads exactly \p Bytes at \p Offset into \p Out.
+  bool readAt(uint64_t Offset, void *Out, size_t Bytes,
+              std::string *Error) const {
+    auto *Dest = static_cast<unsigned char *>(Out);
+    while (Bytes > 0) {
+      ssize_t Got = ::pread(Fd, Dest, Bytes, static_cast<off_t>(Offset));
+      if (Got < 0 && errno == EINTR)
+        continue;
+      if (Got <= 0)
+        return setError(Error, "short read from '" + Path + "'");
+      Dest += Got;
+      Offset += static_cast<uint64_t>(Got);
+      Bytes -= static_cast<size_t>(Got);
+    }
+    return true;
+  }
+
+private:
+  std::string Path;
+  int Fd = -1;
+  uint64_t Size = 0;
+};
 
 void serializeMeta(ByteWriter &Writer, const SnapshotParts &Parts) {
   const SnapshotMeta &Meta = Parts.Meta;
@@ -132,27 +166,33 @@ bool deserializeMeta(ByteReader &Reader, SpecializationSnapshot &Snap,
   return true;
 }
 
-/// Parsed header + bounds/CRC-validated section table over a file image.
+/// Parsed header + bounds-validated section table. A section's CrcOk is
+/// set once its payload has been read (readSection).
 struct ParsedContainer {
   uint32_t FormatVersion = 0;
   std::vector<SnapshotSectionInfo> Sections;
 
-  const SnapshotSectionInfo *find(SnapshotSection Id) const {
-    for (const SnapshotSectionInfo &S : Sections)
+  SnapshotSectionInfo *find(SnapshotSection Id) {
+    for (SnapshotSectionInfo &S : Sections)
       if (S.Id == static_cast<uint32_t>(Id))
         return &S;
     return nullptr;
   }
 };
 
-bool parseContainer(const std::vector<unsigned char> &Image,
-                    ParsedContainer &Out, std::string *Error) {
-  if (Image.size() < kHeaderBytes)
+/// Reads and validates the header and section table: every section
+/// must lie inside the file.
+bool parseContainer(const SnapshotFile &File, ParsedContainer &Out,
+                    std::string *Error) {
+  if (File.size() < kHeaderBytes)
     return setError(Error, "file is too short to hold a snapshot header");
-  if (std::memcmp(Image.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
+  unsigned char Head[kHeaderBytes];
+  if (!File.readAt(0, Head, kHeaderBytes, Error))
+    return false;
+  if (std::memcmp(Head, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
     return setError(Error, "bad magic; not a dataspec snapshot");
 
-  ByteReader Header(Image.data() + sizeof(kSnapshotMagic),
+  ByteReader Header(Head + sizeof(kSnapshotMagic),
                     kHeaderBytes - sizeof(kSnapshotMagic));
   Out.FormatVersion = Header.readU32();
   uint32_t SectionCount = Header.readU32();
@@ -169,11 +209,14 @@ bool parseContainer(const std::vector<unsigned char> &Image,
                                std::to_string(SectionCount));
   uint64_t TableEnd =
       kHeaderBytes + static_cast<uint64_t>(SectionCount) * kTableEntryBytes;
-  if (TableEnd > Image.size())
+  if (TableEnd > File.size())
     return setError(Error, "section table is truncated");
 
-  ByteReader Table(Image.data() + kHeaderBytes,
-                   static_cast<size_t>(TableEnd) - kHeaderBytes);
+  std::vector<unsigned char> TableBytes(
+      static_cast<size_t>(TableEnd) - kHeaderBytes);
+  if (!File.readAt(kHeaderBytes, TableBytes.data(), TableBytes.size(), Error))
+    return false;
+  ByteReader Table(TableBytes.data(), TableBytes.size());
   for (uint32_t I = 0; I < SectionCount; ++I) {
     SnapshotSectionInfo Section;
     Section.Id = Table.readU32();
@@ -181,20 +224,28 @@ bool parseContainer(const std::vector<unsigned char> &Image,
     Section.Offset = Table.readU64();
     Section.Bytes = Table.readU64();
     Section.StoredCrc = Table.readU32();
-    if (Section.Offset < TableEnd || Section.Offset > Image.size() ||
-        Section.Bytes > Image.size() - Section.Offset)
+    if (Section.Offset < TableEnd || Section.Offset > File.size() ||
+        Section.Bytes > File.size() - Section.Offset)
       return setError(Error, std::string(snapshotSectionName(Section.Id)) +
                                  " section lies outside the file");
-    Section.CrcOk =
-        crc32(Image.data() + Section.Offset,
-              static_cast<size_t>(Section.Bytes)) == Section.StoredCrc;
     Out.Sections.push_back(Section);
   }
   return true;
 }
 
+/// Reads \p Section's payload into \p Out and checks its CRC there.
+template <typename Buffer>
+bool readSection(const SnapshotFile &File, SnapshotSectionInfo &Section,
+                 Buffer &Out, std::string *Error) {
+  Out.resize(static_cast<size_t>(Section.Bytes));
+  if (!File.readAt(Section.Offset, Out.data(), Out.size(), Error))
+    return false;
+  Section.CrcOk = crc32(Out.data(), Out.size()) == Section.StoredCrc;
+  return true;
+}
+
 /// Locates a required section and rejects CRC mismatches.
-const SnapshotSectionInfo *requireSection(const ParsedContainer &Container,
+const SnapshotSectionInfo *requireSection(ParsedContainer &Container,
                                           SnapshotSection Id,
                                           std::string *Error) {
   const SnapshotSectionInfo *Section = Container.find(Id);
@@ -341,13 +392,28 @@ bool dspec::writeSnapshotFile(const std::string &Path,
 bool dspec::readSnapshotFile(const std::string &Path,
                              SpecializationSnapshot &Out, std::string *Error) {
   Out = SpecializationSnapshot();
-  std::vector<unsigned char> Image;
-  if (!readWholeFile(Path, Image, Error))
+  SnapshotFile File;
+  ParsedContainer Container;
+  if (!File.open(Path, Error) || !parseContainer(File, Container, Error))
     return false;
 
-  ParsedContainer Container;
-  if (!parseContainer(Image, Container, Error))
-    return false;
+  // Each section this build decodes is read into its own buffer, the
+  // arena into the one a restored unit adopts, so no payload is held or
+  // copied twice. A VARIANTS section, from a file written while property
+  // variants existed, is not read: parseContainer bounds-checked it, and
+  // nothing here needs it.
+  const SnapshotSection Decoded[] = {SnapshotSection::Meta,
+                                     SnapshotSection::Layout,
+                                     SnapshotSection::Loader,
+                                     SnapshotSection::Reader};
+  std::vector<unsigned char> Payloads[std::size(Decoded)];
+  for (size_t I = 0; I < std::size(Decoded); ++I)
+    if (SnapshotSectionInfo *S = Container.find(Decoded[I]))
+      if (!readSection(File, *S, Payloads[I], Error))
+        return false;
+  if (SnapshotSectionInfo *S = Container.find(SnapshotSection::Arena))
+    if (!readSection(File, *S, Out.ArenaBytes, Error))
+      return false;
 
   const SnapshotSectionInfo *Meta =
       requireSection(Container, SnapshotSection::Meta, Error);
@@ -364,27 +430,23 @@ bool dspec::readSnapshotFile(const std::string &Path,
 
   uint32_t LayoutVersion = kLayoutSerdeVersion;
   {
-    ByteReader R(Image.data() + Meta->Offset,
-                 static_cast<size_t>(Meta->Bytes));
+    ByteReader R(Payloads[0].data(), Payloads[0].size());
     if (!deserializeMeta(R, Out, LayoutVersion, Error))
       return false;
   }
   std::string SectionError;
   {
-    ByteReader R(Image.data() + Layout->Offset,
-                 static_cast<size_t>(Layout->Bytes));
+    ByteReader R(Payloads[1].data(), Payloads[1].size());
     if (!deserializeLayout(R, Out.Layout, SectionError, LayoutVersion))
       return setError(Error, SectionError);
   }
   {
-    ByteReader R(Image.data() + Loader->Offset,
-                 static_cast<size_t>(Loader->Bytes));
+    ByteReader R(Payloads[2].data(), Payloads[2].size());
     if (!deserializeChunk(R, Out.Loader, SectionError))
       return setError(Error, "LOADER section: " + SectionError);
   }
   {
-    ByteReader R(Image.data() + Reader->Offset,
-                 static_cast<size_t>(Reader->Bytes));
+    ByteReader R(Payloads[3].data(), Payloads[3].size());
     if (!deserializeChunk(R, Out.Reader, SectionError))
       return setError(Error, "READER section: " + SectionError);
   }
@@ -419,27 +481,22 @@ bool dspec::readSnapshotFile(const std::string &Path,
   if (Out.Loader.NumParams != Out.Reader.NumParams)
     return setError(Error, "loader and reader disagree on the parameter "
                            "count");
-
-  Out.ArenaBytes.assign(Image.data() + Arena->Offset,
-                        Image.data() + Arena->Offset + Arena->Bytes);
-
-  // A VARIANTS section, from a file written while property variants
-  // existed, is read past: parseContainer bounds-checked it, and nothing
-  // here needs it.
   return true;
 }
 
 bool dspec::inspectSnapshotFile(const std::string &Path, SnapshotFileInfo &Out,
                                 std::string *Error) {
   Out = SnapshotFileInfo();
-  std::vector<unsigned char> Image;
-  if (!readWholeFile(Path, Image, Error))
-    return false;
+  SnapshotFile File;
   ParsedContainer Container;
-  if (!parseContainer(Image, Container, Error))
+  if (!File.open(Path, Error) || !parseContainer(File, Container, Error))
     return false;
+  std::vector<unsigned char> Payload;
+  for (SnapshotSectionInfo &S : Container.Sections)
+    if (!readSection(File, S, Payload, Error))
+      return false;
   Out.FormatVersion = Container.FormatVersion;
-  Out.FileBytes = Image.size();
+  Out.FileBytes = File.size();
   Out.Sections = Container.Sections;
   return true;
 }

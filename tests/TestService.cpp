@@ -28,8 +28,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <limits>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -554,6 +556,151 @@ TEST(Service, DrainRejectsNewWorkAndIsIdempotent) {
 }
 
 //===----------------------------------------------------------------------===//
+// Dispatch: two dispatchers, the most recently parked woken first
+//===----------------------------------------------------------------------===//
+
+/// Polls /statsz until every dispatcher is parked on the empty queue.
+/// An in-process caller gets its reply before the dispatcher that sent
+/// it has parked again, and a submission in that gap rightly wakes the
+/// other one.
+::testing::AssertionResult allParked(const SpecializationService &Service) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < Deadline) {
+    MetricsSnapshot Stats = Service.statsz();
+    if (Stats.IdleDispatchers == Stats.DispatcherServed.size())
+      return ::testing::AssertionSuccess();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return ::testing::AssertionFailure() << "dispatchers never all parked";
+}
+
+/// A cold build slow enough to keep one dispatcher busy while a test
+/// acts: rings is the gallery's most expensive shader to specialize.
+RenderRequest coldBuild(const char *Varying) {
+  RenderRequest Request;
+  Request.Shader = "rings";
+  Request.Width = 128;
+  Request.Height = 128;
+  Request.Varying = {Varying};
+  return Request;
+}
+
+TEST(Service, DefaultsToTwoDispatchersOfOneRenderThread) {
+  ServiceConfig Config;
+  EXPECT_EQ(Config.Dispatchers, 2u);
+  EXPECT_EQ(Config.RenderThreads, 1u);
+  SpecializationService Service;
+  ASSERT_TRUE(allParked(Service));
+  MetricsSnapshot Stats = Service.statsz();
+  EXPECT_EQ(Stats.IdleDispatchers, 2u);
+  EXPECT_NE(Stats.toJson().find(
+                "\"dispatchers\":{\"count\":2,\"idle\":2,\"served\":[0,0]}"),
+            std::string::npos)
+      << Stats.toJson();
+}
+
+/// Sequential requests land on the dispatcher that served the previous
+/// one: it parked last, so it is woken first.
+TEST(Service, SequentialRequestsStayOnTheLastParkedDispatcher) {
+  SpecializationService Service;
+  const ShaderInfo *Info = findShader("marble");
+  ASSERT_NE(Info, nullptr);
+  RenderRequest Request;
+  Request.Shader = Info->Name;
+  Request.Width = 24;
+  Request.Height = 16;
+  Request.Controls = ShaderLab::defaultControls(*Info);
+  for (unsigned I = 0; I < 20; ++I) {
+    ASSERT_TRUE(allParked(Service)) << "before request " << I;
+    Request.Controls[0] = static_cast<float>(I) * 0.05f;
+    ASSERT_TRUE(Service.render(Request).ok()) << "request " << I;
+  }
+  ASSERT_TRUE(allParked(Service));
+  MetricsSnapshot Stats = Service.statsz();
+  ASSERT_EQ(Stats.DispatcherServed.size(), 2u);
+  EXPECT_EQ(std::max(Stats.DispatcherServed[0], Stats.DispatcherServed[1]),
+            20u);
+  EXPECT_EQ(std::min(Stats.DispatcherServed[0], Stats.DispatcherServed[1]),
+            0u);
+}
+
+/// A hit submitted while a cold build occupies one dispatcher is served
+/// by the other, before the build ends. One dispatcher would queue it
+/// behind the build.
+TEST(Service, AHitCompletesWhileAColdBuildRuns) {
+  SpecializationService Service;
+  RenderRequest Hit;
+  Hit.Shader = "plastic";
+  Hit.Width = 24;
+  Hit.Height = 16;
+  ASSERT_TRUE(Service.render(Hit).ok()); // builds the hit's unit
+  ASSERT_TRUE(allParked(Service));
+
+  std::future<RenderReply> Build = Service.submit(coldBuild("ringscale"));
+  // Wait until a dispatcher has taken the build off the queue.
+  for (;;) {
+    MetricsSnapshot Stats = Service.statsz();
+    if (Stats.QueueDepth == 0 && Stats.IdleDispatchers == 1)
+      break;
+    ASSERT_NE(Build.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "the build ended before the test saw it start";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  RenderReply HitReply = Service.render(Hit);
+  EXPECT_NE(Build.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the hit waited for the build";
+  ASSERT_TRUE(HitReply.ok()) << HitReply.Error;
+  EXPECT_TRUE(HitReply.CacheHit);
+  RenderReply BuildReply = Build.get();
+  ASSERT_TRUE(BuildReply.ok()) << BuildReply.Error;
+  EXPECT_FALSE(BuildReply.CacheHit);
+}
+
+TEST(Service, DrainWakesParkedDispatchers) {
+  SpecializationService Service;
+  ASSERT_TRUE(allParked(Service));
+  Service.drain(); // returns: every parked dispatcher woke and joined
+  EXPECT_EQ(Service.statsz().IdleDispatchers, 0u);
+  RenderRequest Request;
+  Request.Shader = "plastic";
+  EXPECT_EQ(Service.render(Request).Status, RenderStatus::Draining);
+  EXPECT_EQ(Service.statsz().RejectedDraining, 1u);
+}
+
+/// Two cold builds occupy both dispatchers, six more requests queue
+/// behind them, and drain() starts at once: every admitted request is
+/// answered before it returns.
+TEST(Service, DrainAnswersEveryQueuedRequest) {
+  SpecializationService Service;
+  std::vector<std::future<RenderReply>> Futures;
+  Futures.push_back(Service.submit(coldBuild("ringscale")));
+  Futures.push_back(Service.submit(coldBuild("redl")));
+  for (unsigned I = 0; I < 6; ++I) {
+    RenderRequest Request;
+    Request.Shader = "plastic";
+    Request.Width = 16 + I; // a key of its own, so nothing batches
+    Request.Height = 12;
+    Futures.push_back(Service.submit(Request));
+  }
+  Service.drain();
+  for (size_t I = 0; I < Futures.size(); ++I) {
+    ASSERT_EQ(Futures[I].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << I << " unanswered when drain() returned";
+    RenderReply Reply = Futures[I].get();
+    EXPECT_TRUE(Reply.ok()) << "request " << I << ": " << Reply.Error;
+  }
+  MetricsSnapshot Stats = Service.statsz();
+  EXPECT_EQ(Stats.RequestsOk, Futures.size());
+  EXPECT_EQ(std::accumulate(Stats.DispatcherServed.begin(),
+                            Stats.DispatcherServed.end(), uint64_t(0)),
+            Futures.size());
+}
+
+//===----------------------------------------------------------------------===//
 // End to end over a unix socket
 //===----------------------------------------------------------------------===//
 
@@ -565,6 +712,7 @@ struct UnixServer {
   SpecializationService Service;
   std::unique_ptr<NetServer> Server;
   std::unique_ptr<Transport> Client;
+  std::string Path;
 
   explicit UnixServer(const ServiceConfig &Config = {}) : Service(Config) {
     const ::testing::TestInfo *Test =
@@ -572,12 +720,13 @@ struct UnixServer {
     NetServerConfig NetCfg;
     NetCfg.UnixPath = ::testing::TempDir() + "dspec_" +
                       Test->test_suite_name() + "_" + Test->name() + ".sock";
+    Path = NetCfg.UnixPath;
     Server = std::make_unique<NetServer>(Service, NetCfg);
     std::string Error;
     bool Started = Server->start(&Error);
     EXPECT_TRUE(Started) << Error;
     if (Started)
-      Client = connectUnixSocket(NetCfg.UnixPath, &Error);
+      Client = connectUnixSocket(Path, &Error);
     EXPECT_NE(Client, nullptr) << Error;
   }
 
@@ -662,6 +811,104 @@ TEST(ServiceUnix, BadRequestGetsStructuredErrorNotDisconnect) {
   auto Good = requestRender(*Server.Client, Request, &Error);
   ASSERT_TRUE(Good.has_value()) << Error;
   EXPECT_TRUE(Good->ok());
+}
+
+/// Four connections at once against a four-unit, one-shard cache that
+/// spills to disk, on the default dispatchers: units are evicted,
+/// stored, restored and rebuilt concurrently, and every reply still
+/// matches the plain pass bit for bit.
+TEST(ServiceUnix, ConcurrentClientsWithSpillStayBitIdentical) {
+  constexpr unsigned Clients = 4, PerClient = 25, Width = 20, Height = 12;
+  // Twelve keys: six shaders, each split on two controls. Each request
+  // sets its varying control to one of two values.
+  struct Key {
+    const ShaderInfo *Info;
+    unsigned Control;
+  };
+  std::vector<Key> Keys;
+  for (const char *Name :
+       {"plastic", "marble", "wood", "checker", "stripes", "rings"})
+    for (unsigned Control : {0u, 1u})
+      Keys.push_back({findShader(Name), Control});
+  auto controlsFor = [&](const Key &K, unsigned Value) {
+    std::vector<float> Controls = ShaderLab::defaultControls(*K.Info);
+    const ControlParam &P = K.Info->Controls[K.Control];
+    Controls[K.Control] = Value == 0 ? P.SweepMin : P.SweepMax;
+    return Controls;
+  };
+  std::vector<Framebuffer> Plain;
+  for (const Key &K : Keys)
+    for (unsigned Value : {0u, 1u})
+      Plain.push_back(
+          plainReference(*K.Info, Width, Height, controlsFor(K, Value)));
+
+  const std::string SpillDir =
+      ::testing::TempDir() + "dspec_concurrent_clients_spill";
+  std::filesystem::remove_all(SpillDir);
+  ServiceConfig Config;
+  Config.CacheUnits = 4;
+  Config.CacheShards = 1;
+  Config.SpillDir = SpillDir;
+  UnixServer Server(Config);
+  ASSERT_NE(Server.Client, nullptr);
+
+  std::vector<std::string> Failures(Clients);
+  std::vector<unsigned> HitReplies(Clients, 0);
+  std::vector<std::thread> Threads;
+  for (unsigned C = 0; C < Clients; ++C)
+    Threads.emplace_back([&, C] {
+      std::string Error;
+      std::unique_ptr<Transport> Conn = connectUnixSocket(Server.Path, &Error);
+      if (!Conn) {
+        Failures[C] = "connect: " + Error;
+        return;
+      }
+      for (unsigned I = 0; I < PerClient; ++I) {
+        unsigned K = (C * 5 + I * 7) % Keys.size(), Value = (C + I) % 2;
+        RenderRequest Request;
+        Request.Shader = Keys[K].Info->Name;
+        Request.Width = Width;
+        Request.Height = Height;
+        Request.Varying = {Keys[K].Info->Controls[Keys[K].Control].Name};
+        Request.Controls = controlsFor(Keys[K], Value);
+        auto Reply = requestRender(*Conn, Request, &Error);
+        if (!Reply || !Reply->ok()) {
+          Failures[C] = "request " + std::to_string(I) + ": " +
+                        (Reply ? Reply->Error : Error);
+          return;
+        }
+        if (!bitIdentical(Reply->toFramebuffer(), Plain[K * 2 + Value])) {
+          Failures[C] = "request " + std::to_string(I) + " (" +
+                        Request.Shader + ") differs from the plain pass";
+          return;
+        }
+        HitReplies[C] += Reply->CacheHit;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (unsigned C = 0; C < Clients; ++C)
+    EXPECT_TRUE(Failures[C].empty()) << "client " << C << ": " << Failures[C];
+
+  MetricsSnapshot Stats = Server.Service.statsz();
+  const uint64_t Requests = Clients * PerClient;
+  EXPECT_EQ(Stats.RequestsOk, Requests);
+  EXPECT_EQ(Stats.SpillErrors, 0u);
+  EXPECT_GT(Stats.SpillWrites, 0u);
+  EXPECT_GT(Stats.Cache.Evictions, 0u);
+  // Every request is accounted for once: a hit (in memory, restored
+  // from disk, or batched behind another request's resolution), a
+  // build answered with its loader frame, or a wait on another
+  // dispatcher's build. Every miss was a restore or a build.
+  EXPECT_EQ(Stats.CacheHitRequests + Stats.LoaderFrameReplies +
+                Stats.Cache.CoalescedWaits,
+            Requests);
+  EXPECT_EQ(Stats.Cache.Misses, Stats.SpillDiskHits + Stats.LoaderFrameReplies);
+  unsigned Hits = 0;
+  for (unsigned N : HitReplies)
+    Hits += N;
+  EXPECT_EQ(Hits, Stats.CacheHitRequests);
+  std::filesystem::remove_all(SpillDir);
 }
 
 TEST(ServiceUnix, CorruptFrameDropsConnection) {

@@ -25,6 +25,8 @@
 #include "shading/ShaderLab.h"
 #include "snapshot/Snapshot.h"
 #include "specialize/LayoutSerde.h"
+#include "support/ByteStream.h"
+#include "vm/Serde.h"
 
 #include "gtest/gtest.h"
 
@@ -65,6 +67,39 @@ void spit(const std::string &Path, const std::vector<unsigned char> &Bytes) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   Out.write(reinterpret_cast<const char *>(Bytes.data()),
             static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// Where section-table entry \p Index starts in a file image.
+size_t tableEntry(size_t Index) { return 16 + Index * 28; }
+
+/// The table index of section \p Id in \p Info.
+size_t sectionIndex(const SnapshotFileInfo &Info, SnapshotSection Id) {
+  for (size_t I = 0; I < Info.Sections.size(); ++I)
+    if (Info.Sections[I].Id == static_cast<uint32_t>(Id))
+      return I;
+  ADD_FAILURE() << "no " << snapshotSectionName(static_cast<uint32_t>(Id))
+                << " section";
+  return 0;
+}
+
+/// \p Image with its payloads stored in \p Order, each at a 64-byte
+/// aligned offset. The table keeps its entries' order, ids, sizes and
+/// CRCs; only their offsets change.
+std::vector<unsigned char> withPayloadOrder(
+    const std::vector<unsigned char> &Image, const SnapshotFileInfo &Info,
+    const std::vector<SnapshotSection> &Order) {
+  std::vector<unsigned char> Out(Image.begin(),
+                                 Image.begin() + tableEntry(Info.Sections.size()));
+  for (SnapshotSection Id : Order) {
+    size_t Index = sectionIndex(Info, Id);
+    const SnapshotSectionInfo &S = Info.Sections[Index];
+    Out.resize((Out.size() + 63) / 64 * 64, 0);
+    uint64_t Offset = Out.size();
+    std::memcpy(Out.data() + tableEntry(Index) + 8, &Offset, sizeof(Offset));
+    Out.insert(Out.end(), Image.begin() + S.Offset,
+               Image.begin() + S.Offset + S.Bytes);
+  }
+  return Out;
 }
 
 /// Specializes \p Info on its first control, runs the loader over
@@ -223,6 +258,59 @@ TEST(Snapshot, CommittedFileVerifiesAndWarmStartsBitIdentical) {
                                 Warm->Arena, &WarmFb))
       << Engine.lastTrap();
   expectSameImage(Fresh, WarmFb, "committed marble snapshot");
+}
+
+/// Sections are found through the table, not by position: a file whose
+/// ARENA payload comes first loads the snapshot the writer saved, byte
+/// for byte, and warm-starts bit-identically.
+TEST(Snapshot, ArenaAheadOfTheOtherSectionsLoadsBitIdentically) {
+  const ShaderInfo *Info = findShader("wood");
+  ASSERT_NE(Info, nullptr);
+  RenderGrid Grid(12, 8);
+  const std::string Path = tempPath("arena_first.dsnap");
+  Framebuffer Cold(Grid.width(), Grid.height());
+  auto Controls = buildAndSave(*Info, Grid, Path, &Cold);
+  SpecializationSnapshot Written;
+  SnapshotFileInfo FileInfo;
+  std::string Error;
+  ASSERT_TRUE(readSnapshotFile(Path, Written, &Error)) << Error;
+  ASSERT_TRUE(inspectSnapshotFile(Path, FileInfo, &Error)) << Error;
+
+  spit(Path, withPayloadOrder(slurp(Path), FileInfo,
+                              {SnapshotSection::Arena, SnapshotSection::Meta,
+                               SnapshotSection::Layout, SnapshotSection::Loader,
+                               SnapshotSection::Reader}));
+  SnapshotFileInfo MovedInfo;
+  ASSERT_TRUE(inspectSnapshotFile(Path, MovedInfo, &Error)) << Error;
+  EXPECT_LT(MovedInfo.Sections[sectionIndex(MovedInfo, SnapshotSection::Arena)]
+                .Offset,
+            MovedInfo.Sections[sectionIndex(MovedInfo, SnapshotSection::Meta)]
+                .Offset);
+
+  SpecializationSnapshot Moved;
+  ASSERT_TRUE(readSnapshotFile(Path, Moved, &Error)) << Error;
+  EXPECT_TRUE(Moved.ArenaBytes == Written.ArenaBytes);
+  EXPECT_EQ(Moved.ArenaPixels, Written.ArenaPixels);
+  EXPECT_EQ(Moved.ArenaStride, Written.ArenaStride);
+  EXPECT_EQ(Moved.Meta.FragmentName, Written.Meta.FragmentName);
+  EXPECT_EQ(Moved.Meta.Controls, Written.Meta.Controls);
+  for (auto [A, B] : {std::pair(&Moved.Loader, &Written.Loader),
+                      std::pair(&Moved.Reader, &Written.Reader)}) {
+    ByteWriter WA, WB;
+    serializeChunk(WA, *A);
+    serializeChunk(WB, *B);
+    EXPECT_EQ(WA.bytes(), WB.bytes()) << A->Name;
+  }
+
+  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
+  ASSERT_TRUE(Warm.has_value()) << Error;
+  RenderEngine Engine(1);
+  Framebuffer WarmFrame(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
+                                Warm->Arena, &WarmFrame))
+      << Engine.lastTrap();
+  expectSameImage(Cold, WarmFrame, "arena-first warm start");
+  std::remove(Path.c_str());
 }
 
 TEST(Snapshot, ArenaPayloadIsAligned) {
@@ -456,6 +544,30 @@ TEST_F(SnapshotCorruption, SingleBitFlipsAreDetectedOrHarmless) {
       }
     }
   }
+}
+
+TEST_F(SnapshotCorruption, ArenaRunningPastTheEndIsRefused) {
+  SnapshotFileInfo FileInfo;
+  ASSERT_TRUE(inspectSnapshotFile(Path, FileInfo, nullptr));
+  size_t Arena = sectionIndex(FileInfo, SnapshotSection::Arena);
+  // One byte past the end, then an offset past the end.
+  auto Image = Pristine;
+  uint64_t Bytes = FileInfo.Sections[Arena].Bytes + 1;
+  std::memcpy(Image.data() + tableEntry(Arena) + 16, &Bytes, sizeof(Bytes));
+  spit(Path, Image);
+  expectRejected("ARENA one byte longer than the file");
+  SpecializationSnapshot Snap;
+  std::string Error;
+  EXPECT_FALSE(readSnapshotFile(Path, Snap, &Error));
+  EXPECT_NE(Error.find("ARENA section lies outside the file"),
+            std::string::npos)
+      << Error;
+
+  Image = Pristine;
+  uint64_t Offset = Pristine.size() + 64;
+  std::memcpy(Image.data() + tableEntry(Arena) + 8, &Offset, sizeof(Offset));
+  spit(Path, Image);
+  expectRejected("ARENA starting past the end of the file");
 }
 
 TEST_F(SnapshotCorruption, FutureFormatVersionIsRejected) {

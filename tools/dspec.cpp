@@ -491,10 +491,12 @@ int serveMain(int Argc, char **Argv) {
     Where += "tcp " + std::string(ListenHostPort);
     Where += formatString(" (port %u)", Server.boundTcpPort());
   }
-  std::printf("dspec serve: listening on %s (%u io thread(s), %u render "
-              "thread(s), cache %u units, queue %u, %s tier%s%s)\n",
+  std::printf("dspec serve: listening on %s (%u io thread(s), %u "
+              "dispatcher(s) × %u render thread(s), cache %u units, "
+              "queue %u, %s tier%s%s)\n",
               Where.c_str(), Server.config().IoThreads,
-              Service.config().RenderThreads, Service.config().CacheUnits,
+              Service.config().Dispatchers, Service.config().RenderThreads,
+              Service.config().CacheUnits,
               Service.config().QueueCapacity,
               execTierName(Service.config().Tier),
               Config.LlcBytes != 0 ? ", llc bound" : "",
