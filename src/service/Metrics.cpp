@@ -38,13 +38,16 @@ std::string MetricsSnapshot::toJson() const {
   if (SpillEnabled)
     SpillJson = formatString(
         ",\"spill\":{\"disk_hits\":%llu,\"writes\":%llu,\"errors\":%llu,"
-        "\"evicted_files\":%llu,\"files\":%llu,\"bytes\":%llu}",
+        "\"evicted_files\":%llu,\"files\":%llu,\"bytes\":%llu,"
+        "\"pending_writes\":%llu,\"load_waits\":%llu}",
         static_cast<unsigned long long>(SpillDiskHits),
         static_cast<unsigned long long>(SpillWrites),
         static_cast<unsigned long long>(SpillErrors),
         static_cast<unsigned long long>(SpillEvictedFiles),
         static_cast<unsigned long long>(SpillFiles),
-        static_cast<unsigned long long>(SpillBytes));
+        static_cast<unsigned long long>(SpillBytes),
+        static_cast<unsigned long long>(SpillPendingWrites),
+        static_cast<unsigned long long>(SpillLoadWaits));
   std::string NetSection;
   if (!NetJson.empty())
     NetSection = ",\"net\":" + NetJson;

@@ -60,6 +60,10 @@ struct MetricsSnapshot {
   uint64_t SpillEvictedFiles = 0;
   uint64_t SpillFiles = 0;
   uint64_t SpillBytes = 0;
+  /// Evictions queued for the spill writer or being written (a gauge),
+  /// and restores that waited for their key's queued write.
+  uint64_t SpillPendingWrites = 0;
+  uint64_t SpillLoadWaits = 0;
   bool SpillEnabled = false;
 
   /// The execution tier every dispatcher's engine runs (the configured

@@ -28,10 +28,11 @@ SpecializationService::SpecializationService(const ServiceConfig &InConfig)
     std::string SpillError;
     if (Store->open(Config.SpillDir, Config.SpillMaxBytes, &SpillError)) {
       Spill = std::move(Store);
-      // Evicted-but-warm units go to disk instead of being forgotten;
-      // the sink runs outside the cache's shard lock.
+      // Evicted-but-warm units go to disk instead of being forgotten.
+      // No reply depends on the write, so the store's writer thread does
+      // it and the evicting request goes on to render.
       Cache.setEvictionSink([this](const UnitKey &Key, const UnitPtr &Unit) {
-        Spill->store(Key, Unit);
+        Spill->queueStore(Key, Unit);
       });
     }
     // An unopenable spill dir degrades to no spilling, not to a dead
@@ -61,6 +62,9 @@ void SpecializationService::drain() {
   for (std::unique_ptr<Dispatcher> &D : Dispatchers)
     if (D->Thread.joinable())
       D->Thread.join();
+  // The last requests' evictions may still be queued for disk.
+  if (Spill)
+    Spill->flush();
 }
 
 bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
@@ -387,6 +391,8 @@ MetricsSnapshot SpecializationService::statsz() const {
     Out.SpillEvictedFiles = S.EvictedFiles;
     Out.SpillFiles = S.Files;
     Out.SpillBytes = S.Bytes;
+    Out.SpillPendingWrites = S.PendingWrites;
+    Out.SpillLoadWaits = S.LoadWaits;
   }
   Out.ExecTier = execTierName(Config.Tier);
   Out.ArenaLlcBytes = Config.LlcBytes;

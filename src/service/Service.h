@@ -132,8 +132,8 @@ public:
   }
 
   /// Stops admitting work (new submissions answer Draining), finishes
-  /// every queued request, and joins the dispatchers. Idempotent; called
-  /// by the destructor.
+  /// every queued request, joins the dispatchers, and lands every queued
+  /// spill write. Idempotent; called by the destructor.
   void drain();
 
   /// The /statsz snapshot: request counters, cache stats, latency

@@ -15,8 +15,11 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <exception>
+#include <limits>
 
 #include <dirent.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -37,7 +40,35 @@ bool endsWith(const std::string &Name, const char *Suffix) {
          Name.compare(Name.size() - N, N, Suffix) == 0;
 }
 
+/// The writer's pid in a temp file name ("<hash>.dsnp.tmp.<pid>", as
+/// store() names them), or 0 for any other name.
+pid_t tempFileWriter(const std::string &Name) {
+  const std::string Marker = std::string(kSpillSuffix) + ".tmp.";
+  size_t At = Name.find(Marker);
+  if (At == std::string::npos || At + Marker.size() == Name.size())
+    return 0;
+  long long Pid = 0;
+  for (size_t I = At + Marker.size(); I < Name.size(); ++I) {
+    if (Name[I] < '0' || Name[I] > '9')
+      return 0;
+    Pid = Pid * 10 + (Name[I] - '0');
+    if (Pid > std::numeric_limits<pid_t>::max())
+      return 0;
+  }
+  return static_cast<pid_t>(Pid);
+}
+
 } // namespace
+
+SpillStore::~SpillStore() {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Stopping = true;
+  }
+  Queued.notify_one();
+  if (Writer.joinable())
+    Writer.join();
+}
 
 uint64_t SpillStore::keyHash(const UnitKey &Key) const {
   // Hash the full key — shader, invariant partition, options. Stable
@@ -78,6 +109,15 @@ bool SpillStore::open(const std::string &Dir, uint64_t InMaxBytes,
   TotalBytes = 0;
   while (dirent *E = ::readdir(D)) {
     std::string Name = E->d_name;
+    if (pid_t Pid = tempFileWriter(Name)) {
+      // A temp file outlives its writer only when the process died
+      // between the write and the rename. Nothing would ever rename,
+      // count or delete it, so it goes; a live writer's file (this
+      // process's included) is left to its rename.
+      if (::kill(Pid, 0) != 0 && errno == ESRCH)
+        ::unlink((Dir + "/" + Name).c_str());
+      continue;
+    }
     if (!endsWith(Name, kSpillSuffix))
       continue;
     struct stat St;
@@ -165,6 +205,54 @@ void SpillStore::store(const UnitKey &Key, const UnitPtr &Unit) {
   enforceCapLocked(&Name);
 }
 
+void SpillStore::queueStore(const UnitKey &Key, UnitPtr Unit) {
+  if (!enabled() || !Unit)
+    return;
+  {
+    std::unique_lock<std::mutex> Lock(M);
+    Landed.wait(Lock, [&] { return Queue.size() < MaxQueuedWrites; });
+    Queue.emplace_back(Key, std::move(Unit));
+    if (!Writer.joinable())
+      Writer = std::thread([this] { writerLoop(); });
+  }
+  Queued.notify_one();
+}
+
+void SpillStore::writerLoop() {
+  std::unique_lock<std::mutex> Lock(M);
+  while (true) {
+    Queued.wait(Lock, [&] { return !Queue.empty() || Stopping; });
+    if (Queue.empty())
+      return; // stopping, and every write has landed
+    {
+      std::pair<UnitKey, UnitPtr> Next = Queue.front();
+      Lock.unlock();
+      try {
+        store(Next.first, Next.second);
+      } catch (const std::exception &) {
+        // Out of memory mid-write: counted like any failed write.
+        std::lock_guard<std::mutex> ErrorLock(M);
+        ++Counters.Errors;
+      }
+    } // an evicted unit's last reference may drop here, outside the lock
+    Lock.lock();
+    Queue.pop_front();
+    Landed.notify_all();
+  }
+}
+
+void SpillStore::flush() {
+  std::unique_lock<std::mutex> Lock(M);
+  Landed.wait(Lock, [&] { return Queue.empty(); });
+}
+
+bool SpillStore::queuedLocked(const UnitKey &Key) const {
+  for (const auto &Entry : Queue)
+    if (Entry.first == Key)
+      return true;
+  return false;
+}
+
 std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
                                                      std::string *Error) {
   if (!enabled())
@@ -172,7 +260,13 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
   std::string Path = pathFor(Key);
   std::string Name = Path.substr(Root.size() + 1);
   {
-    std::lock_guard<std::mutex> Lock(M);
+    std::unique_lock<std::mutex> Lock(M);
+    // A unit evicted moments ago may still be on its way to disk: wait
+    // for that write, so the restore is a disk hit and not a rebuild.
+    if (queuedLocked(Key)) {
+      ++Counters.LoadWaits;
+      Landed.wait(Lock, [&] { return !queuedLocked(Key); });
+    }
     if (Index.find(Name) == Index.end()) {
       ++Counters.DiskMisses;
       return nullptr;
@@ -242,5 +336,6 @@ SpillStore::Stats SpillStore::stats() const {
   Stats Out = Counters;
   Out.Files = Index.size();
   Out.Bytes = TotalBytes;
+  Out.PendingWrites = Queue.size();
   return Out;
 }

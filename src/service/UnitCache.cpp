@@ -112,8 +112,8 @@ void UnitCache::publish(Shard &S, const UnitKey &Key, const UnitPtr &Unit) {
       ++S.Evictions;
     }
   }
-  // The sink may spill to disk; run it after the shard lock is gone so
-  // slow IO never blocks the hot lookup path.
+  // The sink may wait for room in the spill queue; run it after the
+  // shard lock is gone so that never blocks the hot lookup path.
   if (OnEvict)
     for (const auto &[EvictedKey, EvictedUnit] : Evicted)
       OnEvict(EvictedKey, EvictedUnit);

@@ -155,8 +155,9 @@ public:
   };
 
   /// Called with each (key, unit) a capacity eviction pushes out, outside
-  /// the shard lock so it may do real work (spill to disk). The unit is
-  /// still alive (shared_ptr) for the duration of the call.
+  /// the shard lock so it may block (the service's sink queues a spill
+  /// write, and waits while the queue is full). The unit is still alive
+  /// (shared_ptr) for the duration of the call.
   using EvictionSink = std::function<void(const UnitKey &, const UnitPtr &)>;
 
   /// \p Capacity total units across \p Shards shards (each shard holds up

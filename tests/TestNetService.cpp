@@ -10,8 +10,8 @@
 /// plain pass, pipelined reply ordering, one plain reply for a request
 /// carrying the retired variant and streaming fields, the slow-loris
 /// read deadline, per-client quota shedding (and that a well-behaved
-/// client is untouched by a greedy neighbor), and spill/warm-restart
-/// disk hits.
+/// client is untouched by a greedy neighbor), spill/warm-restart disk
+/// hits, and the spill store's write-behind queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +31,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <utime.h>
 
@@ -363,6 +367,7 @@ TEST(Spill, EvictedUnitWarmRestartsFromDiskBitIdentical) {
     Other.Width = 16;
     Other.Height = 12;
     ASSERT_TRUE(Service.render(Other).ok());
+    Service.drain(); // lands the eviction's queued write
     MetricsSnapshot Stats = Service.statsz();
     EXPECT_TRUE(Stats.SpillEnabled);
     EXPECT_GE(Stats.SpillWrites, 1u) << "eviction did not spill";
@@ -413,6 +418,7 @@ TEST(Spill, ByteCapEvictsOldFilesButNeverTheLast) {
     Request.Height = 8;
     ASSERT_TRUE(Service.render(Request).ok()) << Name;
   }
+  Service.drain(); // lands the evictions' queued writes
   MetricsSnapshot Stats = Service.statsz();
   EXPECT_GE(Stats.SpillWrites, 2u);
   EXPECT_GE(Stats.SpillEvictedFiles, 1u);
@@ -469,9 +475,11 @@ TEST(Spill, TcpServedWarmRestartCountsDiskHit) {
 // Spill store eviction determinism (direct SpillStore tests)
 //===----------------------------------------------------------------------===//
 
-/// Builds one small real unit (loader-filled arena included) the store
-/// can spill under any key.
-std::shared_ptr<SpecializationUnit> makeSpillUnit(const char *ShaderName) {
+/// Builds one real unit (loader-filled arena included) the store can
+/// spill under any key; small unless a size is given.
+std::shared_ptr<SpecializationUnit> makeSpillUnit(const char *ShaderName,
+                                                  unsigned Width = 4,
+                                                  unsigned Height = 3) {
   const ShaderInfo *Info = findShader(ShaderName);
   EXPECT_NE(Info, nullptr);
   auto Ast = parseUnit(Info->Source);
@@ -479,7 +487,7 @@ std::shared_ptr<SpecializationUnit> makeSpillUnit(const char *ShaderName) {
   auto Spec =
       specializeAndCompile(*Ast, Info->Name, {Info->Controls[0].Name});
   EXPECT_TRUE(Spec.has_value());
-  auto U = std::make_shared<SpecializationUnit>(4u, 3u);
+  auto U = std::make_shared<SpecializationUnit>(Width, Height);
   U->Shader = Info->Name;
   U->Loader = Spec->LoaderChunk;
   U->Reader = Spec->ReaderChunk;
@@ -617,6 +625,169 @@ TEST(Spill, StoreNeverEvictsTheUnitJustWritten) {
 }
 
 //===----------------------------------------------------------------------===//
+// Write-behind: evicted units are written by the store's writer thread
+//===----------------------------------------------------------------------===//
+
+struct SpillDirCount {
+  unsigned Snapshots = 0;
+  /// Temp files of writes that have not been renamed into place.
+  unsigned Temps = 0;
+};
+
+SpillDirCount countSpillDir(const std::string &Dir) {
+  SpillDirCount Out;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name.find(".tmp.") != std::string::npos)
+        ++Out.Temps;
+      else if (Name.size() > 5 &&
+               Name.compare(Name.size() - 5, 5, ".dsnp") == 0)
+        ++Out.Snapshots;
+    }
+    ::closedir(D);
+  }
+  return Out;
+}
+
+TEST(Spill, DrainWritesEveryQueuedEviction) {
+  // A one-unit cache evicts, and so queues a write, on every new key.
+  // drain() returns only once every write has landed: the counters, the
+  // directory and the eviction count agree, and no temp file is left.
+  const std::string Dir = testing::TempDir() + "dspec_spill_drain";
+  clearSpillDir(Dir);
+  const char *Shaders[] = {"marble", "wood",    "granite", "checker",
+                           "stripes", "rings", "plastic"};
+  ServiceConfig Cfg;
+  Cfg.CacheUnits = 1;
+  Cfg.CacheShards = 1;
+  Cfg.SpillDir = Dir;
+  SpecializationService Service(Cfg);
+  for (const char *Name : Shaders) {
+    RenderRequest Request;
+    Request.Shader = Name;
+    Request.Width = 160;
+    Request.Height = 120;
+    ASSERT_TRUE(Service.render(Request).ok()) << Name;
+  }
+  Service.drain();
+  const uint64_t Evictions = std::size(Shaders) - 1;
+  MetricsSnapshot Stats = Service.statsz();
+  EXPECT_EQ(Stats.Cache.Evictions, Evictions);
+  EXPECT_EQ(Stats.SpillWrites, Evictions);
+  EXPECT_EQ(Stats.SpillFiles, Evictions);
+  EXPECT_EQ(Stats.SpillPendingWrites, 0u);
+  EXPECT_EQ(Stats.SpillLoadWaits, 0u);
+  EXPECT_EQ(Stats.SpillErrors, 0u);
+  SpillDirCount Count = countSpillDir(Dir);
+  EXPECT_EQ(Count.Snapshots, Evictions);
+  EXPECT_EQ(Count.Temps, 0u);
+  clearSpillDir(Dir);
+}
+
+TEST(Spill, RestoreOfAQueuedKeyWaitsForItsWrite) {
+  // Fill the queue with 160x120 units and restore the last one at once,
+  // while its write is still outstanding. The restore waits for the
+  // write and comes back from disk: a hit, never a miss.
+  auto Unit = makeSpillUnit("marble", 160, 120);
+  const std::string Dir = testing::TempDir() + "dspec_spill_queued_load";
+  clearSpillDir(Dir);
+  SpillStore Store;
+  std::string Error;
+  ASSERT_TRUE(Store.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  UnitKey Last;
+  for (uint64_t F = 0; F < SpillStore::MaxQueuedWrites; ++F) {
+    Last = servableKey(*Unit, F);
+    Store.queueStore(Last, Unit);
+  }
+  auto Back = Store.load(Last, &Error);
+  ASSERT_NE(Back, nullptr) << Error;
+  ASSERT_EQ(Back->Arena.totalBytes(), Unit->Arena.totalBytes());
+  EXPECT_EQ(std::memcmp(Back->Arena.raw(), Unit->Arena.raw(),
+                        Unit->Arena.totalBytes()),
+            0);
+  SpillStore::Stats S = Store.stats();
+  EXPECT_EQ(S.DiskHits, 1u);
+  EXPECT_EQ(S.DiskMisses, 0u);
+  EXPECT_EQ(S.Errors, 0u);
+  // One wait, unless the writer landed all four files before load() ran.
+  EXPECT_LE(S.LoadWaits, 1u);
+  Store.flush();
+  EXPECT_EQ(Store.stats().Writes, SpillStore::MaxQueuedWrites);
+  clearSpillDir(Dir);
+}
+
+TEST(Spill, QueuedWritesStayWithinTheirBound) {
+  // Three threads queue a burst of 160x120 units far faster than one
+  // writer lands them. queueStore waits for room, so the queue never
+  // holds more than MaxQueuedWrites, and every write lands.
+  auto Unit = makeSpillUnit("marble", 160, 120);
+  const std::string Dir = testing::TempDir() + "dspec_spill_bound";
+  clearSpillDir(Dir);
+  SpillStore Store;
+  std::string Error;
+  ASSERT_TRUE(Store.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  constexpr uint64_t Producers = 3, PerProducer = 4;
+  std::atomic<uint64_t> Peak{0};
+  std::vector<std::thread> Threads;
+  for (uint64_t P = 0; P < Producers; ++P)
+    Threads.emplace_back([&, P] {
+      for (uint64_t I = 0; I < PerProducer; ++I) {
+        Store.queueStore(servableKey(*Unit, P * PerProducer + I), Unit);
+        uint64_t Now = Store.stats().PendingWrites;
+        uint64_t Seen = Peak.load();
+        while (Now > Seen && !Peak.compare_exchange_weak(Seen, Now)) {
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_LE(Peak.load(), SpillStore::MaxQueuedWrites);
+  Store.flush();
+  SpillStore::Stats S = Store.stats();
+  EXPECT_EQ(S.PendingWrites, 0u);
+  EXPECT_EQ(S.Writes, Producers * PerProducer);
+  EXPECT_EQ(S.Files, Producers * PerProducer);
+  EXPECT_EQ(S.Errors, 0u);
+  EXPECT_EQ(countSpillDir(Dir).Snapshots, Producers * PerProducer);
+  clearSpillDir(Dir);
+}
+
+TEST(Spill, OpenRemovesTempFilesOfDeadWriters) {
+  // A writer killed between its temp write and the rename leaves
+  // "<hash>.dsnp.tmp.<pid>" behind, which nothing would rename, count
+  // against the cap, or delete. open() deletes it once its process is
+  // gone, and leaves a live process's file alone.
+  const std::string Dir = testing::TempDir() + "dspec_spill_orphans";
+  clearSpillDir(Dir);
+  ::mkdir(Dir.c_str(), 0755);
+  pid_t Gone = ::fork();
+  ASSERT_GE(Gone, 0);
+  if (Gone == 0)
+    ::_exit(0);
+  ASSERT_EQ(::waitpid(Gone, nullptr, 0), Gone);
+  const std::string Orphan =
+      Dir + "/00000000000000aa.dsnp.tmp." + std::to_string(Gone);
+  const std::string Live =
+      Dir + "/00000000000000bb.dsnp.tmp." + std::to_string(::getpid());
+  for (const std::string &Path : {Orphan, Live}) {
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr) << Path;
+    std::fputs("half a snapshot", F);
+    std::fclose(F);
+  }
+
+  SpillStore Store;
+  std::string Error;
+  ASSERT_TRUE(Store.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  EXPECT_FALSE(fileExists(Orphan)) << "a dead writer's temp file stayed";
+  EXPECT_TRUE(fileExists(Live)) << "a live writer's temp file was deleted";
+  EXPECT_EQ(Store.stats().Files, 0u);
+  EXPECT_EQ(Store.stats().Bytes, 0u);
+  clearSpillDir(Dir);
+}
+
+//===----------------------------------------------------------------------===//
 // Spill restores verify the file against the key it was found under
 //===----------------------------------------------------------------------===//
 
@@ -661,6 +832,7 @@ void spillUnderKeyOf(const std::string &Dir, const RenderRequest &Spilled,
     Evictor.Width = 4;
     Evictor.Height = 3;
     ASSERT_TRUE(Service.render(Evictor).ok());
+    Service.drain(); // lands the eviction's queued write
     ASSERT_EQ(Service.statsz().SpillWrites, 1u);
   }
   SpillStore Names;

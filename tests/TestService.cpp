@@ -890,6 +890,7 @@ TEST(ServiceUnix, ConcurrentClientsWithSpillStayBitIdentical) {
   for (unsigned C = 0; C < Clients; ++C)
     EXPECT_TRUE(Failures[C].empty()) << "client " << C << ": " << Failures[C];
 
+  Server.Service.drain(); // lands the evictions' queued writes
   MetricsSnapshot Stats = Server.Service.statsz();
   const uint64_t Requests = Clients * PerClient;
   EXPECT_EQ(Stats.RequestsOk, Requests);
