@@ -12,15 +12,13 @@
 ///   batched    one instruction dispatch over the decoded,
 ///              superinstruction-fused ExecChunk executes a whole tile of
 ///              pixels against strided CacheArena slots; uniform branches
-///              run in lockstep, divergent maskable diamonds run both arms
-///              under per-lane masks, and a tile diverging at an
-///              unmaskable branch re-runs per-pixel on the switch tier.
+///              run in lockstep, and a tile whose lanes disagree at a
+///              branch re-runs per-pixel on the switch tier.
 ///
 /// Both tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
 /// so the only difference is speed. Emits one row per (shader, tier) with
-/// the p50 reader frame time, the speedup over the switch tier, and — for
-/// the batched tier — the average active-lane fraction per dispatched
-/// instruction (the divergence column) into BENCH_exec.json.
+/// the p50 reader frame time and the speedup over the switch tier into
+/// BENCH_exec.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +49,6 @@ struct TierRow {
   double P50Seconds = 0.0;
   double PixelsPerSecond = 0.0;
   double SpeedupVsSwitch = 1.0;
-  /// Average active-lane fraction per dispatched batch instruction over
-  /// the last frame (RenderEngine::PassExecStats). 1.0 on the switch
-  /// tier and for tiles that never engage a mask; below 1.0 means
-  /// divergent diamonds ran masked.
-  double ActiveLaneFraction = 1.0;
 };
 
 void printTierSweep(const char *OutPath) {
@@ -109,10 +102,7 @@ void printTierSweep(const char *OutPath) {
       else if (Tier == ExecTier::Batched)
         BatchedP50 = T;
       Rows.push_back({Info.Name, execTierName(Tier), T, Pixels / T,
-                      SwitchP50 > 0.0 ? SwitchP50 / T : 1.0,
-                      Tier == ExecTier::Batched
-                          ? Engine.lastPassStats().activeFraction()
-                          : 1.0});
+                      SwitchP50 > 0.0 ? SwitchP50 / T : 1.0});
     }
     if (SwitchP50 > 0.0 && BatchedP50 > 0.0 &&
         SwitchP50 / BatchedP50 >= 2.0)
@@ -121,13 +111,12 @@ void printTierSweep(const char *OutPath) {
 
   std::printf("%u shader(s), %ux%u pixels, p50 of %u frames, 1 thread:\n\n",
               Shaders, Lab.grid().width(), Lab.grid().height(), Frames);
-  std::printf("%-10s %-9s %12s %14s %11s %9s\n", "shader", "tier",
-              "frame us", "pixels/sec", "vs switch", "active");
+  std::printf("%-10s %-9s %12s %14s %11s\n", "shader", "tier", "frame us",
+              "pixels/sec", "vs switch");
   for (const TierRow &R : Rows)
-    std::printf("%-10s %-9s %12.1f %14.0f %10.2fx %8.1f%%\n",
-                R.Shader.c_str(), R.Tier, R.P50Seconds * 1e6,
-                R.PixelsPerSecond, R.SpeedupVsSwitch,
-                R.ActiveLaneFraction * 100.0);
+    std::printf("%-10s %-9s %12.1f %14.0f %10.2fx\n", R.Shader.c_str(),
+                R.Tier, R.P50Seconds * 1e6, R.PixelsPerSecond,
+                R.SpeedupVsSwitch);
   std::printf("\nbatched >= 2x switch on %u of %u shader(s)\n", BatchedWins,
               Shaders);
 
@@ -143,11 +132,9 @@ void printTierSweep(const char *OutPath) {
     std::snprintf(Row, sizeof(Row),
                   "{\"shader\":%s,\"tier\":\"%s\","
                   "\"p50_seconds\":%.9f,\"pixels_per_second\":%.1f,"
-                  "\"speedup_vs_switch\":%.3f,"
-                  "\"avg_active_lane_fraction\":%.4f}",
+                  "\"speedup_vs_switch\":%.3f}",
                   jsonQuote(R.Shader).c_str(), R.Tier, R.P50Seconds,
-                  R.PixelsPerSecond, R.SpeedupVsSwitch,
-                  R.ActiveLaneFraction);
+                  R.PixelsPerSecond, R.SpeedupVsSwitch);
     Json.addRow(Row);
   }
   Json.emit(OutPath);

@@ -26,11 +26,10 @@ enum class ExecTier {
   /// semantics, and the batched tier's only fallback.
   Switch,
   /// Tile-at-a-time SoA execution (VM::runBatch) of the decoded, fused
-  /// ExecChunk. Uniform branches run in lockstep and divergent maskable
-  /// diamonds run both arms under a per-lane mask (GPU-warp style).
+  /// ExecChunk. A branch whose lanes all agree runs in lockstep.
   /// Everything it cannot batch runs per-pixel on the switch tier:
-  /// effectful or undecodable chunks for the whole pass, and a tile that
-  /// diverges at an unmaskable branch or traps.
+  /// effectful or undecodable chunks for the whole pass, and a tile whose
+  /// lanes disagree at a branch, or that traps.
   Batched,
 };
 

@@ -121,8 +121,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
       }
       Req.Results = S.Results.data();
       ExecResult R = Machine.runBatch(Decoded, Req);
-      S.Stats.BatchDispatchLanes += R.BatchDispatches * Lanes;
-      S.Stats.BatchActiveLanes += R.InstructionsExecuted;
       if (R.ok() && !R.Diverged) {
         ++S.Stats.BatchTiles;
         if (Out)
@@ -132,11 +130,10 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
           }
         return;
       }
-      // Either unmaskable control flow diverged across the tile's lanes
-      // (not an error), or the batch trapped, which carries no lane
-      // attribution. Both re-run the tile per-pixel below, so the result
-      // — or the canonical lowest-pixel diagnostic — is the switch
-      // tier's own.
+      // Either the tile's lanes disagreed at a branch (not an error), or
+      // the batch trapped, which carries no lane attribution. Both re-run
+      // the tile per-pixel below, so the result — or the canonical
+      // lowest-pixel diagnostic — is the switch tier's own.
       if (R.Diverged)
         ++S.Stats.BailedTiles;
     }
@@ -177,8 +174,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   for (const WorkerState &S : States) {
     LastStats.BatchTiles += S.Stats.BatchTiles;
     LastStats.BailedTiles += S.Stats.BailedTiles;
-    LastStats.BatchDispatchLanes += S.Stats.BatchDispatchLanes;
-    LastStats.BatchActiveLanes += S.Stats.BatchActiveLanes;
   }
 
   if (FirstTrap.load(std::memory_order_relaxed) != SIZE_MAX) {

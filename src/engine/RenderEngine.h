@@ -65,10 +65,9 @@ public:
 
   /// Selects how passes execute chunks. The default is Batched — the
   /// fast tier — which degrades gracefully: branchy chunks execute
-  /// batched under per-lane masks (uniform branches run in lockstep;
-  /// divergent maskable diamonds run both arms masked), and everything
-  /// else runs per-pixel on the switch interpreter: a tile whose control
-  /// flow diverges at an unmaskable branch or traps, and for the whole
+  /// batched while every branch is uniform across a tile's lanes, and
+  /// everything else runs per-pixel on the switch interpreter: a tile
+  /// whose lanes disagree at a branch or that traps, and for the whole
   /// pass an effectful chunk or a chunk that fails decoding. Both tiers
   /// produce bit-identical framebuffers (tests/TestExecTiers.cpp pins
   /// this over the whole gallery); the knob exists for A/B measurement
@@ -79,22 +78,15 @@ public:
   /// Does nothing: see ArenaLayoutConfig.
   void setArenaLayout(const ArenaLayoutConfig &) {}
 
-  /// Execution statistics of the last completed pass; the batch figures
-  /// cover runBatch attempts only (zero under the switch tier), so the
-  /// exec-tier bench can report a divergence column.
+  /// Execution statistics of the last completed pass; the figures cover
+  /// runBatch attempts only (zero under the switch tier).
   struct PassExecStats {
     uint64_t BatchTiles = 0;  ///< tiles fully retired by runBatch
     uint64_t BailedTiles = 0; ///< tiles that diverged and re-ran per-pixel
-    uint64_t BatchDispatchLanes = 0; ///< sum over tiles: dispatches x lanes
-    uint64_t BatchActiveLanes = 0;   ///< sum: active-lane instructions
-    /// Average active-lane fraction per dispatched batch instruction
-    /// (1.0 = no masking ever engaged).
-    double activeFraction() const {
-      return BatchDispatchLanes
-                 ? static_cast<double>(BatchActiveLanes) /
-                       static_cast<double>(BatchDispatchLanes)
-                 : 1.0;
-    }
+    /// Always 1.0: a batched tile runs every lane or bails. Kept only
+    /// because perfbench/Replay.cpp reads it; ROADMAP item 2 deletes it
+    /// with the ArenaLayoutConfig shim.
+    double activeFraction() const { return 1.0; }
   };
   const PassExecStats &lastPassStats() const { return LastStats; }
 

@@ -160,6 +160,7 @@ void NetServer::handleRenderRequest(
   ByteReader R(Payload);
   std::string Error;
   if (!decodeRenderRequest(R, Request, &Error)) {
+    Service.recordBadRequest();
     uint64_t Seq = C.openRenderSlot();
     RenderReply Reply;
     Reply.Status = RenderStatus::BadRequest;

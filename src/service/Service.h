@@ -125,6 +125,10 @@ public:
   /// fairness (token bucket / in-queue cap) before it reached the queue.
   void recordShedQuota() { Metrics.recordShedQuota(); }
 
+  /// Counts a request the network front end answered BadRequest because
+  /// its payload did not decode, so it never reached submitAsync.
+  void recordBadRequest() { Metrics.recordBadRequest(); }
+
   /// Installs a provider whose JSON object becomes the /statsz "net"
   /// section (the network front end's counters). Call before serving.
   void setNetStatsProvider(std::function<std::string()> Provider) {

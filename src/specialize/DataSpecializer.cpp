@@ -128,34 +128,6 @@ void DataSpecializer::runPipeline(Function *Work,
   Result.Stats.DynamicExprs = CA.countExprs(CacheLabel::CL_Dynamic);
   Result.Stats.DynamicStmts = CA.countDynamicStmts();
   Result.Stats.DependentTerms = Dep.dependentCount();
-  Result.Stats.LoaderBranchStmts = Splitter::countBranchStmts(Result.Loader);
-  Result.Stats.ReaderBranchStmts = Splitter::countBranchStmts(Result.Reader);
-  Splitter::countBranchKinds(Result.Reader,
-                             Result.Stats.ReaderMaskableBranches,
-                             Result.Stats.ReaderUnmaskableBranches);
-
-  if (Options.CollectExplanation) {
-    // Batch eligibility is a property of the emitted split, so it lands
-    // after the main (pre-split) decision report. Every effect-free
-    // reader starts on the batched tier; the branch-kind split says what
-    // happens when lanes diverge (masked arms vs a per-pixel bail).
-    const SpecializationStats &St = Result.Stats;
-    Result.Explanation +=
-        "\nreader control flow: " + std::to_string(St.ReaderBranchStmts) +
-        " branch statement(s)";
-    if (St.ReaderBranchStmts == 0) {
-      Result.Explanation +=
-          " — divergence-free, batched tier executes tiles in lockstep\n";
-    } else {
-      Result.Explanation +=
-          " (" + std::to_string(St.ReaderMaskableBranches) +
-          " maskable diamond(s), " +
-          std::to_string(St.ReaderUnmaskableBranches) +
-          " unmaskable loop(s)/return(s)) — batched tier masks divergent "
-          "diamonds; divergence at an unmaskable branch re-runs the tile "
-          "per-pixel (switch tier)\n";
-    }
-  }
 }
 
 std::optional<SpecializationResult>

@@ -55,20 +55,6 @@ struct SpecializationStats {
   unsigned WorkingSetVictims = 0;
   uint64_t HotBytesPerPixel = 0;
   uint64_t WorkingSetBytes = 0;
-  /// Branching statements (if / while) in the emitted loader and reader.
-  /// Since the masked batched tier, branches no longer disqualify a
-  /// reader from batching: effect-free readers always start batched.
-  /// The Maskable/Unmaskable split below says how each branch behaves
-  /// when lanes disagree (see docs/ENGINE.md, "Masked divergent-lane
-  /// execution").
-  unsigned LoaderBranchStmts = 0;
-  unsigned ReaderBranchStmts = 0;
-  /// Reader branches split by divergence handling: maskable diamonds
-  /// execute both arms under a per-lane mask; unmaskable branches
-  /// (loops, return-carrying ifs) batch only while uniform — a
-  /// divergent tile bails to per-pixel execution on the switch tier.
-  unsigned ReaderMaskableBranches = 0;
-  unsigned ReaderUnmaskableBranches = 0;
 };
 
 /// Everything the specializer produces for one fragment + partition.

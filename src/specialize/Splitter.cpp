@@ -7,7 +7,6 @@
 #include "specialize/Splitter.h"
 
 #include "lang/ASTCloner.h"
-#include "lang/ASTWalk.h"
 #include "support/Casting.h"
 
 using namespace dspec;
@@ -119,40 +118,4 @@ Function *Splitter::buildLoader(Function *F, const std::string &Name) {
 Function *Splitter::buildReader(Function *F, const std::string &Name) {
   ReaderCloner Cloner(Ctx, CA, Layout);
   return Cloner.cloneFunction(F, Name);
-}
-
-unsigned Splitter::countBranchStmts(Function *F) {
-  unsigned Branches = 0;
-  walkStmts(F->body(), [&](Stmt *S) {
-    if (S->kind() == StmtKind::SK_If || S->kind() == StmtKind::SK_While)
-      ++Branches;
-  });
-  return Branches;
-}
-
-void Splitter::countBranchKinds(Function *F, unsigned &Maskable,
-                                unsigned &Unmaskable) {
-  Maskable = 0;
-  Unmaskable = 0;
-  walkStmts(F->body(), [&](Stmt *S) {
-    if (S->kind() == StmtKind::SK_While) {
-      ++Unmaskable;
-      return;
-    }
-    if (S->kind() != StmtKind::SK_If)
-      return;
-    // An if is a maskable diamond unless its subtree escapes structured
-    // reconvergence: a loop inside changes trip counts per lane, a
-    // return leaves the diamond entirely.
-    bool Escapes = false;
-    walkStmts(S, [&](Stmt *Sub) {
-      if (Sub->kind() == StmtKind::SK_While ||
-          Sub->kind() == StmtKind::SK_Return)
-        Escapes = true;
-    });
-    if (Escapes)
-      ++Unmaskable;
-    else
-      ++Maskable;
-  });
 }

@@ -50,27 +50,6 @@ public:
   /// re-emitted bare.
   Function *buildReader(Function *F, const std::string &Name);
 
-  /// Number of branching statements (if / while) in \p F's body. Zero
-  /// means the function compiles to straight-line bytecode: control flow
-  /// cannot diverge between pixels, so the render engine's batched tier
-  /// executes it a whole tile per instruction fetch. (dsc's ?: is strict
-  /// — OC_Select — and does not branch.) At runtime the batched tier
-  /// goes by the bytecode-level classification in ExecChunk (BranchJoin,
-  /// censused as MaskableBranches / UnmaskableBranches); this AST-level
-  /// count feeds the stats and the explain report.
-  static unsigned countBranchStmts(Function *F);
-
-  /// Splits countBranchStmts by how the batched tier handles divergence
-  /// at each branch (docs/ENGINE.md, "Masked divergent-lane execution"):
-  /// an if whose subtree contains no loop and no return is \p Maskable —
-  /// divergent lanes execute both arms under a mask; whiles, and ifs
-  /// carrying a while or return, are \p Unmaskable — uniform lanes still
-  /// batch in lockstep, but a divergent tile bails to per-pixel
-  /// execution. Mirrors the bytecode-level ExecChunk::BranchJoin
-  /// classification, which remains authoritative at runtime.
-  static void countBranchKinds(Function *F, unsigned &Maskable,
-                               unsigned &Unmaskable);
-
 private:
   ASTContext &Ctx;
   CachingAnalysis &CA;

@@ -240,205 +240,6 @@ int32_t *jumpOperand(ExecInstr &In) {
   }
 }
 
-/// Decoded jump target of \p In, or -1 if it is not a jump.
-int32_t decodedTarget(const ExecInstr &In) {
-  switch (In.Op) {
-  case FusedOp::F_Jump:
-  case FusedOp::F_JumpIfFalse:
-    return In.A;
-  case FusedOp::F_LtJf:
-  case FusedOp::F_LeJf:
-  case FusedOp::F_GtJf:
-  case FusedOp::F_GeJf:
-    return In.A2;
-  default:
-    return -1;
-  }
-}
-
-bool isCondBranch(FusedOp Op) {
-  switch (Op) {
-  case FusedOp::F_JumpIfFalse:
-  case FusedOp::F_LtJf:
-  case FusedOp::F_LeJf:
-  case FusedOp::F_GtJf:
-  case FusedOp::F_GeJf:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Operand-stack pops a conditional branch performs before deciding:
-/// JumpIfFalse pops its condition, the fused compare+jf pairs pop both
-/// compare operands.
-int condBranchPops(FusedOp Op) {
-  return Op == FusedOp::F_JumpIfFalse ? 1 : 2;
-}
-
-/// Abstract operand-stack depth on entry to every *decoded* instruction
-/// (index Code.size() is the fall-off-the-end depth); -1 if unreachable.
-/// The source chunk already passed verifyChunk, so depths are consistent
-/// at join points — this is the same abstract interpretation run over the
-/// fused stream, used by the diamond classifier's stack-neutrality check.
-std::vector<int> decodedDepths(const ExecChunk &C) {
-  const size_t N = C.Code.size();
-  std::vector<int> Depth(N + 1, -1);
-  std::vector<size_t> Worklist;
-  if (N > 0) {
-    Depth[0] = 0;
-    Worklist.push_back(0);
-  }
-
-  auto Flow = [&](size_t Target, int D) {
-    if (Target > N)
-      return;
-    if (Depth[Target] == -1) {
-      Depth[Target] = D;
-      if (Target < N)
-        Worklist.push_back(Target);
-    }
-  };
-
-  while (!Worklist.empty()) {
-    size_t IP = Worklist.back();
-    Worklist.pop_back();
-    const ExecInstr &In = C.Code[IP];
-    int D = Depth[IP];
-    int After = D;
-    bool Terminal = false;
-    int32_t JumpTarget = -1;
-
-    switch (In.Op) {
-    case FusedOp::F_Const:
-    case FusedOp::F_LoadLocal:
-    case FusedOp::F_CacheLoad:
-      After = D + 1;
-      break;
-    case FusedOp::F_StoreLocal:
-    case FusedOp::F_Pop:
-      After = D - 1;
-      break;
-    case FusedOp::F_Convert:
-    case FusedOp::F_Neg:
-    case FusedOp::F_Not:
-    case FusedOp::F_Member:
-    case FusedOp::F_CacheStore:
-    case FusedOp::F_ConstAdd:
-    case FusedOp::F_ConstMul:
-    case FusedOp::F_StoreLoad:
-    case FusedOp::F_CacheLoadAdd:
-    case FusedOp::F_CacheLoadMul:
-    case FusedOp::F_CacheLoadStore:
-      break; // net zero
-    case FusedOp::F_Add:
-    case FusedOp::F_Sub:
-    case FusedOp::F_Mul:
-    case FusedOp::F_Div:
-    case FusedOp::F_Mod:
-    case FusedOp::F_Lt:
-    case FusedOp::F_Le:
-    case FusedOp::F_Gt:
-    case FusedOp::F_Ge:
-    case FusedOp::F_Eq:
-    case FusedOp::F_Ne:
-    case FusedOp::F_And:
-    case FusedOp::F_Or:
-      After = D - 1;
-      break;
-    case FusedOp::F_Select:
-      After = D - 2;
-      break;
-    case FusedOp::F_LoadLoad:
-      After = D + 2;
-      break;
-    case FusedOp::F_Jump:
-      JumpTarget = In.A;
-      Terminal = true;
-      break;
-    case FusedOp::F_JumpIfFalse:
-      After = D - 1;
-      JumpTarget = In.A;
-      break;
-    case FusedOp::F_LtJf:
-    case FusedOp::F_LeJf:
-    case FusedOp::F_GtJf:
-    case FusedOp::F_GeJf:
-      After = D - 2;
-      JumpTarget = In.A2;
-      break;
-    case FusedOp::F_CallBuiltin:
-      After = D - In.B + 1;
-      break;
-    case FusedOp::F_LoadCall:
-      After = D + 2 - In.B2;
-      break;
-    case FusedOp::F_Return:
-    case FusedOp::F_ReturnVoid:
-    case FusedOp::F_CacheLoadRet:
-      Terminal = true;
-      break;
-    case FusedOp::F_OpCount:
-      break;
-    }
-
-    if (JumpTarget >= 0)
-      Flow(static_cast<size_t>(JumpTarget), After);
-    if (!Terminal)
-      Flow(IP + 1, After);
-  }
-  return Depth;
-}
-
-/// Decides whether the conditional branch at decoded index \p I (forward
-/// target \p Target) heads a maskable diamond; on success fills \p Join
-/// with the reconvergence index. See ExecChunk::BranchJoin for the
-/// criteria and why each one is load-bearing.
-bool classifyDiamond(const ExecChunk &C, const std::vector<int> &Depth,
-                     size_t I, int32_t Target, int32_t &Join) {
-  const size_t N = C.Code.size();
-  if (Target < 0 || static_cast<size_t>(Target) <= I)
-    return false; // Backward conditional: a loop header, never masked.
-
-  // If the instruction just before the else target is a forward
-  // unconditional jump to or past it, this is an if/else and that
-  // else-skip's target is the reconvergence point; otherwise the branch
-  // target itself is (if without else).
-  const size_t T = static_cast<size_t>(Target);
-  Join = Target;
-  if (T >= 1 && T - 1 > I) {
-    const ExecInstr &Skip = C.Code[T - 1];
-    if (Skip.Op == FusedOp::F_Jump && Skip.A >= Target)
-      Join = Skip.A;
-  }
-  if (static_cast<size_t>(Join) > N)
-    return false;
-
-  // Both arms may leave the region only through the join: no returns
-  // (they would strand masked-off lanes) and every inner jump must land
-  // inside (I, Join]. Backward jumps *within* the region are inner loops
-  // and are fine — their own exit branches classify separately, and the
-  // runtime bails if one actually diverges.
-  for (size_t P = I + 1; P < static_cast<size_t>(Join); ++P) {
-    const ExecInstr &Arm = C.Code[P];
-    if (Arm.Op == FusedOp::F_Return || Arm.Op == FusedOp::F_ReturnVoid ||
-        Arm.Op == FusedOp::F_CacheLoadRet)
-      return false;
-    int32_t Q = decodedTarget(Arm);
-    if (Q >= 0 && (static_cast<size_t>(Q) <= I || Q > Join))
-      return false;
-  }
-
-  // Stack-neutral: the depth at the join must equal the depth right
-  // after the branch pops its condition. Batched stack pushes write all
-  // lanes unmasked, so a diamond that left a value on the stack would
-  // let one arm clobber the other's row — classification forbids it.
-  if (Depth[I] < 0 ||
-      Depth[static_cast<size_t>(Join)] != Depth[I] - condBranchPops(C.Code[I].Op))
-    return false;
-  return true;
-}
-
 } // namespace
 
 ExecChunk dspec::buildExecChunk(const Chunk &C) {
@@ -466,9 +267,9 @@ ExecChunk dspec::buildExecChunk(const Chunk &C) {
         getBuiltinInfo(static_cast<BuiltinId>(In.A)).HasGlobalEffect)
       Out.HasEffects = true;
   }
-  // Effect order is the only thing the masked batched tier cannot
-  // reproduce; every other chunk at least *attempts* batching and bails
-  // per-tile if unmaskable control flow actually diverges.
+  // Effect order is the only thing the batched tier cannot reproduce;
+  // every other chunk at least *attempts* batching and bails per-tile
+  // where a branch's lanes disagree.
   Out.BatchSafe = !Out.HasEffects;
 
   // Decode with fusion. A pair is only fused when its second instruction
@@ -508,32 +309,6 @@ ExecChunk dspec::buildExecChunk(const Chunk &C) {
       *Target = OldToNew[*Target];
     }
 
-  // Loop census and maskable-diamond classification over the decoded
-  // stream (targets are decoded indices from here on).
-  bool AnyCond = false;
-  for (size_t I = 0; I < Out.Code.size(); ++I) {
-    int32_t T = decodedTarget(Out.Code[I]);
-    if (T >= 0 && static_cast<size_t>(T) <= I)
-      Out.HasLoops = true;
-    if (isCondBranch(Out.Code[I].Op))
-      AnyCond = true;
-  }
-  if (AnyCond) {
-    const std::vector<int> Depth = decodedDepths(Out);
-    Out.BranchJoin.assign(Out.Code.size(), -1);
-    for (size_t I = 0; I < Out.Code.size(); ++I) {
-      if (!isCondBranch(Out.Code[I].Op))
-        continue;
-      int32_t Join = -1;
-      if (classifyDiamond(Out, Depth, I, decodedTarget(Out.Code[I]), Join)) {
-        Out.BranchJoin[I] = Join;
-        ++Out.MaskableBranches;
-      } else {
-        ++Out.UnmaskableBranches;
-      }
-    }
-  }
-
   Out.Valid = true;
   return Out;
 }
@@ -543,6 +318,15 @@ std::vector<unsigned> dspec::opcodeHistogram(const ExecChunk &C) {
   for (const ExecInstr &In : C.Code)
     ++Counts[static_cast<unsigned>(In.Op)];
   return Counts;
+}
+
+unsigned dspec::conditionalBranchCount(const ExecChunk &C) {
+  const std::vector<unsigned> Counts = opcodeHistogram(C);
+  unsigned Branches = 0;
+  for (FusedOp Op : {FusedOp::F_JumpIfFalse, FusedOp::F_LtJf, FusedOp::F_LeJf,
+                     FusedOp::F_GtJf, FusedOp::F_GeJf})
+    Branches += Counts[static_cast<unsigned>(Op)];
+  return Branches;
 }
 
 std::vector<std::pair<const char *, unsigned>>

@@ -139,39 +139,13 @@ struct ExecChunk {
   /// Calls at least one builtin with a global effect (dsc_trace /
   /// dsc_clock), whose call order is observable.
   bool HasEffects = false;
-  /// Valid and effect-free: eligible for pixel-batched execution. Since
-  /// the batched tier gained mask-based divergent-lane execution, branchy
-  /// chunks qualify too — runBatch runs maskable diamonds under a
-  /// per-lane mask, takes uniform branches in lockstep, and *bails out*
-  /// of the tile (ExecResult::Diverged, not a trap) when an unmaskable
-  /// branch actually diverges at runtime; the engine then re-runs the
-  /// tile per-pixel. Only observable effect order still forces per-pixel
+  /// Valid and effect-free: eligible for pixel-batched execution.
+  /// Branchy chunks qualify too: runBatch takes a branch whose lanes all
+  /// agree in lockstep, and *bails out* of the tile (ExecResult::Diverged,
+  /// not a trap) at one whose lanes disagree; the engine then re-runs the
+  /// tile per-pixel. Only observable effect order forces per-pixel
   /// execution up front.
   bool BatchSafe = false;
-  /// Any backward jump in the decoded stream (loops).
-  bool HasLoops = false;
-
-  /// Static branch-region classification for the batched tier, computed
-  /// over the decoded stream. A conditional branch at decoded index i is
-  /// a *maskable diamond* iff its region is reducible straight-line
-  /// control flow: a forward target, a determinable reconvergence (join)
-  /// point, no Return/ReturnVoid/CacheLoadRet inside either arm, every
-  /// inner jump staying within the region, and stack-neutrality (the
-  /// operand stack at the join matches the depth after the branch pops
-  /// its condition), so both arms can execute under a lane mask without
-  /// stranding lanes or clobbering live stack rows.
-  ///
-  /// BranchJoin is sized to Code.size() when the chunk has conditional
-  /// branches (empty otherwise): BranchJoin[i] is the decoded join index
-  /// for a maskable conditional branch at i, or -1 (unmaskable or not a
-  /// conditional branch).
-  std::vector<int32_t> BranchJoin;
-  /// Census of conditional branches in the decoded stream; a loop exit
-  /// or a return-bearing arm counts as unmaskable (it executes batched
-  /// anyway, relying on runtime uniformity, with the bail-out as the
-  /// safety net).
-  unsigned MaskableBranches = 0;
-  unsigned UnmaskableBranches = 0;
 
   unsigned numLocals() const {
     return static_cast<unsigned>(LocalTypes.size());
@@ -194,6 +168,11 @@ ExecChunk buildExecChunk(const Chunk &C);
 /// Occurrence count per opcode in \p C's decoded stream, superinstruction
 /// entries included, in FusedOp order (dense, size kNumFusedOps).
 std::vector<unsigned> opcodeHistogram(const ExecChunk &C);
+
+/// Conditional branches in \p C's decoded stream (JumpIfFalse and the
+/// fused compare+jfalse pairs): the points where a batched tile whose
+/// lanes disagree bails to per-pixel execution.
+unsigned conditionalBranchCount(const ExecChunk &C);
 
 /// The superinstruction entries of opcodeHistogram with non-zero counts,
 /// as (mnemonic, count) rows for the explain output, highest count first.

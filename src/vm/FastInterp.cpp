@@ -11,12 +11,11 @@
 //                locals rows and strided packed caches, so dispatch cost
 //                is amortized 1/Lanes and the inner loops are plain
 //                arrays the compiler can vectorize. Only for BatchSafe
-//                (effect-free) chunks. Control flow runs GPU-warp style:
-//                uniform branch outcomes jump in lockstep, divergent
-//                maskable diamonds execute both arms under a per-lane
-//                mask stack, and divergence at an unmaskable branch
-//                bails out of the tile (ExecResult::Diverged) for a
-//                per-pixel re-run on the switch interpreter (VM::run).
+//                (effect-free) chunks. A branch whose lanes all agree
+//                jumps (or falls through) in lockstep; one whose lanes
+//                disagree bails out of the tile (ExecResult::Diverged)
+//                for a per-pixel re-run on the switch interpreter
+//                (VM::run).
 //
 // It calls the shared semantics in vm/InterpOps.h — the same functions
 // the classic switch interpreter uses — which is what makes framebuffers
@@ -251,31 +250,26 @@ inline void cacheLoadRow(Value *Dest, const unsigned char *Base,
 
 } // namespace
 
-// Traps also record the dispatch count so the caller's divergence
-// accounting stays consistent on every exit path.
 #define TRAP(MSG)                                                              \
   do {                                                                         \
     Result.Trapped = true;                                                     \
     Result.TrapMessage = (MSG);                                                \
     Result.InstructionsExecuted = Executed;                                    \
-    Result.BatchDispatches = Dispatched;                                       \
     return Result;                                                             \
   } while (0)
 
-// Unmaskable control flow actually diverged across lanes: not an error —
-// results are unwritten and the caller re-runs the tile per-pixel.
+// A branch's lanes disagree: not an error — results are unwritten and the
+// caller re-runs the tile per-pixel.
 #define DIVERGE()                                                              \
   do {                                                                         \
     Result.Diverged = true;                                                    \
     Result.InstructionsExecuted = Executed;                                    \
-    Result.BatchDispatches = Dispatched;                                       \
     return Result;                                                             \
   } while (0)
 
 ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
   ExecResult Result;
   uint64_t Executed = 0;
-  uint64_t Dispatched = 0;
 
   if (!C.Valid || !C.BatchSafe)
     TRAP("batch execution on an unsupported chunk '" + C.Name + "'");
@@ -337,46 +331,15 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
     callBuiltinLanes(Id, ArgRows, Row(SP), Lanes, *this);
     ++SP;
   };
-  // Divergence state. A null CurMask means every lane is active — the
-  // uniform fast path that straight-line chunks and runtime-uniform
-  // branches never leave, so they pay no masking cost. A divergent
-  // maskable diamond pushes a MaskFrame; CurMask then points at the top
-  // frame's current-arm mask. Stack pushes stay unmasked (each arm
-  // writes operand rows for every lane, keeping lane kinds uniform);
-  // only stores to locals and cache slots are masked, and only those
-  // plus trap checks consult CurMask.
-  size_t MaskDepth = 0;
-  const uint8_t *CurMask = nullptr;
-  unsigned ActiveCount = Lanes;
-  CondScratch.resize(Lanes);
-
-  auto RefreshMask = [&]() {
-    if (MaskDepth == 0) {
-      CurMask = nullptr;
-      ActiveCount = Lanes;
-    } else {
-      CurMask = BatchMasks[MaskDepth - 1].Active.data();
-      ActiveCount = BatchMasks[MaskDepth - 1].ActiveCount;
-    }
-  };
 
   const ExecInstr *Code = C.Code.data();
   const size_t CodeLen = C.Code.size();
   size_t IpIdx = 0;
   while (IpIdx < CodeLen) {
-    // Reconvergence: lanes masked off for the innermost diamond rejoin
-    // at its join index. Nested diamonds with coinciding joins pop in
-    // one go, innermost first.
-    while (MaskDepth > 0 &&
-           BatchMasks[MaskDepth - 1].Join == static_cast<int32_t>(IpIdx)) {
-      --MaskDepth;
-      RefreshMask();
-    }
     const ExecInstr &In = Code[IpIdx];
-    ++Dispatched;
-    // Bill active lanes only: a divergent tile is charged the work a
-    // per-pixel run would have done, not both arms times every lane.
-    Executed += CurMask ? ActiveCount : Lanes;
+    // Every lane runs every dispatched instruction, so a tile is billed
+    // what Lanes per-pixel runs would have been.
+    Executed += Lanes;
     if (Executed > InstructionBudget)
       TRAP("instruction budget exceeded in '" + C.Name + "'");
     switch (In.Op) {
@@ -394,14 +357,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
     }
     case FusedOp::F_StoreLocal: {
       const Value *S = Row(--SP);
-      Value *D = LocalRow(In.A);
-      if (!CurMask) {
-        std::copy(S, S + Lanes, D);
-      } else {
-        for (unsigned L = 0; L < Lanes; ++L)
-          if (CurMask[L])
-            D[L] = S[L];
-      }
+      std::copy(S, S + Lanes, LocalRow(In.A));
       break;
     }
     case FusedOp::F_Convert: {
@@ -458,16 +414,9 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       // in the generic fallback with the other int mixes.
       if (!arithRows(Lv, Rv, Lanes, [](float A, float B) { return A / B; }))
         for (unsigned L = 0; L < Lanes; ++L) {
-          if (Lv[L].isInt() && Rv[L].isInt() && Rv[L].I == 0) {
-            if (!CurMask || CurMask[L])
-              TRAP("integer division by zero in '" + C.Name + "'" +
-                   interp::srcLocSuffix(In.A, In.B));
-            // Masked-off lane: the trap is suppressed; a kind-correct
-            // placeholder keeps the row's lane kinds uniform and is
-            // never observed.
-            Lv[L] = Value::makeInt(0);
-            continue;
-          }
+          if (Lv[L].isInt() && Rv[L].isInt() && Rv[L].I == 0)
+            TRAP("integer division by zero in '" + C.Name + "'" +
+                 interp::srcLocSuffix(In.A, In.B));
           Lv[L] = interp::opDiv(Lv[L], Rv[L]);
         }
       break;
@@ -476,13 +425,9 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const Value *Rv = Row(--SP);
       Value *Lv = Row(SP - 1);
       for (unsigned L = 0; L < Lanes; ++L) {
-        if (Rv[L].I == 0) {
-          if (!CurMask || CurMask[L])
-            TRAP("integer modulo by zero in '" + C.Name + "'" +
-                 interp::srcLocSuffix(In.A, In.B));
-          Lv[L] = Value::makeInt(0);
-          continue;
-        }
+        if (Rv[L].I == 0)
+          TRAP("integer modulo by zero in '" + C.Name + "'" +
+               interp::srcLocSuffix(In.A, In.B));
         Lv[L] = Value::makeInt(Lv[L].I % Rv[L].I);
       }
       break;
@@ -586,8 +531,6 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const Value *S = Row(SP - 1);
       unsigned char *Dst = Req.CacheStoreBase + Offset;
       for (unsigned L = 0; L < Lanes; ++L) {
-        if (CurMask && !CurMask[L])
-          continue; // inactive lane: no store, no type trap
         if (S[L].Kind != Kind)
           TRAP("cache store type mismatch in '" + C.Name + "': slot is " +
                Type(Kind).name() + ", value is " + Type(S[L].Kind).name());
@@ -596,22 +539,16 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       break;
     }
     case FusedOp::F_Return: {
-      if (MaskDepth > 0)
-        DIVERGE(); // classification forbids returns inside a diamond
       const Value *S = Row(SP - 1);
       for (unsigned L = 0; L < Lanes; ++L)
         Req.Results[L] = S[L];
       Result.InstructionsExecuted = Executed;
-      Result.BatchDispatches = Dispatched;
       return Result;
     }
     case FusedOp::F_ReturnVoid: {
-      if (MaskDepth > 0)
-        DIVERGE();
       for (unsigned L = 0; L < Lanes; ++L)
         Req.Results[L] = Value::makeVoid();
       Result.InstructionsExecuted = Executed;
-      Result.BatchDispatches = Dispatched;
       return Result;
     }
     case FusedOp::F_ConstAdd: {
@@ -640,17 +577,9 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
     }
     case FusedOp::F_StoreLoad: {
       // Store first, then load — row-wise order preserves the sequential
-      // semantics even when both name the same local. Only the store is
-      // masked; the load is a stack push and writes every lane.
+      // semantics even when both name the same local.
       Value *S = Row(SP - 1);
-      Value *D = LocalRow(In.A);
-      if (!CurMask) {
-        std::copy(S, S + Lanes, D);
-      } else {
-        for (unsigned L = 0; L < Lanes; ++L)
-          if (CurMask[L])
-            D[L] = S[L];
-      }
+      std::copy(S, S + Lanes, LocalRow(In.A));
       const Value *Src = LocalRow(In.A2);
       std::copy(Src, Src + Lanes, S);
       break;
@@ -703,15 +632,8 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const unsigned Offset = static_cast<unsigned>(In.B);
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache read past the layout in '" + C.Name + "'");
-      const unsigned char *Src = Req.CacheBase + Offset;
-      if (!CurMask) {
-        cacheLoadRow(LocalRow(In.A2), Src, CacheStride, Kind, Lanes);
-      } else {
-        Value *D = LocalRow(In.A2);
-        for (unsigned L = 0; L < Lanes; ++L)
-          if (CurMask[L])
-            D[L] = CacheView::loadRaw(Src + L * CacheStride, Kind);
-      }
+      cacheLoadRow(LocalRow(In.A2), Req.CacheBase + Offset, CacheStride, Kind,
+                   Lanes);
       break;
     }
     case FusedOp::F_CacheLoadRet: {
@@ -721,54 +643,28 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
       const unsigned Offset = static_cast<unsigned>(In.B);
       if (!Bounds.inBounds(Offset, Kind))
         TRAP("cache read past the layout in '" + C.Name + "'");
-      if (MaskDepth > 0)
-        DIVERGE();
       cacheLoadRow(Req.Results, Req.CacheBase + Offset, CacheStride, Kind,
                    Lanes);
       Result.InstructionsExecuted = Executed;
-      Result.BatchDispatches = Dispatched;
       return Result;
     }
-    case FusedOp::F_Jump: {
-      // The only forward unconditional jump the compiler emits is the
-      // else-skip ending a then-arm. Under a divergent frame for that
-      // exact diamond it transitions execution to the else arm instead
-      // of jumping; everything else (loop back-edges, skips under a
-      // uniform outcome) jumps in lockstep.
-      if (MaskDepth > 0) {
-        MaskFrame &F = BatchMasks[MaskDepth - 1];
-        if (F.InThen && In.A == F.Join) {
-          F.Active.swap(F.Pending);
-          std::swap(F.ActiveCount, F.PendingCount);
-          F.InThen = false;
-          CurMask = F.Active.data();
-          ActiveCount = F.ActiveCount;
-          ++IpIdx; // falls into the else arm (or straight onto the join)
-          continue;
-        }
-      }
+    case FusedOp::F_Jump:
       IpIdx = static_cast<size_t>(In.A);
       continue;
-    }
     case FusedOp::F_JumpIfFalse:
     case FusedOp::F_LtJf:
     case FusedOp::F_LeJf:
     case FusedOp::F_GtJf:
     case FusedOp::F_GeJf: {
-      // Evaluate the condition over the *active* lanes only: masked-off
-      // garbage must never influence control flow, and divergence means
-      // "the active lanes disagree".
+      // All lanes agree: take the jump (or fall through) in lockstep.
+      // Otherwise the tile bails for a per-pixel re-run.
       size_t Target;
       unsigned TrueCount = 0;
-      const unsigned ActiveTotal = CurMask ? ActiveCount : Lanes;
       if (In.Op == FusedOp::F_JumpIfFalse) {
         Target = static_cast<size_t>(In.A);
         const Value *S = Row(--SP);
-        for (unsigned L = 0; L < Lanes; ++L) {
-          const uint8_t B = (!CurMask || CurMask[L]) && S[L].asBool() ? 1 : 0;
-          CondScratch[L] = B;
-          TrueCount += B;
-        }
+        for (unsigned L = 0; L < Lanes; ++L)
+          TrueCount += S[L].asBool();
       } else {
         Target = static_cast<size_t>(In.A2);
         const Value *Rv = Row(--SP);
@@ -778,49 +674,18 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
             : In.Op == FusedOp::F_LeJf ? interp::cmpLe
             : In.Op == FusedOp::F_GtJf ? interp::cmpGt
                                        : interp::cmpGe;
-        for (unsigned L = 0; L < Lanes; ++L) {
-          const uint8_t B =
-              (!CurMask || CurMask[L]) && Cmp(Lv[L], Rv[L]) ? 1 : 0;
-          CondScratch[L] = B;
-          TrueCount += B;
-        }
+        for (unsigned L = 0; L < Lanes; ++L)
+          TrueCount += Cmp(Lv[L], Rv[L]);
       }
-      if (TrueCount == ActiveTotal) { // uniformly true: fall through
+      if (TrueCount == Lanes) { // uniformly true: fall through
         ++IpIdx;
         continue;
       }
-      if (TrueCount == 0) { // uniformly false: jump in lockstep
+      if (TrueCount == 0) { // uniformly false: jump
         IpIdx = Target;
         continue;
       }
-      const int32_t Join = C.BranchJoin.empty() ? -1 : C.BranchJoin[IpIdx];
-      if (Join < 0)
-        DIVERGE(); // a divergent loop exit or return-bearing diamond
-      // Push a mask frame: the then-lanes run first; the else mask waits
-      // in Pending until the else-skip transition (and reconverges unused
-      // for an if without an else arm).
-      if (BatchMasks.size() <= MaskDepth)
-        BatchMasks.emplace_back();
-      MaskFrame &F = BatchMasks[MaskDepth];
-      F.Active.assign(CondScratch.begin(), CondScratch.end());
-      F.Pending.resize(Lanes);
-      if (MaskDepth == 0) {
-        for (unsigned L = 0; L < Lanes; ++L)
-          F.Pending[L] = static_cast<uint8_t>(!CondScratch[L]);
-      } else {
-        const uint8_t *Parent = BatchMasks[MaskDepth - 1].Active.data();
-        for (unsigned L = 0; L < Lanes; ++L)
-          F.Pending[L] = static_cast<uint8_t>(Parent[L] && !CondScratch[L]);
-      }
-      F.Join = Join;
-      F.InThen = true;
-      F.ActiveCount = TrueCount;
-      F.PendingCount = ActiveTotal - TrueCount;
-      ++MaskDepth;
-      CurMask = F.Active.data();
-      ActiveCount = TrueCount;
-      ++IpIdx;
-      continue;
+      DIVERGE();
     }
     case FusedOp::F_OpCount:
       TRAP("corrupt opcode in decoded chunk '" + C.Name + "'");
@@ -829,12 +694,10 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
   }
 
   // Fell off the end: every lane halts with a void result, matching the
-  // switch interpreter. (Reconvergence at an end-of-code join needs no
-  // pops — every lane gets the same void result regardless of masks.)
+  // switch interpreter.
   for (unsigned L = 0; L < Lanes; ++L)
     Req.Results[L] = Value::makeVoid();
   Result.InstructionsExecuted = Executed;
-  Result.BatchDispatches = Dispatched;
   return Result;
 }
 

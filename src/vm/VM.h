@@ -36,22 +36,15 @@ struct ExecResult {
   Value Result;
   bool Trapped = false;
   std::string TrapMessage;
-  /// Switch tier: instructions retired. Batched tier: *active lanes*
-  /// summed per retired instruction — a lane masked off by divergence is
-  /// not billed, so the instruction budget charges a divergent tile the
-  /// same work a per-pixel run would have done.
+  /// Switch tier: instructions retired. Batched tier: retired
+  /// instructions times the tile's lanes, so the instruction budget
+  /// charges a tile what its per-pixel runs would have cost.
   uint64_t InstructionsExecuted = 0;
 
-  /// Batched tier only: control flow diverged across lanes at a point
-  /// that cannot run under a mask (a loop exit, or a diamond carrying a
-  /// return). Not an error and not a trap: results are unwritten and the
-  /// caller re-runs the tile per-pixel. Mutually exclusive with Trapped.
+  /// Batched tier only: the lanes of a conditional branch disagreed. Not
+  /// an error and not a trap: results are unwritten and the caller re-runs
+  /// the tile per-pixel. Mutually exclusive with Trapped.
   bool Diverged = false;
-  /// Batched tier only: instruction dispatches retired (each dispatch
-  /// covers up to Lanes lanes). With InstructionsExecuted this yields the
-  /// tile's average active-lane fraction:
-  /// InstructionsExecuted / (BatchDispatches * Lanes).
-  uint64_t BatchDispatches = 0;
 
   bool ok() const { return !Trapped; }
 };
@@ -101,18 +94,12 @@ public:
   /// both call the shared semantics in vm/InterpOps.h and
   /// callBuiltinLanes.
   ///
-  /// Control flow runs GPU-warp style. Branch conditions are evaluated
-  /// over the *active* lanes only; a uniform outcome takes the jump (or
-  /// falls through) in lockstep exactly like the switch tier, so
-  /// straight-line chunks and uniform loops pay nothing. A divergent
-  /// conditional that heads a maskable diamond (ExecChunk::BranchJoin)
-  /// pushes a mask frame: both arms execute with inactive lanes
-  /// suppressed — stores to locals and cache slots are masked, masked
-  /// div/mod-by-zero does not trap — and lanes reconverge at the join.
-  /// Divergence at an unmaskable branch sets ExecResult::Diverged and
-  /// returns with results unwritten; the caller re-runs the tile
-  /// per-pixel through run(). On a real trap (always from a lane that is
-  /// active) the result carries no lane attribution — the caller re-runs
+  /// A conditional branch whose lanes all agree takes the jump (or falls
+  /// through) in lockstep exactly like the switch tier, so straight-line
+  /// chunks and uniform loops run whole tiles. At one whose lanes
+  /// disagree, runBatch sets ExecResult::Diverged and returns with
+  /// results unwritten; the caller re-runs the tile per-pixel through
+  /// run(). A trap carries no lane attribution either: the caller re-runs
   /// the tile through run() to reproduce the canonical lowest-pixel
   /// diagnostic.
   ExecResult runBatch(const ExecChunk &C, const BatchRequest &Req);
@@ -138,22 +125,6 @@ private:
   /// index s * Lanes + l), likewise reused across tiles.
   std::vector<Value> BatchLocals;
   std::vector<Value> BatchStack;
-
-  /// Divergence scratch for runBatch: one mask frame per nested divergent
-  /// diamond. Active holds the current arm's lane mask (1 = active),
-  /// Pending the other arm's; frames are reused across tiles so steady-
-  /// state divergence allocates nothing.
-  struct MaskFrame {
-    std::vector<uint8_t> Active;
-    std::vector<uint8_t> Pending;
-    int32_t Join = 0;
-    bool InThen = false;
-    unsigned ActiveCount = 0;
-    unsigned PendingCount = 0;
-  };
-  std::vector<MaskFrame> BatchMasks;
-  /// Per-lane branch-condition truth scratch (runBatch).
-  std::vector<uint8_t> CondScratch;
 };
 
 /// Runs builtin \p Id (a BuiltinId) over \p Lanes lanes: lane L's

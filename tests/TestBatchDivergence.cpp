@@ -1,17 +1,17 @@
-//===- tests/TestMaskedBatch.cpp - Masked batched execution tests ------------===//
+//===- tests/TestBatchDivergence.cpp - Batched-tier divergence tests --------===//
 //
 // Part of the dataspec project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched tier's divergent-lane contract (docs/ENGINE.md, "Masked
-/// divergent-lane execution"): maskable diamonds execute both arms with
-/// inactive lanes suppressed and reconverge bit-identically to the
-/// switch interpreter, inactive lanes never trap, active-lane traps
-/// recover the canonical per-pixel diagnostic through the engine,
-/// divergence at an unmaskable branch bails the tile (never corrupts
-/// it), and the instruction budget bills active lanes only.
+/// The batched tier's divergence contract (docs/ENGINE.md, "Divergent
+/// tiles"): branches whose lanes all agree run the tile in lockstep,
+/// bit-identically to the switch interpreter; a branch whose lanes
+/// disagree bails the tile with its results unwritten, and the engine
+/// re-runs it per pixel, so skipped arms never trap and traps recover the
+/// canonical per-pixel diagnostic; the instruction budget bills every
+/// lane.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace dspec;
@@ -106,80 +107,27 @@ void expectMatchesScalar(VM &Machine, const Chunk &Code, const ExecChunk &Exec,
   }
 }
 
+/// Asserts a batch run bailed without trapping and left every result
+/// slot holding runTile's sentinel.
+void expectBailsUnwritten(VM &Machine, const ExecChunk &Exec,
+                          const std::vector<std::vector<Value>> &LaneArgs) {
+  TileRun Tile = runTile(Machine, Exec, LaneArgs);
+  EXPECT_TRUE(Tile.R.Diverged);
+  EXPECT_FALSE(Tile.R.Trapped);
+  for (const Value &V : Tile.Results)
+    EXPECT_TRUE(bitIdentical(V, Value::makeInt(-777001)))
+        << "bail-out must leave results unwritten";
+}
+
 std::vector<Value> floatArgs(float X) { return {Value::makeFloat(X)}; }
 std::vector<Value> intArgs(int I) { return {Value::makeInt(I)}; }
 
 //===----------------------------------------------------------------------===//
-// Maskable diamonds: both arms under a mask, scalar-identical results
+// Uniform branches run in lockstep, divergent ones bail cleanly
 //===----------------------------------------------------------------------===//
 
-TEST(MaskedBatch, DivergentDiamondMatchesScalar) {
-  Chunk Code = compileOne("float f(float x) {\n"
-                          "  float v = 0.0;\n"
-                          "  if (x > 0.5) {\n"
-                          "    v = x * 2.0 + 1.0;\n"
-                          "  } else {\n"
-                          "    v = x - 3.0;\n"
-                          "  }\n"
-                          "  return v + 0.25;\n"
-                          "}",
-                          "f");
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-  EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_FALSE(Exec.HasLoops);
-  EXPECT_EQ(Exec.MaskableBranches, 1u);
-  EXPECT_EQ(Exec.UnmaskableBranches, 0u);
-
-  VM Machine;
-  expectMatchesScalar(Machine, Code, Exec,
-                      {floatArgs(0.0f), floatArgs(0.25f), floatArgs(0.75f),
-                       floatArgs(1.0f), floatArgs(0.5f), floatArgs(-2.0f)});
-  // Uniform tiles (all-true, all-false) must match too — they take the
-  // lockstep fast path and never push a mask frame.
-  expectMatchesScalar(Machine, Code, Exec,
-                      {floatArgs(0.6f), floatArgs(0.9f), floatArgs(2.0f)});
-  expectMatchesScalar(Machine, Code, Exec,
-                      {floatArgs(0.1f), floatArgs(-1.0f), floatArgs(0.5f)});
-}
-
-TEST(MaskedBatch, NestedDiamondsMatchScalar) {
-  Chunk Code = compileOne("float f(float x, float y) {\n"
-                          "  float v = 1.0;\n"
-                          "  if (x > 0.0) {\n"
-                          "    if (y > 0.0) {\n"
-                          "      v = x + y;\n"
-                          "    } else {\n"
-                          "      v = x - y;\n"
-                          "    }\n"
-                          "    v = v * 2.0;\n"
-                          "  } else {\n"
-                          "    v = y * 3.0;\n"
-                          "  }\n"
-                          "  if (v > 4.0) { v = v - 4.0; }\n"
-                          "  return v;\n"
-                          "}",
-                          "f");
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-  EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_EQ(Exec.MaskableBranches, 3u);
-  EXPECT_EQ(Exec.UnmaskableBranches, 0u);
-
-  auto XY = [](float X, float Y) {
-    return std::vector<Value>{Value::makeFloat(X), Value::makeFloat(Y)};
-  };
-  VM Machine;
-  // Lanes land in every arm of every diamond, including the trailing
-  // if-without-else.
-  expectMatchesScalar(Machine, Code, Exec,
-                      {XY(1.0f, 2.0f), XY(1.0f, -2.0f), XY(-1.0f, 0.5f),
-                       XY(3.0f, 3.0f), XY(-0.5f, -0.5f), XY(0.0f, 9.0f),
-                       XY(2.5f, 0.0f)});
-}
-
-TEST(MaskedBatch, AllLanesFalseArmIsSkipped) {
-  // Uniform-false over the active lanes jumps past the arm in lockstep:
+TEST(BatchDivergence, AllLanesFalseArmIsSkipped) {
+  // Every lane is false, so the tile jumps past the arm in lockstep:
   // the division inside never executes, so no lane traps even though
   // the divisor would be zero.
   Chunk Code = compileOne("int f(int x) {\n"
@@ -201,77 +149,10 @@ TEST(MaskedBatch, AllLanesFalseArmIsSkipped) {
     EXPECT_TRUE(bitIdentical(V, Value::makeInt(1)));
 }
 
-//===----------------------------------------------------------------------===//
-// Trap discipline: inactive lanes never trap, active lanes still do
-//===----------------------------------------------------------------------===//
-
-TEST(MaskedBatch, InactiveLaneDivByZeroSuppressed) {
-  // Lanes with x <= 0 keep d == 0 and are inactive inside the second
-  // diamond, so the 100 / d they skip must not trap; active lanes
-  // divide by their nonzero d.
-  Chunk Code = compileOne("int f(int x) {\n"
-                          "  int d = 0;\n"
-                          "  if (x > 0) { d = x; }\n"
-                          "  int r = -1;\n"
-                          "  if (d > 0) { r = 100 / d; }\n"
-                          "  return r;\n"
-                          "}",
-                          "f");
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-  ASSERT_TRUE(Exec.BatchSafe);
-  EXPECT_EQ(Exec.MaskableBranches, 2u);
-
-  VM Machine;
-  expectMatchesScalar(Machine, Code, Exec,
-                      {intArgs(0), intArgs(2), intArgs(5), intArgs(-3),
-                       intArgs(100), intArgs(0)});
-
-  // Same for modulo.
-  Chunk ModCode = compileOne("int g(int x) {\n"
-                             "  int d = 0;\n"
-                             "  if (x > 0) { d = x; }\n"
-                             "  int r = -1;\n"
-                             "  if (d > 0) { r = 17 % d; }\n"
-                             "  return r;\n"
-                             "}",
-                             "g");
-  ExecChunk ModExec = buildExecChunk(ModCode);
-  ASSERT_TRUE(ModExec.Valid);
-  expectMatchesScalar(Machine, ModCode, ModExec,
-                      {intArgs(0), intArgs(4), intArgs(-1), intArgs(6)});
-}
-
-TEST(MaskedBatch, ActiveLaneDivByZeroStillTraps) {
-  // An active lane that divides by zero under a mask is a real trap —
-  // masking suppresses *inactive* lanes only.
-  Chunk Code = compileOne("int f(int x) {\n"
-                          "  int r = 1;\n"
-                          "  if (x > 10) { r = 5 / (x - x); }\n"
-                          "  return r;\n"
-                          "}",
-                          "f");
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-
-  VM Machine;
-  TileRun Tile =
-      runTile(Machine, Exec, {intArgs(0), intArgs(20), intArgs(3)});
-  ASSERT_TRUE(Tile.R.Trapped);
-  EXPECT_FALSE(Tile.R.Diverged);
-  EXPECT_NE(Tile.R.TrapMessage.find("integer division by zero"),
-            std::string::npos)
-      << Tile.R.TrapMessage;
-}
-
-//===----------------------------------------------------------------------===//
-// Loops: uniform trip counts batch, divergent exits bail cleanly
-//===----------------------------------------------------------------------===//
-
-TEST(MaskedBatch, UniformLoopBatchesInLockstep) {
-  // The clouds/rings shape: a fixed-bound octave loop. The exit branch
-  // classifies unmaskable, but at runtime every lane agrees on every
-  // iteration, so the whole tile runs batched.
+TEST(BatchDivergence, UniformLoopBatchesInLockstep) {
+  // The clouds/rings shape: a fixed-bound octave loop. Every lane agrees
+  // at the exit branch on every iteration, so the whole tile runs
+  // batched.
   Chunk Code = compileOne("float f(float x) {\n"
                           "  float sum = 0.0;\n"
                           "  float amp = 1.0;\n"
@@ -285,8 +166,6 @@ TEST(MaskedBatch, UniformLoopBatchesInLockstep) {
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
   EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_TRUE(Exec.HasLoops);
-  EXPECT_GT(Exec.UnmaskableBranches, 0u);
 
   VM Machine;
   expectMatchesScalar(Machine, Code, Exec,
@@ -294,7 +173,7 @@ TEST(MaskedBatch, UniformLoopBatchesInLockstep) {
                        floatArgs(1e10f)});
 }
 
-TEST(MaskedBatch, DivergentLoopBailsWithResultsUnwritten) {
+TEST(BatchDivergence, DivergentLoopBailsWithResultsUnwritten) {
   Chunk Code = compileOne("int f(int n) {\n"
                           "  int total = 0;\n"
                           "  int i = 0;\n"
@@ -314,19 +193,37 @@ TEST(MaskedBatch, DivergentLoopBailsWithResultsUnwritten) {
   expectMatchesScalar(Machine, Code, Exec,
                       {intArgs(4), intArgs(4), intArgs(4)});
   // ...divergent ones bail: not a trap, results untouched.
-  TileRun Tile = runTile(Machine, Exec, {intArgs(1), intArgs(3)});
-  EXPECT_TRUE(Tile.R.Diverged);
-  EXPECT_FALSE(Tile.R.Trapped);
-  for (const Value &V : Tile.Results)
-    EXPECT_TRUE(bitIdentical(V, Value::makeInt(-777001)))
-        << "bail-out must leave results unwritten";
+  expectBailsUnwritten(Machine, Exec, {intArgs(1), intArgs(3)});
+
+  // A divergent if/else diamond bails the same way, while tiles whose
+  // lanes all take one arm run it in lockstep.
+  Chunk Diamond = compileOne("float f(float x) {\n"
+                             "  float v = 0.0;\n"
+                             "  if (x > 0.5) {\n"
+                             "    v = x * 2.0 + 1.0;\n"
+                             "  } else {\n"
+                             "    v = x - 3.0;\n"
+                             "  }\n"
+                             "  return v + 0.25;\n"
+                             "}",
+                             "f");
+  ExecChunk DiamondExec = buildExecChunk(Diamond);
+  ASSERT_TRUE(DiamondExec.Valid);
+  ASSERT_TRUE(DiamondExec.BatchSafe);
+  expectMatchesScalar(Machine, Diamond, DiamondExec,
+                      {floatArgs(0.6f), floatArgs(0.9f), floatArgs(2.0f)});
+  expectMatchesScalar(Machine, Diamond, DiamondExec,
+                      {floatArgs(0.1f), floatArgs(-1.0f), floatArgs(0.5f)});
+  expectBailsUnwritten(Machine, DiamondExec,
+                       {floatArgs(0.0f), floatArgs(0.25f), floatArgs(0.75f),
+                        floatArgs(1.0f), floatArgs(0.5f), floatArgs(-2.0f)});
 }
 
 //===----------------------------------------------------------------------===//
-// Instruction budget bills active lanes only
+// Instruction budget bills every lane
 //===----------------------------------------------------------------------===//
 
-TEST(MaskedBatch, BudgetCountsActiveLanesOnly) {
+TEST(BatchDivergence, BudgetBillsEveryLane) {
   Chunk Code = compileOne("float f(float x) {\n"
                           "  float v = 0.0;\n"
                           "  if (x > 0.5) {\n"
@@ -347,43 +244,23 @@ TEST(MaskedBatch, BudgetCountsActiveLanesOnly) {
   auto Ref = Machine.run(Code, floatArgs(0.9f));
   ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
   EXPECT_TRUE(bitIdentical(Ref.Result, Scalar.Results[0]));
-  EXPECT_EQ(Scalar.R.InstructionsExecuted, Scalar.R.BatchDispatches);
+  EXPECT_GT(Scalar.R.InstructionsExecuted, 0u);
 
   // Uniform tile: every dispatch runs all lanes, so the bill is exactly
   // Lanes x the scalar instruction count.
-  TileRun Uniform = runTile(
-      Machine, Exec, {floatArgs(0.9f), floatArgs(0.9f), floatArgs(0.9f)});
-  ASSERT_TRUE(Uniform.R.ok());
-  EXPECT_EQ(Uniform.R.InstructionsExecuted,
-            3u * Scalar.R.InstructionsExecuted);
-  EXPECT_GT(Uniform.R.BatchDispatches, 0u);
-  EXPECT_EQ(Uniform.R.InstructionsExecuted,
-            Uniform.R.BatchDispatches * 3u)
-      << "no masking engaged: every dispatch bills every lane";
+  const std::vector<std::vector<Value>> Uniform = {
+      floatArgs(0.9f), floatArgs(0.9f), floatArgs(0.9f)};
+  TileRun Tile = runTile(Machine, Exec, Uniform);
+  ASSERT_TRUE(Tile.R.ok());
+  EXPECT_EQ(Tile.R.InstructionsExecuted, 3u * Scalar.R.InstructionsExecuted);
 
-  // Divergent tile: masked dispatches bill only their active lanes, so
-  // the bill is strictly below dispatches x lanes.
-  TileRun Divergent = runTile(
-      Machine, Exec, {floatArgs(0.9f), floatArgs(0.1f), floatArgs(0.7f),
-                      floatArgs(0.2f)});
-  ASSERT_TRUE(Divergent.R.ok());
-  ASSERT_FALSE(Divergent.R.Diverged);
-  EXPECT_LT(Divergent.R.InstructionsExecuted,
-            Divergent.R.BatchDispatches * 4u);
-  EXPECT_GT(Divergent.R.InstructionsExecuted, 0u);
-
-  // A budget sized to the active-lane bill admits the run; one below
-  // it aborts — pinning that budgeting uses the masked count.
+  // A budget sized to that bill admits the run; one below it aborts.
   VM Tight;
-  Tight.InstructionBudget = Divergent.R.InstructionsExecuted;
-  TileRun Ok = runTile(
-      Tight, Exec, {floatArgs(0.9f), floatArgs(0.1f), floatArgs(0.7f),
-                    floatArgs(0.2f)});
+  Tight.InstructionBudget = Tile.R.InstructionsExecuted;
+  TileRun Ok = runTile(Tight, Exec, Uniform);
   EXPECT_TRUE(Ok.R.ok()) << Ok.R.TrapMessage;
-  Tight.InstructionBudget = Divergent.R.InstructionsExecuted - 1;
-  TileRun Over = runTile(
-      Tight, Exec, {floatArgs(0.9f), floatArgs(0.1f), floatArgs(0.7f),
-                    floatArgs(0.2f)});
+  Tight.InstructionBudget = Tile.R.InstructionsExecuted - 1;
+  TileRun Over = runTile(Tight, Exec, Uniform);
   ASSERT_TRUE(Over.R.Trapped);
   EXPECT_NE(Over.R.TrapMessage.find("instruction budget"), std::string::npos);
 }
@@ -393,7 +270,8 @@ TEST(MaskedBatch, BudgetCountsActiveLanesOnly) {
 //===----------------------------------------------------------------------===//
 
 const char *kBranchyShader = R"(
-// Data-dependent diamonds over uv: every tile of a real grid diverges.
+// Data-dependent diamonds over uv: every tile of a real grid diverges,
+// so batched tiles bail to the switch tier.
 vec3 branchy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
   float v = 0.0;
   if (uv.x > t) {
@@ -412,8 +290,8 @@ vec3 branchy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
 )";
 
 const char *kLoopyShader = R"(
-// Masked store feeding a data-dependent trip count: the loop exit
-// diverges at runtime, so batched tiles bail to the switch tier.
+// A divergent store feeding a data-dependent trip count: the loop exit
+// diverges at runtime too.
 vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
   int n = 1;
   if (uv.x > t) { n = 3; }
@@ -427,14 +305,29 @@ vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
 }
 )";
 
-TEST(MaskedEngine, BranchyDifferentialAcrossTiersAndThreads) {
+const char *kSkippedDivShader = R"(
+// The division sits in an arm that pixels with k == 0 skip, so no pixel
+// divides by zero; a batched tile must not run it for them either.
+vec3 skipdiv(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
+  int k = 0;
+  if (uv.x > t) { k = 2; }
+  float v = 0.5;
+  if (k != 0) { v = 100 / k; }
+  return vec3(v, uv.y, 0.0);
+}
+)";
+
+TEST(BatchDivergenceEngine, BranchyDifferentialAcrossTiersAndThreads) {
   const unsigned W = 17, H = 11;
   RenderGrid Grid(W, H);
   const std::vector<float> Controls = {0.45f};
 
-  for (const char *Source : {kBranchyShader, kLoopyShader}) {
-    Chunk Code = compileOne(
-        Source, Source == kBranchyShader ? "branchy" : "loopy");
+  const std::pair<const char *, const char *> Shaders[] = {
+      {kBranchyShader, "branchy"},
+      {kLoopyShader, "loopy"},
+      {kSkippedDivShader, "skipdiv"}};
+  for (const auto &[Source, Name] : Shaders) {
+    Chunk Code = compileOne(Source, Name);
 
     RenderEngine Ref(1);
     Ref.setExecTier(ExecTier::Switch);
@@ -452,26 +345,19 @@ TEST(MaskedEngine, BranchyDifferentialAcrossTiersAndThreads) {
         expectSameImage(RefImage, Out,
                         std::string(Code.Name) + " [" + execTierName(Tier) +
                             " @" + std::to_string(Threads) + "t]");
-        if (Tier == ExecTier::Batched && Code.Name == "branchy") {
-          // Diamonds are maskable: tiles retire batched with real
-          // masking engaged, and nothing bails.
-          EXPECT_GT(Engine.lastPassStats().BatchTiles, 0u);
-          EXPECT_EQ(Engine.lastPassStats().BailedTiles, 0u);
-          EXPECT_LT(Engine.lastPassStats().activeFraction(), 1.0);
-          EXPECT_GT(Engine.lastPassStats().activeFraction(), 0.0);
-        }
-        if (Tier == ExecTier::Batched && Code.Name == "loopy") {
-          // The divergent loop exit bails tiles to the switch tier.
-          EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u);
+        // Every shader's lanes disagree at a branch in some tile, which
+        // bails to the switch tier.
+        if (Tier == ExecTier::Batched) {
+          EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u) << Name;
         }
       }
     }
   }
 }
 
-TEST(MaskedEngine, BranchySpecializedReaderIdenticalAcrossTiers) {
+TEST(BatchDivergenceEngine, BranchySpecializedReaderIdenticalAcrossTiers) {
   // Specialize the branchy shader on its varying control: the reader
-  // keeps the t-dependent diamonds, so masked reader passes (and the
+  // keeps the t-dependent diamonds, so bailing reader passes (and the
   // loader-filled arena) must stay byte-identical across tiers.
   auto Unit = parseUnit(kBranchyShader);
   ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
@@ -511,11 +397,11 @@ TEST(MaskedEngine, BranchySpecializedReaderIdenticalAcrossTiers) {
   }
 }
 
-TEST(MaskedEngine, ActiveLaneTrapCanonicalAcrossTiers) {
-  // A trap on an active lane aborts the batch without lane attribution;
-  // the engine re-runs the tile through the switch interpreter, so the
-  // user-visible message is the canonical lowest-pixel diagnostic under
-  // every tier.
+TEST(BatchDivergenceEngine, ActiveLaneTrapCanonicalAcrossTiers) {
+  // A trap aborts the batch without lane attribution, and so does the
+  // divergent branch before it; the engine re-runs the tile through the
+  // switch interpreter, so the user-visible message is the canonical
+  // lowest-pixel diagnostic under every tier.
   const char *TrapSource = R"(
 vec3 trapif(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
   int k = 0;

@@ -120,7 +120,7 @@ TEST(ExecChunk, FusesStraightLineIdiomsAndKeepsSemantics) {
   Chunk Code = compileOne("float f(float a) { return a * 2.0 + 1.0; }", "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  EXPECT_EQ(Exec.MaskableBranches + Exec.UnmaskableBranches, 0u);
+  EXPECT_EQ(conditionalBranchCount(Exec), 0u);
   EXPECT_TRUE(Exec.BatchSafe);
   EXPECT_LT(Exec.Code.size(), Code.Code.size())
       << "fusion should shrink the straight-line stream";
@@ -156,14 +156,10 @@ TEST(ExecChunk, BranchyChunksStayExecutableAndClassify) {
                           "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  // Branchy chunks are batch-eligible since the masked batched tier: the
-  // loop exit classifies unmaskable (runtime divergence bails the tile),
-  // the inner if classifies as a maskable diamond.
+  // Branchy chunks are batch-eligible: a tile whose lanes disagree at the
+  // loop exit or the inner if bails to per-pixel execution at run time.
   EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_TRUE(Exec.HasLoops);
-  EXPECT_EQ(Exec.MaskableBranches, 1u);
-  EXPECT_EQ(Exec.UnmaskableBranches, 1u);
-  ASSERT_EQ(Exec.BranchJoin.size(), Exec.Code.size());
+  EXPECT_EQ(conditionalBranchCount(Exec), 2u);
 
   // Fusion must preserve loop semantics exactly — jump targets are
   // remapped and no pair straddles one. Identical lanes keep every
@@ -186,10 +182,9 @@ TEST(ExecChunk, InvalidChunkIsRejected) {
 }
 
 TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
-  // Every gallery reader must decode; with masked execution, batch
-  // eligibility is exactly effect-freedom — branchy readers (clouds,
-  // rings) batch too, with their loop branches classified unmaskable
-  // (divergence there bails the tile at runtime).
+  // Every gallery reader must decode, and batch eligibility is exactly
+  // effect-freedom — branchy readers (clouds, rings) batch too, and a
+  // tile whose lanes disagree at a branch bails at run time.
   ShaderLab Lab(4, 3);
   unsigned BatchSafe = 0, Branchy = 0, Total = 0;
   for (const ShaderInfo &Info : shaderGallery()) {
@@ -201,14 +196,8 @@ TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
     if (Exec.BatchSafe)
       ++BatchSafe;
     EXPECT_EQ(Exec.BatchSafe, !Exec.HasEffects) << Info.Name;
-    if (Exec.MaskableBranches + Exec.UnmaskableBranches > 0) {
+    if (conditionalBranchCount(Exec) > 0)
       ++Branchy;
-      EXPECT_TRUE(Exec.HasLoops) << Info.Name;
-      EXPECT_GT(Exec.UnmaskableBranches, 0u) << Info.Name;
-    } else {
-      EXPECT_FALSE(Exec.HasLoops) << Info.Name;
-      EXPECT_TRUE(Exec.BranchJoin.empty()) << Info.Name;
-    }
   }
   EXPECT_EQ(Total, 10u);
   EXPECT_EQ(BatchSafe, 10u) << "all gallery readers are effect-free";

@@ -811,6 +811,36 @@ TEST(ServiceUnix, BadRequestGetsStructuredErrorNotDisconnect) {
   auto Good = requestRender(*Server.Client, Request, &Error);
   ASSERT_TRUE(Good.has_value()) << Error;
   EXPECT_TRUE(Good->ok());
+
+  // A frame whose CRC is valid but whose payload is cut short is refused
+  // by the request decoder: a structured BadRequest, not a disconnect.
+  ByteWriter W;
+  encodeRenderRequest(W, Request);
+  std::vector<unsigned char> Cut = W.bytes();
+  Cut.resize(Cut.size() / 2);
+  std::vector<unsigned char> Frame =
+      encodeFrame(FrameType::RenderRequest, Cut);
+  ASSERT_TRUE(Server.Client->writeAll(Frame.data(), Frame.size()));
+  FrameType Type;
+  std::vector<unsigned char> Payload;
+  ASSERT_TRUE(readFrame(*Server.Client, Type, Payload, &Error)) << Error;
+  ASSERT_EQ(Type, FrameType::RenderReply);
+  ByteReader R(Payload);
+  RenderReply Short;
+  ASSERT_TRUE(decodeRenderReply(R, Short, &Error)) << Error;
+  EXPECT_EQ(Short.Status, RenderStatus::BadRequest);
+  EXPECT_FALSE(Short.Error.empty());
+
+  Good = requestRender(*Server.Client, Request, &Error);
+  ASSERT_TRUE(Good.has_value()) << Error;
+  EXPECT_TRUE(Good->ok());
+
+  // /statsz counts both rejections among the four requests.
+  auto Json = requestStats(*Server.Client, &Error);
+  ASSERT_TRUE(Json.has_value()) << Error;
+  EXPECT_NE(Json->find("\"requests\":{\"total\":4,"), std::string::npos)
+      << *Json;
+  EXPECT_NE(Json->find("\"bad_request\":2,"), std::string::npos) << *Json;
 }
 
 /// Four connections at once against a four-unit, one-shard cache that

@@ -862,23 +862,24 @@ int main(int Argc, char **Argv) {
     std::printf("\n%s", Spec->Spec.Explanation.c_str());
 
     // The execution view: what the fast interpreter's fusion pass made of
-    // the reader bytecode (see docs/ENGINE.md, "Execution tiers"). The
-    // decoded classification is authoritative over the AST-level counts
-    // printed above: a batch-safe (effect-free) reader starts on the
-    // batched tier, masks its maskable diamonds when lanes diverge, and
-    // bails a tile to per-pixel execution only at a divergent unmaskable
-    // branch.
+    // the reader bytecode (see docs/ENGINE.md, "Execution tiers"). A
+    // batch-safe (effect-free) reader starts on the batched tier, and a
+    // tile whose lanes disagree at a branch re-runs per pixel.
     ExecChunk Exec = buildExecChunk(Spec->ReaderChunk);
     if (Exec.Valid) {
-      const char *TierName =
-          !Exec.BatchSafe
-              ? "effectful, per-pixel tier"
-              : (Exec.UnmaskableBranches
-                     ? "batched tier, bails on divergent loops"
-                     : "batched tier");
-      std::printf("\nreader bytecode: %u maskable / %u unmaskable "
-                  "branch(es) — %s\n",
-                  Exec.MaskableBranches, Exec.UnmaskableBranches, TierName);
+      const unsigned Branches = conditionalBranchCount(Exec);
+      if (!Exec.BatchSafe)
+        std::printf("\nreader control flow: %u conditional branch(es) — "
+                    "effectful, per-pixel tier\n",
+                    Branches);
+      else if (Branches == 0)
+        std::printf("\nreader control flow: no conditional branches — "
+                    "batched tier runs every tile in lockstep\n");
+      else
+        std::printf("\nreader control flow: %u conditional branch(es) — "
+                    "batched tier; a tile whose lanes disagree at one "
+                    "re-runs per pixel\n",
+                    Branches);
       std::printf("reader superinstructions (%zu decoded op(s)):\n",
                   Exec.Code.size());
       auto Fused = fusedHistogram(Exec);
