@@ -25,6 +25,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 using namespace dspec;
@@ -62,12 +63,9 @@ struct Setup {
     for (size_t C = 0; C < Controls.size(); ++C)
       Args[ShaderInfo::NumPixelParams + C] = Value::makeFloat(Controls[C]);
     auto Start = std::chrono::steady_clock::now();
-    const auto &Pixels = Lab.grid().pixels();
     for (unsigned I = 0; I < Lab.grid().pixelCount(); ++I) {
-      Args[0] = Pixels[I].UV;
-      Args[1] = Pixels[I].P;
-      Args[2] = Pixels[I].N;
-      Args[3] = Pixels[I].I;
+      const Value *In = Lab.grid().pixelInputs(I);
+      std::copy(In, In + ShaderInfo::NumPixelParams, Args.begin());
       benchmark::DoNotOptimize(Memo.run(Machine, Args, Tables[I]));
     }
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -16,11 +16,11 @@ using namespace dspec;
 
 namespace {
 
-using PixelArray = std::vector<PixelInput>;
+using PixelArray = std::vector<Value>;
 
 PixelArray buildPixels(unsigned W, unsigned H) {
   PixelArray Inputs;
-  Inputs.reserve(static_cast<size_t>(W) * H);
+  Inputs.reserve(static_cast<size_t>(W) * H * RenderGrid::InputsPerPixel);
   const float EyeX = 0.0f, EyeY = 0.0f, EyeZ = 4.0f;
   for (unsigned PY = 0; PY < H; ++PY) {
     for (unsigned PX = 0; PX < W; ++PX) {
@@ -45,12 +45,10 @@ PixelArray buildPixels(unsigned W, unsigned H) {
       IY /= ILen;
       IZ /= ILen;
 
-      PixelInput In;
-      In.UV = Value::makeVec2(U, V);
-      In.P = Value::makeVec3(X, Y, Z);
-      In.N = Value::makeVec3(NX, NY, NZ);
-      In.I = Value::makeVec3(IX, IY, IZ);
-      Inputs.push_back(In);
+      Inputs.push_back(Value::makeVec2(U, V));
+      Inputs.push_back(Value::makeVec3(X, Y, Z));
+      Inputs.push_back(Value::makeVec3(NX, NY, NZ));
+      Inputs.push_back(Value::makeVec3(IX, IY, IZ));
     }
   }
   return Inputs;

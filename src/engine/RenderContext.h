@@ -32,14 +32,6 @@
 
 namespace dspec {
 
-/// The fixed inputs of one pixel.
-struct PixelInput {
-  Value UV;
-  Value P;
-  Value N;
-  Value I;
-};
-
 /// A W x H grid of per-pixel fixed inputs over the procedural patch.
 ///
 /// The inputs are a pure function of the size, so a grid is a handle to
@@ -48,8 +40,15 @@ struct PixelInput {
 /// starts all read the same bytes. The array is built on first use and
 /// freed with the last grid that holds it. Copies and moves both share
 /// the array, so no grid is ever left without one.
+///
+/// The array is flat Values in pixel order, InputsPerPixel to a pixel, so
+/// a run of pixels is a lane-major argument array that the batched tier
+/// reads in place.
 class RenderGrid {
 public:
+  /// Values per pixel: (uv, P, N, I).
+  static constexpr unsigned InputsPerPixel = 4;
+
   RenderGrid(unsigned Width, unsigned Height);
   // Declared so that no move is generated: a move would leave the source
   // without an array, and moving from a grid is then a copy.
@@ -58,13 +57,20 @@ public:
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }
-  unsigned pixelCount() const { return static_cast<unsigned>(Inputs->size()); }
-  const std::vector<PixelInput> &pixels() const { return *Inputs; }
+  unsigned pixelCount() const {
+    return static_cast<unsigned>(Inputs->size() / InputsPerPixel);
+  }
+  /// Every pixel's inputs: pixel I's uv, P, N and I are the Values at
+  /// inputs()[I * InputsPerPixel] on.
+  const std::vector<Value> &inputs() const { return *Inputs; }
+  const Value *pixelInputs(size_t Index) const {
+    return Inputs->data() + Index * InputsPerPixel;
+  }
 
 private:
   unsigned W;
   unsigned H;
-  std::shared_ptr<const std::vector<PixelInput>> Inputs;
+  std::shared_ptr<const std::vector<Value>> Inputs;
 };
 
 /// A trivially small framebuffer for the examples: vec3 colors.

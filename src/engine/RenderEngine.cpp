@@ -6,6 +6,7 @@
 
 #include "engine/RenderEngine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -34,7 +35,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   }
   const CacheArena *Arena = MutArena ? MutArena : ROArena;
 
-  const std::vector<PixelInput> &Pixels = Grid.pixels();
   const size_t Count = Grid.pixelCount();
   const size_t Tiles = (Count + TileSize - 1) / TileSize;
   const unsigned Width = Grid.width();
@@ -54,33 +54,31 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   const bool UseBatched =
       Tier == ExecTier::Batched && Decoded.Valid && Decoded.BatchSafe;
 
-  /// Per-worker frame state: the reusable argument vectors (scalar and
-  /// lane-major batched forms), the first trap this worker hit, and the
+  // The controls, the same for every pixel: built once, and only read
+  // while workers run. A batched tile passes them as shared arguments
+  // and its pixel inputs in place from the grid.
+  std::vector<Value> ControlArgs;
+  ControlArgs.reserve(Controls.size());
+  for (float Control : Controls)
+    ControlArgs.push_back(Value::makeFloat(Control));
+
+  /// Per-worker frame state: the reusable per-pixel argument vector, the
+  /// tile's batched results, the first trap this worker hit, and the
   /// worker's share of the pass execution stats (summed after the join,
   /// so no atomics on the hot path).
   struct WorkerState {
     std::vector<Value> Args;
-    std::vector<Value> LaneArgs; // TileSize x NumArgs, lane-major
-    std::vector<Value> Results;  // TileSize batched results
+    std::vector<Value> Results; // TileSize batched results
     size_t TrapPixel = SIZE_MAX;
     std::string TrapMessage;
     PassExecStats Stats;
   };
   std::vector<WorkerState> States(Pool->workerCount());
   for (WorkerState &S : States) {
-    S.Args.resize(NumArgs);
-    for (size_t C = 0; C < Controls.size(); ++C)
-      S.Args[NumPixelParams + C] = Value::makeFloat(Controls[C]);
-    if (UseBatched) {
-      // Controls are uniform across lanes; fill them once up front so the
-      // per-tile loop only writes the four pixel params per lane.
-      S.LaneArgs.resize(static_cast<size_t>(TileSize) * NumArgs);
-      for (unsigned Lane = 0; Lane < TileSize; ++Lane)
-        for (size_t C = 0; C < Controls.size(); ++C)
-          S.LaneArgs[static_cast<size_t>(Lane) * NumArgs + NumPixelParams +
-                     C] = Value::makeFloat(Controls[C]);
+    S.Args.resize(NumPixelParams);
+    S.Args.insert(S.Args.end(), ControlArgs.begin(), ControlArgs.end());
+    if (UseBatched)
       S.Results.resize(TileSize);
-    }
   }
 
   // The lowest pixel seen to trap so far. A tile that starts past it
@@ -99,17 +97,11 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
 
     if (UseBatched) {
       const unsigned Lanes = static_cast<unsigned>(End - Begin);
-      for (unsigned Lane = 0; Lane < Lanes; ++Lane) {
-        const PixelInput &In = Pixels[Begin + Lane];
-        Value *A = S.LaneArgs.data() + static_cast<size_t>(Lane) * NumArgs;
-        A[0] = In.UV;
-        A[1] = In.P;
-        A[2] = In.N;
-        A[3] = In.I;
-      }
       BatchRequest Req;
-      Req.LaneArgs = S.LaneArgs.data();
+      Req.LaneArgs = Grid.pixelInputs(Begin);
       Req.NumArgs = NumArgs;
+      Req.SharedArgs = ControlArgs.data();
+      Req.NumSharedArgs = static_cast<unsigned>(ControlArgs.size());
       Req.Lanes = Lanes;
       if (Arena) {
         Req.CacheBytes = Arena->strideBytes();
@@ -139,11 +131,8 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     }
 
     for (size_t Index = Begin; Index < End; ++Index) {
-      const PixelInput &In = Pixels[Index];
-      S.Args[0] = In.UV;
-      S.Args[1] = In.P;
-      S.Args[2] = In.N;
-      S.Args[3] = In.I;
+      const Value *In = Grid.pixelInputs(Index);
+      std::copy(In, In + NumPixelParams, S.Args.begin());
       // The const accessor yields a read-only view: reader passes cannot
       // write the arena, any tier's cache store against it traps. Plain
       // passes bind no cache.

@@ -53,8 +53,8 @@ struct ArenaLayoutConfig {};
 class RenderEngine {
 public:
   /// Number of standard per-pixel parameters every renderable fragment
-  /// takes before its controls: (uv, P, N, I) from the PixelInput.
-  static constexpr unsigned NumPixelParams = 4;
+  /// takes before its controls: (uv, P, N, I) from the grid.
+  static constexpr unsigned NumPixelParams = RenderGrid::InputsPerPixel;
 
   /// \p Threads workers (0 = one per hardware thread); pixels are handed
   /// out in tiles of \p TilePixels.

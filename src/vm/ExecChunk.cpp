@@ -309,6 +309,25 @@ ExecChunk dspec::buildExecChunk(const Chunk &C) {
       *Target = OldToNew[*Target];
     }
 
+  // The read set. verifyChunk bounds every slot operand.
+  Out.LoadedLocals.assign(Out.numLocals(), false);
+  for (const ExecInstr &E : Out.Code)
+    switch (E.Op) {
+    case FusedOp::F_LoadLocal:
+    case FusedOp::F_LoadCall:
+      Out.LoadedLocals[E.A] = true;
+      break;
+    case FusedOp::F_LoadLoad:
+      Out.LoadedLocals[E.A] = true;
+      Out.LoadedLocals[E.A2] = true;
+      break;
+    case FusedOp::F_StoreLoad:
+      Out.LoadedLocals[E.A2] = true;
+      break;
+    default:
+      break;
+    }
+
   Out.Valid = true;
   return Out;
 }

@@ -132,6 +132,12 @@ struct ExecChunk {
   /// bounds-checks pushes.
   unsigned MaxStack = 0;
 
+  /// One flag per local slot: some decoded instruction loads it (a plain
+  /// load, either half of load+load, the load half of store+load, or the
+  /// load of load+call). The batched tier fills a tile's row only for a
+  /// loaded slot; no instruction can observe any other row.
+  std::vector<bool> LoadedLocals;
+
   /// False if the source chunk failed verification or decoding; callers
   /// must fall back to the classic switch interpreter (which performs
   /// its own dynamic checks) instead of executing Code.

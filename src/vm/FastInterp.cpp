@@ -277,7 +277,7 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
     Result.Result = Value::makeVoid();
     return Result;
   }
-  if (Req.NumArgs != C.NumParams)
+  if (Req.NumArgs != C.NumParams || Req.NumSharedArgs > Req.NumArgs)
     TRAP("argument count mismatch calling '" + C.Name + "'");
 
   const unsigned Lanes = Req.Lanes;
@@ -289,26 +289,36 @@ ExecResult VM::runBatch(const ExecChunk &C, const BatchRequest &Req) {
   CacheView Bounds(Req.CacheBase, Req.CacheBytes);
 
   // Slot-major locals: slot s's values for all lanes are contiguous at
-  // row s, so per-instruction lane loops walk plain arrays.
+  // row s, so per-instruction lane loops walk plain arrays. Only the rows
+  // some instruction loads are filled: any other row keeps what an
+  // earlier tile left in it, and nothing reads it. Every argument is
+  // kind-checked all the same, as the switch tier checks it.
   const unsigned NumLocals = C.numLocals();
+  const unsigned NumLaneArgs = Req.NumArgs - Req.NumSharedArgs;
   BatchLocals.resize(static_cast<size_t>(NumLocals) * Lanes);
   for (unsigned S = 0; S < NumLocals; ++S) {
+    const TypeKind Kind = C.LocalTypes[S];
+    const bool Loaded = C.LoadedLocals[S];
     Value *Row = BatchLocals.data() + static_cast<size_t>(S) * Lanes;
-    if (S < C.NumParams) {
-      for (unsigned L = 0; L < Lanes; ++L) {
-        Value Arg = Req.LaneArgs[static_cast<size_t>(L) * Req.NumArgs + S];
-        if (Arg.Kind != C.LocalTypes[S]) {
-          if (Arg.isInt() && C.LocalTypes[S] == TypeKind::TK_Float)
-            Arg = Value::makeFloat(static_cast<float>(Arg.I));
-          else
-            TRAP("argument type mismatch calling '" + C.Name + "'");
-        }
-        Row[L] = Arg;
-      }
+    if (S >= C.NumParams) {
+      if (Loaded)
+        std::fill(Row, Row + Lanes, Value::zeroOf(Type(Kind)));
+    } else if (S >= NumLaneArgs) {
+      const Value &Arg = Req.SharedArgs[S - NumLaneArgs];
+      if (!interp::argFits(Arg, Kind))
+        TRAP("argument type mismatch calling '" + C.Name + "'");
+      if (Loaded)
+        std::fill(Row, Row + Lanes, interp::promoteArg(Arg, Kind));
     } else {
-      const Value Zero = Value::zeroOf(Type(C.LocalTypes[S]));
+      const Value *Args = Req.LaneArgs + S;
       for (unsigned L = 0; L < Lanes; ++L)
-        Row[L] = Zero;
+        if (!interp::argFits(Args[static_cast<size_t>(L) * NumLaneArgs],
+                             Kind))
+          TRAP("argument type mismatch calling '" + C.Name + "'");
+      if (Loaded)
+        for (unsigned L = 0; L < Lanes; ++L)
+          Row[L] = interp::promoteArg(
+              Args[static_cast<size_t>(L) * NumLaneArgs], Kind);
     }
   }
 

@@ -34,6 +34,19 @@ inline std::string srcLocSuffix(int32_t Line, int32_t Col) {
   return " at " + std::to_string(Line) + ":" + std::to_string(Col);
 }
 
+/// The argument rule of a call: a parameter takes a value of its own
+/// kind, or an int where it declares a float. Anything else traps with
+/// "argument type mismatch".
+inline bool argFits(const Value &Arg, TypeKind Param) {
+  return Arg.Kind == Param || (Arg.isInt() && Param == TypeKind::TK_Float);
+}
+
+/// \p Arg as the parameter receives it: an int promoted to a float
+/// parameter. \p Arg must fit (argFits).
+inline Value promoteArg(const Value &Arg, TypeKind Param) {
+  return Arg.Kind == Param ? Arg : Value::makeFloat(static_cast<float>(Arg.I));
+}
+
 /// Componentwise binary arithmetic with scalar broadcasting. Sema
 /// guarantees the combinations are sensible.
 template <typename FloatOp, typename IntOp>

@@ -38,16 +38,11 @@ ExecResult VM::run(const Chunk &C, const std::vector<Value> &Args,
   for (unsigned I = 0; I < C.numLocals(); ++I)
     Locals[I] = Value::zeroOf(Type(C.LocalTypes[I]));
   for (unsigned I = 0; I < C.NumParams; ++I) {
-    Value Arg = Args[I];
-    if (Arg.Kind != C.LocalTypes[I]) {
-      if (Arg.isInt() && C.LocalTypes[I] == TypeKind::TK_Float) {
-        Arg = Value::makeFloat(static_cast<float>(Arg.I));
-      } else {
-        Trap("argument type mismatch calling '" + C.Name + "'");
-        return Result;
-      }
+    if (!interp::argFits(Args[I], C.LocalTypes[I])) {
+      Trap("argument type mismatch calling '" + C.Name + "'");
+      return Result;
     }
-    Locals[I] = Arg;
+    Locals[I] = interp::promoteArg(Args[I], C.LocalTypes[I]);
   }
 
   std::vector<Value> &Stack = StackScratch;

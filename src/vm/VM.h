@@ -50,14 +50,20 @@ struct ExecResult {
 };
 
 /// One tile's worth of pixels for the batched interpreter: lane-major
-/// argument values, strided packed caches, and a result slot per lane.
-/// The caller (the render engine) fills identical per-lane arguments to
-/// what it would pass the switch tier.
+/// argument values, the arguments every lane shares, strided packed
+/// caches, and a result slot per lane. Lane L's arguments are exactly
+/// what the caller (the render engine) would pass the switch tier for
+/// that pixel.
 struct BatchRequest {
-  /// Lanes x NumArgs values, lane-major: lane L's arguments start at
-  /// LaneArgs + L * NumArgs.
+  /// The leading NumArgs - NumSharedArgs arguments of every lane,
+  /// lane-major: lane L's start at LaneArgs + L * (NumArgs -
+  /// NumSharedArgs).
   const Value *LaneArgs = nullptr;
   unsigned NumArgs = 0;
+  /// The trailing NumSharedArgs arguments, the same on every lane, passed
+  /// once. The default, 0, passes every argument per lane.
+  const Value *SharedArgs = nullptr;
+  unsigned NumSharedArgs = 0;
   unsigned Lanes = 0;
   /// Load-side cache base. Null when the chunk performs no cache access.
   /// Lane 0's packed bytes; lane L's cache is at CacheBase + L *
@@ -93,6 +99,10 @@ public:
   /// (effect-free). Bit-identical results and trap messages to run() —
   /// both call the shared semantics in vm/InterpOps.h and
   /// callBuiltinLanes.
+  ///
+  /// Frame setup fills only the rows of the chunk's LoadedLocals, but
+  /// kind-checks every argument, read or not, so a mistyped argument
+  /// traps with the switch tier's message.
   ///
   /// A conditional branch whose lanes all agree takes the jump (or falls
   /// through) in lockstep exactly like the switch tier, so straight-line

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/RenderEngine.h"
+#include "lang/Builtins.h"
 #include "shading/ShaderLab.h"
 #include "vm/ExecChunk.h"
 #include "vm/VM.h"
@@ -202,6 +203,108 @@ TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
   EXPECT_EQ(Total, 10u);
   EXPECT_EQ(BatchSafe, 10u) << "all gallery readers are effect-free";
   EXPECT_GE(Branchy, 1u) << "clouds/rings loop over octaves";
+}
+
+/// A batched run of \p Exec over \p Lanes lanes: each lane takes \p PerLane
+/// followed by \p Shared, and \p Shared is passed once as the request's
+/// shared arguments.
+TileRun runSharedTile(VM &Machine, const ExecChunk &Exec,
+                      const std::vector<Value> &PerLane,
+                      const std::vector<Value> &Shared, unsigned Lanes = 4) {
+  std::vector<Value> LaneArgs;
+  for (unsigned L = 0; L < Lanes; ++L)
+    LaneArgs.insert(LaneArgs.end(), PerLane.begin(), PerLane.end());
+  TileRun Out;
+  Out.Results.resize(Lanes);
+  BatchRequest Req;
+  Req.LaneArgs = LaneArgs.data();
+  Req.NumArgs = static_cast<unsigned>(PerLane.size() + Shared.size());
+  Req.SharedArgs = Shared.data();
+  Req.NumSharedArgs = static_cast<unsigned>(Shared.size());
+  Req.Lanes = Lanes;
+  Req.Results = Out.Results.data();
+  Out.R = Machine.runBatch(Exec, Req);
+  return Out;
+}
+
+/// f(a, b, c, d, e) = max(c, d) after t = a + b: a and b are read only by
+/// load+load, c only by the load half of store+load, d only by load+call,
+/// e never, and the local t is stored but never loaded.
+Chunk everyLoadFormChunk() {
+  Chunk Code;
+  Code.Name = "f";
+  Code.NumParams = 5;
+  Code.LocalTypes.assign(6, TypeKind::TK_Float);
+  Code.ReturnType = Type(TypeKind::TK_Float);
+  Code.Code = {{OpCode::OC_LoadLocal, 0, 0, 0},
+               {OpCode::OC_LoadLocal, 1, 0, 0},
+               {OpCode::OC_Add, 0, 0, 0},
+               {OpCode::OC_StoreLocal, 5, 0, 0},
+               {OpCode::OC_LoadLocal, 2, 0, 0},
+               {OpCode::OC_LoadLocal, 3, 0, 0},
+               {OpCode::OC_CallBuiltin,
+                static_cast<int32_t>(BuiltinId::BI_MaxF), 2, 0},
+               {OpCode::OC_Return, 0, 0, 0}};
+  return Code;
+}
+
+TEST(ExecChunk, ReadSetCoversEveryLoadForm) {
+  const Chunk Code = everyLoadFormChunk();
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  ASSERT_TRUE(Exec.BatchSafe);
+  // The three fused load forms are what this chunk exercises.
+  const std::vector<unsigned> Histogram = opcodeHistogram(Exec);
+  for (FusedOp Op :
+       {FusedOp::F_LoadLoad, FusedOp::F_StoreLoad, FusedOp::F_LoadCall})
+    EXPECT_EQ(Histogram[static_cast<unsigned>(Op)], 1u) << fusedOpName(Op);
+  EXPECT_EQ(Histogram[static_cast<unsigned>(FusedOp::F_LoadLocal)], 0u);
+  EXPECT_EQ(Exec.LoadedLocals,
+            std::vector<bool>({true, true, true, true, false, false}));
+
+  // Every split of the arguments into per-lane and shared ones, an int
+  // promoted to a float parameter among them, returns the switch tier's
+  // bits.
+  const std::vector<Value> Args = {
+      Value::makeFloat(1.5f), Value::makeFloat(-2.0f), Value::makeInt(3),
+      Value::makeFloat(2.25f), Value::makeFloat(9.0f)};
+  VM Machine;
+  auto Ref = Machine.run(Code, Args);
+  ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
+  EXPECT_EQ(Ref.Result.F[0], 3.0f);
+  for (size_t Shared = 0; Shared <= Args.size(); ++Shared) {
+    TileRun Tile = runSharedTile(
+        Machine, Exec, {Args.begin(), Args.end() - Shared},
+        {Args.end() - Shared, Args.end()});
+    ASSERT_TRUE(Tile.R.ok()) << Shared << ": " << Tile.R.TrapMessage;
+    for (const Value &Lane : Tile.Results)
+      EXPECT_TRUE(bitIdentical(Ref.Result, Lane)) << Shared << " shared";
+  }
+}
+
+/// The batched tier fills no row for an unread parameter, but still checks
+/// its argument: a vec3 passed for the never-read float e traps with the
+/// switch tier's message, whether it is passed per lane or shared.
+TEST(ExecChunk, MistypedUnreadArgumentTrapsInRunBatch) {
+  const Chunk Code = everyLoadFormChunk();
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  ASSERT_FALSE(Exec.LoadedLocals[4]);
+  const std::vector<Value> Args = {
+      Value::makeFloat(1.0f), Value::makeFloat(2.0f), Value::makeFloat(3.0f),
+      Value::makeFloat(4.0f), Value::makeVec3(1.0f, 2.0f, 3.0f)};
+  VM Machine;
+  auto Ref = Machine.run(Code, Args);
+  ASSERT_TRUE(Ref.Trapped);
+  EXPECT_EQ(Ref.TrapMessage, "argument type mismatch calling 'f'");
+
+  TileRun PerLane = runUniformTile(Machine, Exec, Args);
+  EXPECT_TRUE(PerLane.R.Trapped);
+  EXPECT_EQ(PerLane.R.TrapMessage, Ref.TrapMessage);
+  TileRun Shared = runSharedTile(Machine, Exec, {Args.begin(), Args.end() - 1},
+                                 {Args.back()});
+  EXPECT_TRUE(Shared.R.Trapped);
+  EXPECT_EQ(Shared.R.TrapMessage, Ref.TrapMessage);
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,6 +547,42 @@ TEST(ExecTiers, TrapMessagesIdenticalAcrossTiers) {
     else
       EXPECT_EQ(Engine.lastTrap(), FirstMessage)
           << "trap message differs under " << execTierName(Tier);
+  }
+}
+
+/// An engine pass checks every argument on every tier, read or not: a
+/// fragment that never reads its uv, declared float where the grid passes
+/// a vec2 (a per-lane argument), or its control `tint`, declared vec3
+/// where the engine passes a float (a shared one), traps at pixel 0 with
+/// the switch tier's message.
+TEST(ExecTiers, MistypedUnreadArgumentTrapsOnEveryTier) {
+  const char *Sources[] = {
+      "vec3 f(float uv, vec3 P, vec3 N, vec3 I, float k) {\n"
+      "  return N * k;\n"
+      "}",
+      "vec3 f(vec2 uv, vec3 P, vec3 N, vec3 I, vec3 tint, float k) {\n"
+      "  return N * k;\n"
+      "}"};
+  RenderGrid Grid(16, 12);
+  for (const char *Source : Sources) {
+    Chunk Code = compileOne(Source, "f");
+    ASSERT_TRUE(buildExecChunk(Code).BatchSafe);
+    const std::vector<float> Controls(Code.NumParams -
+                                          RenderEngine::NumPixelParams,
+                                      0.5f);
+    for (ExecTier Tier : kTiers) {
+      for (unsigned Threads : {1u, 4u}) {
+        RenderEngine Engine(Threads, 16);
+        Engine.setExecTier(Tier);
+        const std::string Tag = std::string(execTierName(Tier)) + " @" +
+                                std::to_string(Threads) + "t: " + Source;
+        Framebuffer Out(Grid.width(), Grid.height());
+        EXPECT_FALSE(Engine.plainPass(Code, Grid, Controls, &Out)) << Tag;
+        EXPECT_EQ(Engine.lastTrap(),
+                  "pixel 0: argument type mismatch calling 'f'")
+            << Tag;
+      }
+    }
   }
 }
 

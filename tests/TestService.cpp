@@ -516,18 +516,37 @@ TEST(Service, ShedsWhenQueueIsFull) {
   EXPECT_EQ(Service.statsz().ShedQueueFull, Shed);
 }
 
+/// A cold build slow enough to keep one dispatcher busy while a test
+/// acts: rings is the gallery's most expensive shader to specialize, and
+/// its loader pass over 512x512 pixels lasts about 100 ms in an optimized
+/// build, so a test that saw the build start acts long before it ends.
+RenderRequest coldBuild(const char *Varying) {
+  RenderRequest Request;
+  Request.Shader = "rings";
+  Request.Width = 512;
+  Request.Height = 512;
+  Request.Varying = {Varying};
+  return Request;
+}
+
 TEST(Service, ShedsQueuedRequestsPastTheirDeadline) {
   ServiceConfig Config;
   Config.Dispatchers = 1;
   SpecializationService Service(Config);
 
-  // Occupy the single dispatcher with an expensive cold build...
-  RenderRequest Blocker;
-  Blocker.Shader = "rings";
-  Blocker.Width = 128;
-  Blocker.Height = 128;
-  std::future<RenderReply> BlockerDone = Service.submit(Blocker);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Occupy the single dispatcher with a cold build that lasts many times
+  // the urgent request's deadline, and wait until the dispatcher has
+  // taken it off the queue...
+  std::future<RenderReply> BlockerDone =
+      Service.submit(coldBuild("ringscale"));
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (MetricsSnapshot Stats = Service.statsz();
+       Stats.QueueDepth != 0 || Stats.IdleDispatchers != 0;
+       Stats = Service.statsz()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), GiveUp)
+        << "the dispatcher never took the blocker";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
 
   // ...so a 1ms-deadline request queued behind it is shed at dispatch.
   RenderRequest Urgent;
@@ -572,17 +591,6 @@ TEST(Service, DrainRejectsNewWorkAndIsIdempotent) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return ::testing::AssertionFailure() << "dispatchers never all parked";
-}
-
-/// A cold build slow enough to keep one dispatcher busy while a test
-/// acts: rings is the gallery's most expensive shader to specialize.
-RenderRequest coldBuild(const char *Varying) {
-  RenderRequest Request;
-  Request.Shader = "rings";
-  Request.Width = 128;
-  Request.Height = 128;
-  Request.Varying = {Varying};
-  return Request;
 }
 
 TEST(Service, DefaultsToTwoDispatchersOfOneRenderThread) {

@@ -25,39 +25,41 @@ TEST(RenderGrid, DimensionsAndCount) {
   EXPECT_EQ(Grid.width(), 8u);
   EXPECT_EQ(Grid.height(), 5u);
   EXPECT_EQ(Grid.pixelCount(), 40u);
-  EXPECT_EQ(Grid.pixels().size(), 40u);
+  EXPECT_EQ(Grid.inputs().size(), 40u * RenderGrid::InputsPerPixel);
 }
 
 TEST(RenderGrid, UVCoversUnitSquare) {
   RenderGrid Grid(4, 4);
-  const auto &First = Grid.pixels().front();
-  const auto &Last = Grid.pixels().back();
-  EXPECT_FLOAT_EQ(First.UV.F[0], 0.0f);
-  EXPECT_FLOAT_EQ(First.UV.F[1], 0.0f);
-  EXPECT_FLOAT_EQ(Last.UV.F[0], 1.0f);
-  EXPECT_FLOAT_EQ(Last.UV.F[1], 1.0f);
+  const Value &First = Grid.pixelInputs(0)[0];
+  const Value &Last = Grid.pixelInputs(Grid.pixelCount() - 1)[0];
+  EXPECT_FLOAT_EQ(First.F[0], 0.0f);
+  EXPECT_FLOAT_EQ(First.F[1], 0.0f);
+  EXPECT_FLOAT_EQ(Last.F[0], 1.0f);
+  EXPECT_FLOAT_EQ(Last.F[1], 1.0f);
 }
 
 TEST(RenderGrid, NormalsAndViewAreUnit) {
   RenderGrid Grid(7, 5);
-  for (const PixelInput &In : Grid.pixels()) {
-    float NLen = std::sqrt(In.N.F[0] * In.N.F[0] + In.N.F[1] * In.N.F[1] +
-                           In.N.F[2] * In.N.F[2]);
-    float ILen = std::sqrt(In.I.F[0] * In.I.F[0] + In.I.F[1] * In.I.F[1] +
-                           In.I.F[2] * In.I.F[2]);
+  for (unsigned Index = 0; Index < Grid.pixelCount(); ++Index) {
+    const Value &N = Grid.pixelInputs(Index)[2];
+    const Value &I = Grid.pixelInputs(Index)[3];
+    float NLen =
+        std::sqrt(N.F[0] * N.F[0] + N.F[1] * N.F[1] + N.F[2] * N.F[2]);
+    float ILen =
+        std::sqrt(I.F[0] * I.F[0] + I.F[1] * I.F[1] + I.F[2] * I.F[2]);
     EXPECT_NEAR(NLen, 1.0f, 1e-5f);
     EXPECT_NEAR(ILen, 1.0f, 1e-5f);
     // The normal of this height field always points up-ish, and the view
     // vector points toward the eye (positive z).
-    EXPECT_GT(In.N.F[2], 0.0f);
-    EXPECT_GT(In.I.F[2], 0.0f);
+    EXPECT_GT(N.F[2], 0.0f);
+    EXPECT_GT(I.F[2], 0.0f);
   }
 }
 
 TEST(RenderGrid, PixelsAreDistinct) {
   RenderGrid Grid(6, 3);
-  for (size_t I = 1; I < Grid.pixels().size(); ++I)
-    EXPECT_FALSE(Grid.pixels()[I].P.equals(Grid.pixels()[I - 1].P));
+  for (unsigned I = 1; I < Grid.pixelCount(); ++I)
+    EXPECT_FALSE(Grid.pixelInputs(I)[1].equals(Grid.pixelInputs(I - 1)[1]));
 }
 
 bool sameBits(const Value &A, const Value &B) {
@@ -67,31 +69,29 @@ bool sameBits(const Value &A, const Value &B) {
 
 /// Bit equality of two input arrays. References are copies, so the
 /// comparison never reads the shared array it is checking against itself.
-bool sameInputs(const std::vector<PixelInput> &A,
-                const std::vector<PixelInput> &B) {
+bool sameInputs(const std::vector<Value> &A, const std::vector<Value> &B) {
   if (A.size() != B.size())
     return false;
   for (size_t I = 0; I < A.size(); ++I)
-    if (!sameBits(A[I].UV, B[I].UV) || !sameBits(A[I].P, B[I].P) ||
-        !sameBits(A[I].N, B[I].N) || !sameBits(A[I].I, B[I].I))
+    if (!sameBits(A[I], B[I]))
       return false;
   return true;
 }
 
 TEST(RenderGrid, OneSizeSharesOnePixelArray) {
   RenderGrid A(12, 9), B(12, 9), Other(9, 12);
-  EXPECT_EQ(A.pixels().data(), B.pixels().data());
-  EXPECT_NE(A.pixels().data(), Other.pixels().data());
+  EXPECT_EQ(A.inputs().data(), B.inputs().data());
+  EXPECT_NE(A.inputs().data(), Other.inputs().data());
   EXPECT_EQ(Other.pixelCount(), 108u);
 
   // Copies and moves share the array too, and a moved-from grid keeps it.
   RenderGrid Copy = A;
   RenderGrid Moved = std::move(B);
-  EXPECT_EQ(Copy.pixels().data(), A.pixels().data());
-  EXPECT_EQ(Moved.pixels().data(), A.pixels().data());
-  EXPECT_EQ(B.pixels().data(), A.pixels().data());
+  EXPECT_EQ(Copy.inputs().data(), A.inputs().data());
+  EXPECT_EQ(Moved.inputs().data(), A.inputs().data());
+  EXPECT_EQ(B.inputs().data(), A.inputs().data());
   Other = std::move(Copy);
-  EXPECT_EQ(Other.pixels().data(), A.pixels().data());
+  EXPECT_EQ(Other.inputs().data(), A.inputs().data());
   EXPECT_EQ(Copy.pixelCount(), 108u);
 }
 
@@ -105,8 +105,8 @@ TEST(RenderGrid, OutlivesTheUnitThatFirstBuiltIt) {
   });
   ASSERT_TRUE(Cached);
   auto Held = std::make_shared<SpecializationUnit>(14u, 10u);
-  EXPECT_EQ(Held->Grid.pixels().data(), Cached->Grid.pixels().data());
-  const std::vector<PixelInput> Before = Held->Grid.pixels();
+  EXPECT_EQ(Held->Grid.inputs().data(), Cached->Grid.inputs().data());
+  const std::vector<Value> Before = Held->Grid.inputs();
 
   // A unit of another size evicts the first, whose last holder is gone.
   Cached.reset();
@@ -118,8 +118,8 @@ TEST(RenderGrid, OutlivesTheUnitThatFirstBuiltIt) {
   ASSERT_EQ(Cache.stats().Evictions, 1u);
 
   EXPECT_EQ(Held->Grid.pixelCount(), 140u);
-  EXPECT_TRUE(sameInputs(Held->Grid.pixels(), Before));
-  EXPECT_EQ(RenderGrid(14, 10).pixels().data(), Held->Grid.pixels().data())
+  EXPECT_TRUE(sameInputs(Held->Grid.inputs(), Before));
+  EXPECT_EQ(RenderGrid(14, 10).inputs().data(), Held->Grid.inputs().data())
       << "a live array must be shared, not rebuilt";
 }
 
@@ -127,9 +127,9 @@ TEST(RenderGrid, ConcurrentBuildsAndDropsMatchAReference) {
   const std::pair<unsigned, unsigned> Sizes[] = {{8, 6}, {16, 12}, {7, 5}};
   // Copied out, and the grids dropped, before any thread starts: every
   // array the threads see is built, shared and freed among themselves.
-  std::vector<std::vector<PixelInput>> Reference;
+  std::vector<std::vector<Value>> Reference;
   for (const auto &[W, H] : Sizes)
-    Reference.push_back(RenderGrid(W, H).pixels());
+    Reference.push_back(RenderGrid(W, H).inputs());
 
   std::atomic<unsigned> Mismatches{0};
   std::vector<std::thread> Threads;
@@ -141,7 +141,7 @@ TEST(RenderGrid, ConcurrentBuildsAndDropsMatchAReference) {
           RenderGrid Grid(Sizes[Pick].first, Sizes[Pick].second);
           if (Grid.width() != Sizes[Pick].first ||
               Grid.height() != Sizes[Pick].second ||
-              !sameInputs(Grid.pixels(), Reference[Pick]))
+              !sameInputs(Grid.inputs(), Reference[Pick]))
             ++Mismatches;
         }
     });
