@@ -197,11 +197,10 @@ void runOverloadShed(BenchJson &Json) {
          "admission control: a bounded queue rejects with a reason "
          "instead of growing without bound");
 
-  // A tiny queue and no batching, so a burst must overflow while the
-  // dispatcher is busy with the first (cold, ms-scale) build.
+  // A tiny queue, so a burst must overflow while the dispatcher is busy
+  // with the first (cold, ms-scale) build.
   ServiceConfig Config;
   Config.QueueCapacity = 4;
-  Config.MaxBatch = 1;
   Config.Dispatchers = 1;
   SpecializationService Service(Config);
 

@@ -96,12 +96,6 @@ private:
   unsigned Stride = 0;
 };
 
-/// Last-level cache capacity in bytes: the largest unified cache under
-/// /sys/devices/system/cpu/cpu0/cache/, or \p Fallback when sysfs is
-/// unavailable (containers, non-Linux). Never zero. The usual source of
-/// the Section 4.3 measured-bytes bound (`--llc-bytes auto`).
-uint64_t detectLlcBytes(uint64_t Fallback = 32ull << 20);
-
 } // namespace dspec
 
 #endif // DATASPEC_ENGINE_CACHEARENA_H

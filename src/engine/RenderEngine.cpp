@@ -238,23 +238,26 @@ bool RenderEngine::saveSnapshot(const std::string &Path,
                            Error);
 }
 
+bool RenderEngine::checkCallingConvention(const SpecializationSnapshot &Snap,
+                                          std::string *Error) {
+  if (Snap.Reader.NumParams ==
+      NumPixelParams + static_cast<unsigned>(Snap.Meta.Controls.size()))
+    return true;
+  if (Error)
+    *Error = "snapshot: reader takes " +
+             std::to_string(Snap.Reader.NumParams) +
+             " parameters but the snapshot records " +
+             std::to_string(Snap.Meta.Controls.size()) +
+             " controls (+4 pixel inputs)";
+  return false;
+}
+
 std::optional<RenderEngine::WarmStart>
 RenderEngine::fromSnapshot(const std::string &Path, std::string *Error) {
   SpecializationSnapshot Snap;
-  if (!readSnapshotFile(Path, Snap, Error))
+  if (!readSnapshotFile(Path, Snap, Error) ||
+      !checkCallingConvention(Snap, Error))
     return std::nullopt;
-  // The reader's signature must fit the engine's calling convention:
-  // the four per-pixel inputs plus the recorded controls.
-  if (Snap.Reader.NumParams !=
-      NumPixelParams + static_cast<unsigned>(Snap.Meta.Controls.size())) {
-    if (Error)
-      *Error = "snapshot: reader takes " +
-               std::to_string(Snap.Reader.NumParams) +
-               " parameters but the snapshot records " +
-               std::to_string(Snap.Meta.Controls.size()) +
-               " controls (+4 pixel inputs)";
-    return std::nullopt;
-  }
 
   std::optional<WarmStart> Warm;
   Warm.emplace(Snap.Meta.GridWidth, Snap.Meta.GridHeight);

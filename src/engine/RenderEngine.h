@@ -152,6 +152,14 @@ public:
   static std::optional<WarmStart> fromSnapshot(const std::string &Path,
                                                std::string *Error = nullptr);
 
+  /// Whether \p Snap's chunks fit the engine's calling convention: the
+  /// four per-pixel inputs plus the controls its META records. A file
+  /// read by readSnapshotFile has a loader and a reader of one parameter
+  /// count, so checking the reader checks both. Returns false with
+  /// \p Error set otherwise: every pass over such a unit would trap.
+  static bool checkCallingConvention(const SpecializationSnapshot &Snap,
+                                     std::string *Error = nullptr);
+
 private:
   /// Exactly one of \p MutArena / \p ROArena may be non-null: loader
   /// passes get a writable arena, reader passes a read-only one (cache

@@ -6,8 +6,6 @@
 
 #include "net/EventLoop.h"
 
-#include <algorithm>
-
 #include <sys/eventfd.h>
 #include <unistd.h>
 
@@ -57,22 +55,11 @@ void EventLoop::unregisterFd(int Fd) {
   Handlers.erase(Fd);
 }
 
-uint64_t EventLoop::addTimer(double DelaySeconds, bool Repeat, Task Fire) {
-  uint64_t Id = NextTimerId++;
-  Timers[Id] = {std::move(Fire), DelaySeconds, Repeat, false};
-  TimerHeap.push_back(
-      {Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(DelaySeconds)),
-       Id});
-  std::push_heap(TimerHeap.begin(), TimerHeap.end(),
-                 std::greater<TimerDeadline>());
-  return Id;
-}
-
-void EventLoop::cancelTimer(uint64_t Id) {
-  auto It = Timers.find(Id);
-  if (It != Timers.end())
-    It->second.Cancelled = true; // reaped lazily when its deadline pops
+void EventLoop::setPeriodic(double IntervalSeconds, Task Fire) {
+  Periodic = std::move(Fire);
+  PeriodicInterval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(IntervalSeconds));
+  PeriodicDue = Clock::now() + PeriodicInterval;
 }
 
 void EventLoop::drainWakeup() {
@@ -91,55 +78,32 @@ void EventLoop::runTasks() {
     T();
 }
 
-int EventLoop::millisToNextTimer() const {
-  if (TimerHeap.empty())
+int EventLoop::millisToPeriodic() const {
+  if (!Periodic)
     return -1;
-  auto Delta = TimerHeap.front().When - Clock::now();
-  auto Millis =
-      std::chrono::duration_cast<std::chrono::milliseconds>(Delta).count();
+  auto Millis = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    PeriodicDue - Clock::now())
+                    .count();
   if (Millis < 0)
     return 0;
   // +1 so we never spin on a deadline that rounds down to "now".
   return static_cast<int>(Millis) + 1;
 }
 
-void EventLoop::fireDueTimers() {
+void EventLoop::firePeriodicIfDue() {
+  if (!Periodic)
+    return;
   Clock::time_point Now = Clock::now();
-  while (!TimerHeap.empty() && TimerHeap.front().When <= Now) {
-    TimerDeadline Due = TimerHeap.front();
-    std::pop_heap(TimerHeap.begin(), TimerHeap.end(),
-                  std::greater<TimerDeadline>());
-    TimerHeap.pop_back();
-    auto It = Timers.find(Due.Id);
-    if (It == Timers.end())
-      continue;
-    if (It->second.Cancelled) {
-      Timers.erase(It);
-      continue;
-    }
-    // Copy the task out: the handler may add/cancel timers (rehash).
-    Task Fire = It->second.Fire;
-    bool Repeat = It->second.Repeat;
-    double Interval = It->second.IntervalSeconds;
-    if (Repeat) {
-      TimerHeap.push_back(
-          {Now + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(Interval)),
-           Due.Id});
-      std::push_heap(TimerHeap.begin(), TimerHeap.end(),
-                     std::greater<TimerDeadline>());
-    } else {
-      Timers.erase(It);
-    }
-    Fire();
-  }
+  if (Now < PeriodicDue)
+    return;
+  PeriodicDue = Now + PeriodicInterval;
+  Periodic();
 }
 
 void EventLoop::run() {
-  LoopThread.store(std::this_thread::get_id());
   std::vector<PollEvent> Ready;
   while (!Stopping.load()) {
-    Ring.wait(Ready, millisToNextTimer());
+    Ring.wait(Ready, millisToPeriodic());
     for (const PollEvent &Ev : Ready) {
       if (Ev.Fd == WakeFd) {
         drainWakeup();
@@ -153,11 +117,10 @@ void EventLoop::run() {
       std::shared_ptr<FdHandler> Handler = It->second;
       (*Handler)(Ev.Events);
     }
-    fireDueTimers();
+    firePeriodicIfDue();
     runTasks();
   }
   // One final drain so tasks posted concurrently with stop() still run
   // (completion callbacks racing a shutdown would otherwise vanish).
   runTasks();
-  LoopThread.store(std::thread::id());
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The reactor that owns one IO thread: an epoll Poller, an eventfd
-/// wakeup, a cross-thread task queue, and a timer heap. Everything a
+/// wakeup, a cross-thread task queue, and one periodic task. Everything a
 /// loop touches (its fd handlers, its connections) is confined to the
 /// loop's thread; other threads interact only through post(), which
 /// enqueues a task and writes the wakeup fd. This is also how shutdown
@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -66,37 +65,17 @@ public:
   bool updateFd(int Fd, uint32_t Events);
   void unregisterFd(int Fd);
 
-  /// Arms a timer \p DelaySeconds from now; \p Repeat re-arms at the
-  /// same interval after each fire. Returns an id for cancelTimer. Call
-  /// on the loop thread (or before run()).
-  uint64_t addTimer(double DelaySeconds, bool Repeat, Task Fire);
-  void cancelTimer(uint64_t Id);
-
-  bool inLoopThread() const {
-    return std::this_thread::get_id() == LoopThread.load();
-  }
-
-  /// The eventfd other threads (and signal handlers) write to wake the
-  /// loop; one 8-byte write is enough.
-  int wakeupFd() const { return WakeFd; }
+  /// Runs \p Fire on the loop thread every \p IntervalSeconds, the
+  /// first time one interval from now. A loop has one periodic task; a
+  /// second call replaces the first. Call before run().
+  void setPeriodic(double IntervalSeconds, Task Fire);
 
 private:
-  struct Timer {
-    Task Fire;
-    double IntervalSeconds = 0.0;
-    bool Repeat = false;
-    bool Cancelled = false;
-  };
-  struct TimerDeadline {
-    Clock::time_point When;
-    uint64_t Id;
-    bool operator>(const TimerDeadline &RHS) const { return When > RHS.When; }
-  };
-
   void drainWakeup();
   void runTasks();
-  int millisToNextTimer() const;
-  void fireDueTimers();
+  /// The poll timeout until the periodic task is due (-1 = none).
+  int millisToPeriodic() const;
+  void firePeriodicIfDue();
 
   Poller Ring;
   int WakeFd = -1;
@@ -106,13 +85,12 @@ private:
 
   std::unordered_map<int, std::shared_ptr<FdHandler>> Handlers;
 
-  uint64_t NextTimerId = 1;
-  std::unordered_map<uint64_t, Timer> Timers;
-  /// Min-heap by deadline (std::greater via push_heap/pop_heap).
-  std::vector<TimerDeadline> TimerHeap;
+  /// The periodic task (empty = none), its interval and next deadline.
+  Task Periodic;
+  Clock::duration PeriodicInterval{};
+  Clock::time_point PeriodicDue;
 
   std::atomic<bool> Stopping{false};
-  std::atomic<std::thread::id> LoopThread{};
 };
 
 } // namespace dspec

@@ -73,8 +73,7 @@ bool NetServer::start(std::string *Error) {
         std::max(0.01, static_cast<double>(Config.ReadDeadlineMillis) / 4000.0);
     for (auto &L : Loops) {
       IoLoop *Raw = L.get();
-      L->Loop.addTimer(Sweep, /*Repeat=*/true,
-                       [this, Raw] { sweepDeadlines(*Raw); });
+      L->Loop.setPeriodic(Sweep, [this, Raw] { sweepDeadlines(*Raw); });
     }
   }
 

@@ -53,14 +53,10 @@ std::string MetricsSnapshot::toJson() const {
     NetSection = ",\"net\":" + NetJson;
   std::string ArenaJson = formatString(
       "\"arena\":{\"units\":%llu,\"physical_bytes\":%llu,"
-      "\"hot_frame_bytes\":%llu,\"max_hot_frame_bytes\":%llu,"
-      "\"llc_bytes\":%llu,\"fits_llc\":%s}",
+      "\"max_hot_frame_bytes\":%llu}",
       static_cast<unsigned long long>(ArenaUnits),
       static_cast<unsigned long long>(ArenaPhysicalBytes),
-      static_cast<unsigned long long>(ArenaHotFrameBytes),
-      static_cast<unsigned long long>(ArenaMaxHotFrameBytes),
-      static_cast<unsigned long long>(ArenaLlcBytes),
-      ArenaFitsLlc ? "true" : "false");
+      static_cast<unsigned long long>(ArenaMaxHotFrameBytes));
   std::string Served;
   for (uint64_t N : DispatcherServed)
     Served += (Served.empty() ? "" : ",") + std::to_string(N);

@@ -71,17 +71,11 @@ struct MetricsSnapshot {
   std::string ExecTier = "batched";
 
   /// Arena accounting, aggregated over the live unit cache at snapshot
-  /// time: bytes allocated, and the per-frame working set — stride x
-  /// pixels per unit — against the configured LLC bound (0 = no bound in
-  /// force).
+  /// time: the units, their arena bytes summed, and the largest unit's
+  /// arena — the bytes one reader frame streams (stride x pixels).
   uint64_t ArenaUnits = 0;
   uint64_t ArenaPhysicalBytes = 0;
-  uint64_t ArenaHotFrameBytes = 0;
   uint64_t ArenaMaxHotFrameBytes = 0;
-  uint64_t ArenaLlcBytes = 0;
-  /// True when every unit's hot working set fits the bound (vacuously
-  /// true with no bound).
-  bool ArenaFitsLlc = true;
 
   uint64_t QueueDepth = 0;
   /// Dispatchers parked on an empty queue, and the requests each

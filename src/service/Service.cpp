@@ -19,8 +19,6 @@ SpecializationService::SpecializationService(const ServiceConfig &InConfig)
       Cache(Config.CacheUnits, Config.CacheShards == 0 ? 1 : Config.CacheShards) {
   if (Config.Dispatchers == 0)
     Config.Dispatchers = 1;
-  if (Config.MaxBatch == 0)
-    Config.MaxBatch = 1;
   if (Config.QueueCapacity == 0)
     Config.QueueCapacity = 1;
   if (!Config.SpillDir.empty()) {
@@ -116,7 +114,7 @@ bool SpecializationService::canonicalize(RenderRequest &Request, UnitKey &Key,
   Key.Shader = Request.Shader;
   Key.InvariantHash = invariantHash(*Info, Request.Width, Request.Height,
                                     Request.Varying, Request.Controls);
-  Key.OptionsFingerprint = optionsFingerprint(effectiveOptions(Request));
+  Key.OptionsFingerprint = optionsFingerprint(Request.toOptions());
   return true;
 }
 
@@ -190,16 +188,6 @@ void SpecializationService::reject(Pending &P, RenderStatus Status,
   P.Done(std::move(Reply));
 }
 
-SpecializerOptions
-SpecializationService::effectiveOptions(const RenderRequest &Request) const {
-  SpecializerOptions Options = Request.toOptions();
-  if (Config.LlcBytes != 0) {
-    Options.LlcByteBound = Config.LlcBytes;
-    Options.ArenaPixels = Request.Width * Request.Height;
-  }
-  return Options;
-}
-
 UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
                                          RenderEngine &Engine,
                                          Framebuffer &LoaderFrame,
@@ -216,7 +204,7 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
     return nullptr;
   }
   auto Spec = specializeAndCompile(*Unit, Request.Shader, Request.Varying,
-                                   effectiveOptions(Request));
+                                   Request.toOptions());
   if (!Spec) {
     Error = Unit->Diags.str();
     return nullptr;
@@ -224,7 +212,7 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
   auto Built =
       std::make_shared<SpecializationUnit>(Request.Width, Request.Height);
   Built->Shader = Request.Shader;
-  Built->Options = effectiveOptions(Request);
+  Built->Options = Request.toOptions();
   Built->Varying = Request.Varying;
   Built->LoadControls = Request.Controls;
   Built->Layout = Spec->Spec.Layout;
@@ -286,12 +274,12 @@ void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
 
 void SpecializationService::dispatcherLoop(Dispatcher &Self) {
   while (true) {
-    std::vector<std::unique_ptr<Pending>> Batch;
+    std::unique_ptr<Pending> P;
     {
       std::unique_lock<std::mutex> Lock(QueueMutex);
       // Park only on an empty queue, so a dispatcher that just finished
-      // a batch takes queued work without sleeping. A wake-up whose work
-      // another dispatcher already took parks again.
+      // a request takes queued work without sleeping. A wake-up whose
+      // work another dispatcher already took parks again.
       while (Queue.empty() && !Draining) {
         Idle.push_back(&Self);
         Self.Wake.wait(Lock, [&] { return Self.Signalled; });
@@ -301,74 +289,48 @@ void SpecializationService::dispatcherLoop(Dispatcher &Self) {
         Idle.erase(std::remove(Idle.begin(), Idle.end(), &Self), Idle.end());
       if (Queue.empty())
         return; // draining and nothing left
-      Batch.push_back(std::move(Queue.front()));
+      P = std::move(Queue.front());
       Queue.pop_front();
-      // Batch queued same-key requests behind one unit resolution; they
-      // will all be reader frames against the same arena.
-      for (auto It = Queue.begin();
-           It != Queue.end() && Batch.size() < Config.MaxBatch;) {
-        if ((*It)->Key == Batch.front()->Key) {
-          Batch.push_back(std::move(*It));
-          It = Queue.erase(It);
-        } else {
-          ++It;
-        }
-      }
     }
-    size_t Taken = Batch.size();
-    serveBatch(std::move(Batch), Self.Engine);
-    Self.Served += Taken;
+    serve(*P, Self.Engine);
+    ++Self.Served;
   }
 }
 
-void SpecializationService::serveBatch(
-    std::vector<std::unique_ptr<Pending>> Batch, RenderEngine &Engine) {
-  // Shed batch members whose queue deadline already passed — spending
-  // render time on an answer nobody is waiting for starves the rest of
-  // the queue.
-  Clock::time_point Now = Clock::now();
-  std::vector<std::unique_ptr<Pending>> Live;
-  for (std::unique_ptr<Pending> &P : Batch) {
-    if (P->HasDeadline && Now > P->Deadline) {
-      Metrics.recordShedDeadline();
-      reject(*P, RenderStatus::ShedDeadline,
-             "deadline of " + std::to_string(P->Request.DeadlineMillis) +
-                 "ms exceeded while queued");
-    } else {
-      Live.push_back(std::move(P));
-    }
-  }
-  if (Live.empty())
+void SpecializationService::serve(Pending &P, RenderEngine &Engine) {
+  // Shed a request whose queue deadline already passed — spending render
+  // time on an answer nobody is waiting for starves the rest of the
+  // queue.
+  if (P.HasDeadline && Clock::now() > P.Deadline) {
+    Metrics.recordShedDeadline();
+    reject(P, RenderStatus::ShedDeadline,
+           "deadline of " + std::to_string(P.Request.DeadlineMillis) +
+               "ms exceeded while queued");
     return;
+  }
 
   bool WasHit = false;
   bool FromDisk = false;
-  // Filled only when this dispatcher built the unit: the batch leader's
-  // frame, rendered by the loader pass at the leader's controls.
+  // Filled only when this dispatcher built the unit: P's frame, rendered
+  // by the loader pass at P's controls.
   std::optional<Framebuffer> LoaderFrame;
   std::string Error;
   UnitPtr Unit = Cache.getOrBuild(
-      Live.front()->Key,
+      P.Key,
       [&](std::string &BuildError) {
         // Disk first: a warm spilled unit is a restore, not a rebuild.
-        return loadOrBuildUnit(*Live.front(), Engine, FromDisk, LoaderFrame,
-                               BuildError);
+        return loadOrBuildUnit(P, Engine, FromDisk, LoaderFrame, BuildError);
       },
       &WasHit, &Error);
   if (!Unit) {
-    for (std::unique_ptr<Pending> &P : Live) {
-      Metrics.recordSpecializeError(secondsSince(P->Enqueued));
-      reject(*P, RenderStatus::SpecializeError, Error);
-    }
+    Metrics.recordSpecializeError(secondsSince(P.Enqueued));
+    reject(P, RenderStatus::SpecializeError, Error);
     return;
   }
-  for (size_t I = 0; I < Live.size(); ++I)
-    // Followers batched behind the leader never pay a build themselves;
-    // a disk restore counts as a hit too — no specializer ran. Only
-    // the leader's controls match the loader frame; followers, hits,
-    // coalesced waits and restores run the reader.
-    finish(*Live[I], Unit, WasHit || FromDisk || I > 0, Engine,
-           I == 0 && LoaderFrame ? &*LoaderFrame : nullptr);
+  // A disk restore counts as a hit too: no specializer ran. Hits,
+  // coalesced waits and restores run the reader.
+  finish(P, Unit, WasHit || FromDisk, Engine,
+         LoaderFrame ? &*LoaderFrame : nullptr);
 }
 
 MetricsSnapshot SpecializationService::statsz() const {
@@ -395,19 +357,15 @@ MetricsSnapshot SpecializationService::statsz() const {
     Out.SpillLoadWaits = S.LoadWaits;
   }
   Out.ExecTier = execTierName(Config.Tier);
-  Out.ArenaLlcBytes = Config.LlcBytes;
   Cache.forEachUnit([&Out](const UnitPtr &Unit) {
     ++Out.ArenaUnits;
     // Pixel strides sit back to back, so a reader frame streams the
     // whole arena.
     uint64_t Bytes = Unit->Arena.totalBytes();
     Out.ArenaPhysicalBytes += Bytes;
-    Out.ArenaHotFrameBytes += Bytes;
     if (Bytes > Out.ArenaMaxHotFrameBytes)
       Out.ArenaMaxHotFrameBytes = Bytes;
   });
-  Out.ArenaFitsLlc =
-      Config.LlcBytes == 0 || Out.ArenaMaxHotFrameBytes <= Config.LlcBytes;
   if (NetStatsProvider)
     Out.NetJson = NetStatsProvider();
   return Out;

@@ -16,8 +16,8 @@
 ///      a loader-warmed cache arena — through the keyed UnitCache, where
 ///      concurrent misses on one key specialize exactly once;
 ///   3. renders reader frames in tile jobs on the render engine's
-///      thread pool, batching queued same-key requests behind one unit
-///      resolution;
+///      thread pool, each dispatcher answering one request at a time,
+///      in arrival order;
 ///   4. answers with a framebuffer that is bit-identical to running the
 ///      unspecialized shader directly (the paper's equivalence guarantee,
 ///      now end-to-end through the server).
@@ -63,8 +63,6 @@ struct ServiceConfig {
   unsigned CacheShards = 4;
   /// Bounded request queue; submissions past this are shed.
   unsigned QueueCapacity = 256;
-  /// Max same-key requests rendered behind one unit resolution.
-  unsigned MaxBatch = 16;
   /// Dispatcher threads, each with its own render engine. Two, so a
   /// second request in flight renders beside the first. Four served no
   /// more on perfbench's `slider_hits` and `overload`, and each
@@ -79,11 +77,6 @@ struct ServiceConfig {
   ExecTier Tier = ExecTier::Batched;
   /// Unused: see ArenaLayoutConfig (engine/RenderEngine.h).
   ArenaLayoutConfig ArenaLayout;
-  /// Measured Section 4.3 bound: when nonzero, every specialization
-  /// evicts minimum-benefit hot terms until its hot bytes x pixel count
-  /// fits this many bytes (`--llc-bytes`; detectLlcBytes() is the usual
-  /// source). 0 disables the working-set limiter.
-  uint64_t LlcBytes = 0;
   /// Directory evicted-but-warm units spill to as snapshot files (and
   /// are restored from on a later miss — including after a restart).
   /// Empty disables spilling.
@@ -164,12 +157,6 @@ private:
   bool canonicalize(RenderRequest &Request, UnitKey &Key,
                     std::string &Error) const;
 
-  /// The request's SpecializerOptions plus the service-level overlay:
-  /// the measured Section 4.3 bound (Config.LlcBytes + the request's
-  /// pixel count). Used both for the cache-key fingerprint and the
-  /// build, so entries limited under different bounds never collide.
-  SpecializerOptions effectiveOptions(const RenderRequest &Request) const;
-
   /// One dispatcher thread and what it alone owns.
   struct Dispatcher {
     explicit Dispatcher(const ServiceConfig &Config)
@@ -186,10 +173,9 @@ private:
 
   void dispatcherLoop(Dispatcher &Self);
 
-  /// Resolves the batch's unit once and answers every member, on
-  /// \p Engine.
-  void serveBatch(std::vector<std::unique_ptr<Pending>> Batch,
-                  RenderEngine &Engine);
+  /// Sheds \p P if its deadline passed while it queued; otherwise
+  /// resolves its unit and answers it, on \p Engine.
+  void serve(Pending &P, RenderEngine &Engine);
 
   /// Builds the specialization unit for \p Request on \p Engine
   /// (parse + specialize + compile + loader pass). The loader pass

@@ -303,6 +303,11 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
     return Reject("spilled " + std::to_string(Snap.Meta.GridWidth) + "x" +
                   std::to_string(Snap.Meta.GridHeight) + " '" + Key.Shader +
                   "' unit does not match its key's invariant inputs");
+  // A unit whose chunks take other arguments would trap on every
+  // request, and stay cached under the key until evicted.
+  std::string CallError;
+  if (!RenderEngine::checkCallingConvention(Snap, &CallError))
+    return Reject("spilled " + CallError);
 
   auto Unit = std::make_shared<SpecializationUnit>(Snap.Meta.GridWidth,
                                                    Snap.Meta.GridHeight);

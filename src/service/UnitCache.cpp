@@ -49,8 +49,12 @@ uint64_t dspec::optionsFingerprint(const SpecializerOptions &Options) {
   W.writeU8(Options.WeightVictimBySize ? 1 : 0);
   W.writeU8(Options.CacheByteLimit.has_value() ? 1 : 0);
   W.writeU32(Options.CacheByteLimit.value_or(0));
-  W.writeU64(Options.LlcByteBound);
-  W.writeU32(Options.ArenaPixels);
+  // Two retired fields, the measured-bytes cache bound (u64) and its
+  // pixel count (u32), written as the zeros they held by default: every
+  // fingerprint, and with it every key's shard and spill file name,
+  // stays as it was.
+  W.writeU64(0);
+  W.writeU32(0);
   W.writeU32(Options.Cost.LoopMultiplier);
   W.writeU32(Options.Cost.CondDivisor);
   W.writeU32(Options.Cost.CacheRefCost);

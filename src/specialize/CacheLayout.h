@@ -19,10 +19,10 @@
 /// (LoopMultiplier^loopDepth / CondDivisor^condDepth) of the cached
 /// term. Weight >= 1 means the reader touches the slot at least once per
 /// pixel (hot); weight < 1 means it sits under a conditional and is
-/// touched on some pixels only (cold). The measured-bytes limiter
-/// charges hot slots only, and --explain reports the census. A negative
-/// weight means "unknown, assume hot" (layouts built by hand or loaded
-/// from a version-1 snapshot).
+/// touched on some pixels only (cold). Snapshots carry the weights, and
+/// --explain reports the census. A negative weight means "unknown,
+/// assume hot" (layouts built by hand or loaded from a version-1
+/// snapshot).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,9 +73,9 @@ public:
   /// Total cache bytes per specialization instance.
   unsigned totalBytes() const { return NextOffset; }
 
-  /// Bytes per pixel the hot (unconditionally touched) slots occupy —
-  /// what the Section 4.3 measured-bytes limiter charges against the
-  /// LLC. Unknown-weight slots count as hot.
+  /// Bytes per pixel the hot (unconditionally touched) slots occupy,
+  /// for `--explain`'s hot/cold census. Unknown-weight slots count as
+  /// hot.
   unsigned hotBytes() const {
     unsigned Bytes = 0;
     for (const CacheSlot &S : Slots)

@@ -82,49 +82,3 @@ CacheLimitResult dspec::limitCacheSize(CachingAnalysis &CA,
     ++Result.VictimsRelabeled;
   }
 }
-
-WorkingSetLimitResult dspec::limitToWorkingSet(
-    CachingAnalysis &CA, const CostModel &CM, const ReachingDefs &RD,
-    const StructureInfo &SI, uint64_t LlcBytes, unsigned ArenaPixels,
-    bool WeightBySize) {
-  WorkingSetLimitResult Result;
-  while (true) {
-    std::vector<Expr *> Frontier = CA.cachedTerms();
-    uint64_t HotBytes = 0;
-    for (Expr *Term : Frontier)
-      if (CM.structureWeight(Term) >= 1.0)
-        HotBytes += Term->type().sizeInBytes();
-
-    Result.HotBytesPerPixel = HotBytes;
-    Result.WorkingSetBytes = HotBytes * ArenaPixels;
-    if (Result.WorkingSetBytes <= LlcBytes) {
-      Result.BoundMet = true;
-      return Result;
-    }
-
-    // Same victim policy as the static limiter, restricted to hot terms
-    // (the model charges a cold term nothing, so evicting one cannot
-    // shrink the charged working set).
-    Expr *Victim = nullptr;
-    double VictimCost = 0.0;
-    for (Expr *Term : Frontier) {
-      if (CM.structureWeight(Term) < 1.0)
-        continue;
-      double Cost = uncacheCost(Term, CA, CM, RD, SI);
-      if (WeightBySize)
-        Cost /= static_cast<double>(Term->type().sizeInBytes());
-      if (!Victim || Cost < VictimCost) {
-        Victim = Term;
-        VictimCost = Cost;
-      }
-    }
-    if (!Victim) {
-      // Cannot happen: no hot terms means a zero working set.
-      Result.BoundMet = true;
-      return Result;
-    }
-
-    CA.forceDynamic(Victim);
-    ++Result.VictimsRelabeled;
-  }
-}

@@ -37,34 +37,6 @@ CacheLimitResult limitCacheSize(CachingAnalysis &CA, const CostModel &CM,
                                 const StructureInfo &SI, unsigned ByteLimit,
                                 bool WeightBySize);
 
-/// Result of one measured-bytes limiting run.
-struct WorkingSetLimitResult {
-  unsigned VictimsRelabeled = 0;
-  /// Final bytes per pixel of hot (structureWeight >= 1) cached terms.
-  uint64_t HotBytesPerPixel = 0;
-  /// HotBytesPerPixel x ArenaPixels — what a reader frame reads on
-  /// every pixel.
-  uint64_t WorkingSetBytes = 0;
-  /// Always true on return (an empty hot set trivially fits).
-  bool BoundMet = false;
-};
-
-/// The measured Section 4.3 variant: shrinks the *hot* per-frame working
-/// set — hot-bytes-per-pixel x \p ArenaPixels — until it fits
-/// \p LlcBytes. A cached term is hot when its structure weight is >= 1
-/// (read at least once per pixel per frame); cold terms are exempt
-/// because the cost model puts them under a conditional, so a frame
-/// reads them on some pixels only. Victims are the minimum uncacheCost
-/// hot terms, exactly the static limiter's policy, so the two passes
-/// compose.
-WorkingSetLimitResult limitToWorkingSet(CachingAnalysis &CA,
-                                        const CostModel &CM,
-                                        const ReachingDefs &RD,
-                                        const StructureInfo &SI,
-                                        uint64_t LlcBytes,
-                                        unsigned ArenaPixels,
-                                        bool WeightBySize);
-
 /// The estimated cost of evicting \p Term from the cache (exposed for
 /// tests): weighted execution cost plus marginal definition/guard costs.
 double uncacheCost(Expr *Term, const CachingAnalysis &CA, const CostModel &CM,

@@ -55,22 +55,12 @@ void DataSpecializer::runPipeline(Function *Work,
   CachingAnalysis CA(Work, Dep, RD, SI, CM, Options, Ctx.numNodeIds());
   CA.solve();
 
-  // Section 4.3 cache limiting: the static per-pixel bound first, then
-  // the measured working-set bound (hot bytes x arena pixels vs the LLC)
-  // when the caller supplied both figures.
+  // Section 4.3 cache limiting: the per-pixel byte bound.
   if (Options.CacheByteLimit) {
     CacheLimitResult Limited =
         limitCacheSize(CA, CM, RD, SI, *Options.CacheByteLimit,
                        Options.WeightVictimBySize);
     Result.Stats.LimiterVictims = Limited.VictimsRelabeled;
-  }
-  if (Options.LlcByteBound != 0 && Options.ArenaPixels != 0) {
-    WorkingSetLimitResult WS =
-        limitToWorkingSet(CA, CM, RD, SI, Options.LlcByteBound,
-                          Options.ArenaPixels, Options.WeightVictimBySize);
-    Result.Stats.WorkingSetVictims = WS.VictimsRelabeled;
-    Result.Stats.HotBytesPerPixel = WS.HotBytesPerPixel;
-    Result.Stats.WorkingSetBytes = WS.WorkingSetBytes;
   }
 
   Result.Layout = CA.finalizeLayout();
@@ -90,8 +80,7 @@ void DataSpecializer::runPipeline(Function *Work,
     Result.Explanation =
         explainSpecialization(Work, Varying, CA, CM, Result.Layout, SI);
 
-    // Hot/cold census of the finalized layout, plus the measured
-    // Section 4.3 verdict when a working-set bound was in force.
+    // Hot/cold census of the finalized layout.
     unsigned ColdSlots = 0;
     for (const CacheSlot &Slot : Result.Layout.slots())
       if (Slot.isCold())
@@ -101,16 +90,6 @@ void DataSpecializer::runPipeline(Function *Work,
         " of " + std::to_string(Result.Layout.totalBytes()) +
         " bytes per pixel (" + std::to_string(ColdSlots) +
         " cold slot(s), read under a conditional)\n";
-    if (Options.LlcByteBound != 0 && Options.ArenaPixels != 0) {
-      Result.Explanation +=
-          "working-set limit: " +
-          std::to_string(Result.Stats.HotBytesPerPixel) + " hot B/px x " +
-          std::to_string(Options.ArenaPixels) + " px = " +
-          std::to_string(Result.Stats.WorkingSetBytes) +
-          " bytes vs LLC bound " + std::to_string(Options.LlcByteBound) +
-          " — fits, " + std::to_string(Result.Stats.WorkingSetVictims) +
-          " victim(s) evicted\n";
-    }
   }
 
   // Section 3.3 splitting. The finalized layout drives the byte offsets

@@ -29,7 +29,6 @@
 #include "specialize/SpecializerOptions.h"
 #include "support/Diagnostics.h"
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,11 +49,6 @@ struct SpecializationStats {
   unsigned PhiCopiesInserted = 0;
   unsigned ChainsReassociated = 0;
   unsigned LimiterVictims = 0;
-  /// Measured Section 4.3: victims of the working-set (LLC) limiter, and
-  /// the final per-frame figures it converged to (0 when the pass is off).
-  unsigned WorkingSetVictims = 0;
-  uint64_t HotBytesPerPixel = 0;
-  uint64_t WorkingSetBytes = 0;
 };
 
 /// Everything the specializer produces for one fragment + partition.

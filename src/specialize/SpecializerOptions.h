@@ -49,17 +49,6 @@ struct SpecializerOptions {
   /// slot size, preferring to evict big, cheap slots first.
   bool WeightVictimBySize = false;
 
-  /// Section 4.3, measured-bytes variant: when both fields are nonzero,
-  /// after the static CacheByteLimit pass the limiter keeps evicting
-  /// minimum-benefit *hot* terms (structureWeight >= 1; the cost model
-  /// puts cold terms under a conditional, read on some pixels only)
-  /// until hot-bytes-per-pixel x ArenaPixels fits within LlcByteBound —
-  /// the bytes a reader frame reads on every pixel, measured against the
-  /// detected last-level cache instead of a hand-picked per-pixel budget.
-  uint64_t LlcByteBound = 0;
-  /// Pixel count of the arena the working-set bound is measured over.
-  unsigned ArenaPixels = 0;
-
   /// Static cost model constants (Section 4.3).
   CostOptions Cost;
 

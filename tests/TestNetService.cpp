@@ -883,4 +883,30 @@ TEST(Spill, RestoreRefusesAUnitOfAnotherFixedControl) {
   clearSpillDir(Dir);
 }
 
+TEST(Spill, RestoreRefusesAUnitWhoseChunksTakeOtherArguments) {
+  // The unit's own file under its own key, rewritten so its loader and
+  // reader each take one argument fewer than the four pixel inputs plus
+  // marble's controls. CRCs and bytecode verify, but a restored unit
+  // would trap on every request while it stayed cached.
+  const std::string Dir = testing::TempDir() + "dspec_spill_signature";
+  const RenderRequest Request = marbleRequest(8, 6);
+  ASSERT_NO_FATAL_FAILURE(spillUnderKeyOf(Dir, Request, Request));
+  SpillStore Names;
+  std::string Error;
+  ASSERT_TRUE(Names.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
+  const std::string Path = Names.pathFor(serviceKeyOf(Request));
+  SpecializationSnapshot Snap;
+  ASSERT_TRUE(readSnapshotFile(Path, Snap, &Error)) << Error;
+  --Snap.Loader.NumParams;
+  --Snap.Reader.NumParams;
+  ASSERT_TRUE(writeSnapshotFile(
+      Path,
+      {Snap.Meta, Snap.Loader, Snap.Reader, Snap.Layout, Snap.ArenaPixels,
+       Snap.ArenaStride, Snap.ArenaBytes.data(), Snap.ArenaBytes.size()},
+      &Error))
+      << Error;
+  expectRefusedAndRebuilt(Dir, Request);
+  clearSpillDir(Dir);
+}
+
 } // namespace

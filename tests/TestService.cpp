@@ -418,9 +418,7 @@ TEST(Service, StatszArenaChargesEachUnitItsWholeArena) {
   }
   const std::string Want =
       "\"arena\":{\"units\":2,\"physical_bytes\":" + std::to_string(Sum) +
-      ",\"hot_frame_bytes\":" + std::to_string(Sum) +
-      ",\"max_hot_frame_bytes\":" + std::to_string(Max) +
-      ",\"llc_bytes\":0,\"fits_llc\":true}";
+      ",\"max_hot_frame_bytes\":" + std::to_string(Max) + "}";
   const std::string Json = Service.statsz().toJson();
   EXPECT_NE(Json.find(Want), std::string::npos) << Json;
 }
@@ -489,7 +487,6 @@ TEST(Service, HostileNoiseScaleMatchesPlainPass) {
 TEST(Service, ShedsWhenQueueIsFull) {
   ServiceConfig Config;
   Config.QueueCapacity = 1;
-  Config.MaxBatch = 1;
   SpecializationService Service(Config);
 
   RenderRequest Request;
@@ -529,6 +526,19 @@ RenderRequest coldBuild(const char *Varying) {
   return Request;
 }
 
+/// Polls /statsz until the queue is empty and no dispatcher is parked:
+/// every dispatcher has taken a request off the queue.
+::testing::AssertionResult allBusy(const SpecializationService &Service) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < Deadline) {
+    MetricsSnapshot Stats = Service.statsz();
+    if (Stats.QueueDepth == 0 && Stats.IdleDispatchers == 0)
+      return ::testing::AssertionSuccess();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return ::testing::AssertionFailure() << "the dispatchers never all took work";
+}
+
 TEST(Service, ShedsQueuedRequestsPastTheirDeadline) {
   ServiceConfig Config;
   Config.Dispatchers = 1;
@@ -539,14 +549,7 @@ TEST(Service, ShedsQueuedRequestsPastTheirDeadline) {
   // taken it off the queue...
   std::future<RenderReply> BlockerDone =
       Service.submit(coldBuild("ringscale"));
-  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (MetricsSnapshot Stats = Service.statsz();
-       Stats.QueueDepth != 0 || Stats.IdleDispatchers != 0;
-       Stats = Service.statsz()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), GiveUp)
-        << "the dispatcher never took the blocker";
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  ASSERT_TRUE(allBusy(Service));
 
   // ...so a 1ms-deadline request queued behind it is shed at dispatch.
   RenderRequest Urgent;
@@ -558,6 +561,47 @@ TEST(Service, ShedsQueuedRequestsPastTheirDeadline) {
 
   EXPECT_TRUE(BlockerDone.get().ok());
   EXPECT_EQ(Service.statsz().ShedDeadline, 1u);
+}
+
+/// Queued requests are answered in the order they arrived: a dispatcher
+/// takes the front request, resolves its unit and answers it before it
+/// takes the next, even when a later request shares the front one's key.
+TEST(Service, DispatchIsFirstInFirstOut) {
+  ServiceConfig Config;
+  Config.Dispatchers = 1;
+  SpecializationService Service(Config);
+  RenderRequest X;
+  X.Shader = "plastic";
+  X.Width = 24;
+  X.Height = 16;
+  RenderRequest Y = X;
+  Y.Shader = "marble";
+  ASSERT_TRUE(Service.render(X).ok()); // warms X's unit
+  ASSERT_TRUE(Service.render(Y).ok()); // and Y's
+
+  // Hold the one dispatcher on a cold build while X, Y and X queue.
+  std::future<RenderReply> Blocker = Service.submit(coldBuild("ringscale"));
+  ASSERT_TRUE(allBusy(Service));
+  // The one dispatcher runs every callback, and each promise orders its
+  // append before the reads below.
+  std::string Order;
+  std::vector<std::future<void>> Answered;
+  for (const auto &[Label, Request] :
+       {std::pair{'X', X}, std::pair{'Y', Y}, std::pair{'X', X}}) {
+    auto Done = std::make_shared<std::promise<void>>();
+    Answered.push_back(Done->get_future());
+    Service.submitAsync(Request, [&Order, Label, Done](RenderReply R) {
+      Order += R.ok() ? Label : '!';
+      Done->set_value();
+    });
+  }
+  EXPECT_NE(Blocker.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the build ended before all three requests queued";
+  for (std::future<void> &F : Answered)
+    F.get();
+  EXPECT_EQ(Order, "XYX");
+  EXPECT_TRUE(Blocker.get().ok());
 }
 
 TEST(Service, DrainRejectsNewWorkAndIsIdempotent) {
@@ -689,7 +733,7 @@ TEST(Service, DrainAnswersEveryQueuedRequest) {
   for (unsigned I = 0; I < 6; ++I) {
     RenderRequest Request;
     Request.Shader = "plastic";
-    Request.Width = 16 + I; // a key of its own, so nothing batches
+    Request.Width = 16 + I;
     Request.Height = 12;
     Futures.push_back(Service.submit(Request));
   }
@@ -935,10 +979,9 @@ TEST(ServiceUnix, ConcurrentClientsWithSpillStayBitIdentical) {
   EXPECT_EQ(Stats.SpillErrors, 0u);
   EXPECT_GT(Stats.SpillWrites, 0u);
   EXPECT_GT(Stats.Cache.Evictions, 0u);
-  // Every request is accounted for once: a hit (in memory, restored
-  // from disk, or batched behind another request's resolution), a
-  // build answered with its loader frame, or a wait on another
-  // dispatcher's build. Every miss was a restore or a build.
+  // Every request is accounted for once: a hit (in memory or restored
+  // from disk), a build answered with its loader frame, or a wait on
+  // another dispatcher's build. Every miss was a restore or a build.
   EXPECT_EQ(Stats.CacheHitRequests + Stats.LoaderFrameReplies +
                 Stats.Cache.CoalescedWaits,
             Requests);

@@ -196,6 +196,10 @@ TEST(UnitCache, KeyHashesAndSpillNamesStayPinned) {
   // neither value may move.
   EXPECT_EQ(UnitKeyHasher()(keyFor("a", 7, 9)), 0x2746c1984966a857ull);
   EXPECT_EQ(UnitKeyHasher()(keyFor("marble", 1, 1)), 0xb2345ca88395e5c9ull);
+  // Every key the service builds carries this fingerprint, through which
+  // perfbench picks its units too. It still covers the bytes of two
+  // retired fields (see optionsFingerprint).
+  EXPECT_EQ(optionsFingerprint(SpecializerOptions{}), 0x06c714a496cd2c33ull);
 
   SpillStore Store;
   std::string Error;

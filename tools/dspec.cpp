@@ -83,9 +83,8 @@ void usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s FILE --fragment NAME --vary P1[,P2...]\n"
-      "            [--limit BYTES] [--llc-bytes N|auto --arena-pixels N]\n"
-      "            [--reassoc] [--no-phi] [--speculate] [--explain]\n"
-      "            [--show-normalized] [--stats]\n"
+      "            [--limit BYTES] [--reassoc] [--no-phi] [--speculate]\n"
+      "            [--explain] [--show-normalized] [--stats]\n"
       "       %s snapshot save (--gallery SHADER | FILE --fragment NAME)\n"
       "            --out SNAP [--vary P1[,P2...]] [--width W] [--height H]\n"
       "            [--controls v1,v2,...] [--limit BYTES] [--reassoc]\n"
@@ -96,7 +95,6 @@ void usage(const char *Argv0) {
       "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
       "            [--exec-tier switch|batched] [--quota-rps R]\n"
-      "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
       "            [--spill-dir PATH] [--spill-cap-mb N]\n"
       "       %s request (--socket PATH | --tcp HOST:PORT) --gallery SHADER\n"
@@ -447,11 +445,6 @@ int serveMain(int Argc, char **Argv) {
                      Name);
         return kExitUsage;
       }
-    } else if (std::strcmp(Arg, "--llc-bytes") == 0) {
-      const char *Value = NextValue();
-      Config.LlcBytes = std::strcmp(Value, "auto") == 0
-                            ? detectLlcBytes()
-                            : std::strtoull(Value, nullptr, 10);
     } else {
       std::fprintf(stderr, "error: unknown serve option '%s'\n", Arg);
       return kExitUsage;
@@ -493,13 +486,12 @@ int serveMain(int Argc, char **Argv) {
   }
   std::printf("dspec serve: listening on %s (%u io thread(s), %u "
               "dispatcher(s) × %u render thread(s), cache %u units, "
-              "queue %u, %s tier%s%s)\n",
+              "queue %u, %s tier%s)\n",
               Where.c_str(), Server.config().IoThreads,
               Service.config().Dispatchers, Service.config().RenderThreads,
               Service.config().CacheUnits,
               Service.config().QueueCapacity,
               execTierName(Service.config().Tier),
-              Config.LlcBytes != 0 ? ", llc bound" : "",
               Config.SpillDir.empty() ? "" : ", spill on");
   std::fflush(stdout);
 
@@ -781,14 +773,6 @@ int main(int Argc, char **Argv) {
           Varying.push_back(Name);
     } else if (std::strcmp(Arg, "--limit") == 0) {
       Options.CacheByteLimit = std::strtoul(NextValue(), nullptr, 10);
-    } else if (std::strcmp(Arg, "--llc-bytes") == 0) {
-      const char *Value = NextValue();
-      Options.LlcByteBound = std::strcmp(Value, "auto") == 0
-                                 ? detectLlcBytes()
-                                 : std::strtoull(Value, nullptr, 10);
-    } else if (std::strcmp(Arg, "--arena-pixels") == 0) {
-      Options.ArenaPixels =
-          static_cast<unsigned>(std::strtoul(NextValue(), nullptr, 10));
     } else if (std::strcmp(Arg, "--reassoc") == 0) {
       Options.EnableReassociate = true;
     } else if (std::strcmp(Arg, "--no-phi") == 0) {
@@ -818,11 +802,6 @@ int main(int Argc, char **Argv) {
 
   if (!FilePath || !FragmentName || Varying.empty()) {
     usage(Argv[0]);
-    return kExitUsage;
-  }
-  if (Options.LlcByteBound != 0 && Options.ArenaPixels == 0) {
-    std::fprintf(stderr, "error: --llc-bytes requires --arena-pixels N (the "
-                         "grid the working set is measured over)\n");
     return kExitUsage;
   }
 
