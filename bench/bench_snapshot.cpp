@@ -19,16 +19,20 @@
 /// The snapshot file is written untimed beforehand, and the cold and
 /// warm reader framebuffers are asserted bit-identical, so the two
 /// columns render the same image. Emits BENCH_snapshot.json (or
-/// `--out PATH`) through the shared schema helper.
+/// `--out PATH`) through the shared schema helper. The micro-benchmarks
+/// time the two warm-start halves and CRC-32 throughput
+/// (`--benchmark_filter=BM_Crc32`).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "support/Crc32.h"
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 using namespace dspec;
 using namespace dspec::bench;
@@ -231,6 +235,22 @@ void BM_WarmReaderFrame(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Grid.pixelCount());
 }
 BENCHMARK(BM_WarmReaderFrame)->Unit(benchmark::kMillisecond);
+
+// CRC-32 throughput: every frame, snapshot section and spill restore
+// is checksummed. 230,442 bytes is a 160x120 reply frame and 419,108 a
+// perfbench spill arena.
+void BM_Crc32(benchmark::State &State) {
+  std::vector<unsigned char> Buf(static_cast<size_t>(State.range(0)));
+  uint32_t X = 0x2545F491u;
+  for (unsigned char &B : Buf) {
+    X ^= X << 13, X ^= X >> 17, X ^= X << 5;
+    B = static_cast<unsigned char>(X);
+  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(crc32(Buf.data(), Buf.size()));
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(230442)->Arg(419108);
 
 } // namespace
 

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -33,6 +34,14 @@ Conn::~Conn() {
 }
 
 bool Conn::start() {
+  int Domain = 0, SendBuf = 0;
+  socklen_t Len = sizeof(Domain);
+  if (::getsockopt(Fd, SOL_SOCKET, SO_DOMAIN, &Domain, &Len) == 0 &&
+      Domain == AF_UNIX) {
+    Len = sizeof(SendBuf);
+    if (::getsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &SendBuf, &Len) == 0)
+      SendBufBytes = static_cast<size_t>(std::max(SendBuf, 1));
+  }
   // The handler keeps the connection alive for the duration of any
   // callback even if close() drops every other reference mid-call.
   auto Self = shared_from_this();
@@ -188,15 +197,32 @@ void Conn::completeStats(uint64_t Seq, std::string Json) {
 
 void Conn::serializeSlot(Slot &S) {
   // Every frame goes header-then-payload straight into OutBuf.
+  size_t Before = OutBuf.size();
   if (S.IsStats) {
     appendFrame(OutBuf, FrameType::StatsReply,
                 reinterpret_cast<const unsigned char *>(S.StatsJson.data()),
                 S.StatsJson.size());
-    return;
+  } else {
+    ByteWriter W;
+    encodeRenderReply(W, S.Reply);
+    appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
   }
-  ByteWriter W;
-  encodeRenderReply(W, S.Reply);
-  appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
+  fitSendBuffer(OutBuf.size() - Before);
+}
+
+void Conn::fitSendBuffer(size_t FrameBytes) {
+  // A unix socket's default send buffer (212,992 bytes) is smaller than
+  // a 160x120 reply frame (230,442), so without this the frame's tail
+  // waits for an EPOLLOUT wake-up. The kernel doubles the value and caps
+  // it at net.core.wmem_max; even the default cap, doubled, holds such a
+  // frame. Remembering the frame size rather than the granted size keeps
+  // a capped connection from asking again for every frame of that size.
+  if (SendBufBytes == 0 || FrameBytes <= SendBufBytes)
+    return;
+  int Want = static_cast<int>(
+      std::min<size_t>(FrameBytes, std::numeric_limits<int>::max()));
+  ::setsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &Want, sizeof(Want));
+  SendBufBytes = FrameBytes;
 }
 
 void Conn::flushReady() {
@@ -226,6 +252,8 @@ void Conn::onWritable() {
       continue;
     }
     if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!WantWrite)
+        ++Server.StatSendWaits;
       enableWriteInterest(true);
       // Reclaim the consumed prefix so a long-lived trickling connection
       // does not pin the full history of its replies in memory.

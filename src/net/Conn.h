@@ -7,7 +7,8 @@
 /// \file
 /// One nonblocking client connection, pinned to one EventLoop: owns the
 /// fd, an incremental DSPF frame parser over a read buffer, a write
-/// backlog with EPOLLOUT draining, a token-bucket request quota, and a
+/// backlog with EPOLLOUT draining (a unix socket's send buffer grows to
+/// hold any one reply frame), a token-bucket request quota, and a
 /// FIFO of reply slots so pipelined requests are answered strictly in
 /// request order even when the service completes them out of order.
 ///
@@ -45,7 +46,8 @@ public:
   Conn(const Conn &) = delete;
   Conn &operator=(const Conn &) = delete;
 
-  /// Registers the fd with the loop. Loop thread only.
+  /// Reads a unix socket's send buffer size and registers the fd with
+  /// the loop. Loop thread only.
   bool start();
 
   /// Unregisters, closes the fd, fails every pending slot, and tells the
@@ -106,6 +108,9 @@ private:
   /// Serializes every leading completed slot into OutBuf, then writes.
   void flushReady();
   void serializeSlot(Slot &S);
+  /// Raises a unix socket's send buffer to hold one frame of
+  /// \p FrameBytes, so that frame leaves in one send.
+  void fitSendBuffer(size_t FrameBytes);
   void enableWriteInterest(bool On);
   Slot *findSlot(uint64_t Seq);
 
@@ -122,6 +127,10 @@ private:
 
   std::vector<unsigned char> OutBuf;
   size_t OutConsumed = 0;
+  /// The largest frame a unix socket's send buffer holds, as far as this
+  /// connection knows; 0 leaves the buffer alone (TCP autotunes its own,
+  /// and an explicit SO_SNDBUF would switch that off).
+  size_t SendBufBytes = 0;
 
   std::deque<Slot> Pending;
   uint64_t NextSeq = 1;

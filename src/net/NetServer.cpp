@@ -275,6 +275,7 @@ NetServerStats NetServer::stats() const {
   Out.DeadlineReaps = StatDeadlineReaps;
   Out.ProtocolErrors = StatProtocolErrors;
   Out.BackpressureCloses = StatBackpressureCloses;
+  Out.SendWaits = StatSendWaits;
   return Out;
 }
 
@@ -283,11 +284,13 @@ std::string NetServer::statsJson() const {
   return formatString(
       "{\"io_threads\":%u,\"accepted\":%llu,\"active_conns\":%llu,"
       "\"quota_sheds\":%llu,\"deadline_reaps\":%llu,"
-      "\"protocol_errors\":%llu,\"backpressure_closes\":%llu}",
+      "\"protocol_errors\":%llu,\"backpressure_closes\":%llu,"
+      "\"send_waits\":%llu}",
       Config.IoThreads, static_cast<unsigned long long>(S.Accepted),
       static_cast<unsigned long long>(S.ActiveConns),
       static_cast<unsigned long long>(S.QuotaSheds),
       static_cast<unsigned long long>(S.DeadlineReaps),
       static_cast<unsigned long long>(S.ProtocolErrors),
-      static_cast<unsigned long long>(S.BackpressureCloses));
+      static_cast<unsigned long long>(S.BackpressureCloses),
+      static_cast<unsigned long long>(S.SendWaits));
 }

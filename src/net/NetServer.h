@@ -78,6 +78,9 @@ struct NetServerStats {
   uint64_t DeadlineReaps = 0;
   uint64_t ProtocolErrors = 0;
   uint64_t BackpressureCloses = 0;
+  /// Times a connection's pending replies did not all leave in one send
+  /// and it waited for EPOLLOUT.
+  uint64_t SendWaits = 0;
 };
 
 class NetServer {
@@ -155,6 +158,7 @@ private:
   std::atomic<uint64_t> StatDeadlineReaps{0};
   std::atomic<uint64_t> StatProtocolErrors{0};
   std::atomic<uint64_t> StatBackpressureCloses{0};
+  std::atomic<uint64_t> StatSendWaits{0};
 };
 
 } // namespace dspec

@@ -348,6 +348,7 @@ bool dspec::writeSnapshotFile(const std::string &Path,
   // after the table, with the arena (always last) aligned so an mmap'd
   // file exposes 64-byte-aligned cache strides.
   ByteWriter Head;
+  Head.reserve(kHeaderBytes + SectionCount * kTableEntryBytes);
   Head.writeBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   Head.writeU32(kSnapshotFormatVersion);
   Head.writeU32(static_cast<uint32_t>(SectionCount));

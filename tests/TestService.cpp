@@ -774,6 +774,8 @@ struct UnixServer {
                       Test->test_suite_name() + "_" + Test->name() + ".sock";
     Path = NetCfg.UnixPath;
     Server = std::make_unique<NetServer>(Service, NetCfg);
+    NetServer *Raw = Server.get();
+    Service.setNetStatsProvider([Raw] { return Raw->statsJson(); });
     std::string Error;
     bool Started = Server->start(&Error);
     EXPECT_TRUE(Started) << Error;
@@ -991,6 +993,69 @@ TEST(ServiceUnix, ConcurrentClientsWithSpillStayBitIdentical) {
     Hits += N;
   EXPECT_EQ(Hits, Stats.CacheHitRequests);
   std::filesystem::remove_all(SpillDir);
+}
+
+/// The /statsz "net" counter \p Key, or -1 when it is missing.
+long long netCounter(Transport &Client, const char *Key) {
+  std::string Error;
+  auto Json = requestStats(Client, &Error);
+  EXPECT_TRUE(Json.has_value()) << Error;
+  if (!Json)
+    return -1;
+  size_t Net = Json->find("\"net\":{");
+  std::string Field = std::string("\"") + Key + "\":";
+  size_t At = Net == std::string::npos ? Net : Json->find(Field, Net);
+  if (At == std::string::npos)
+    return -1;
+  return std::stoll(Json->substr(At + Field.size()));
+}
+
+/// A 160x120 reply frame (230,442 bytes) is larger than a unix socket's
+/// default send buffer. The connection grows its buffer to one frame,
+/// so that reply leaves in one send; eight replies nobody reads still
+/// overflow it and wait for EPOLLOUT.
+TEST(ServiceUnix, AReplyFrameLeavesInOneSend) {
+  UnixServer Server;
+  ASSERT_NE(Server.Client, nullptr);
+  RenderRequest Request;
+  Request.Shader = "marble";
+  Request.Width = 160;
+  Request.Height = 120;
+  std::string Error;
+  auto First = requestRender(*Server.Client, Request, &Error);
+  ASSERT_TRUE(First.has_value()) << Error;
+  ASSERT_TRUE(First->ok()) << First->Error;
+  EXPECT_EQ(netCounter(*Server.Client, "send_waits"), 0);
+
+  constexpr unsigned Pipelined = 8;
+  ByteWriter W;
+  encodeRenderRequest(W, Request);
+  std::vector<unsigned char> Frame =
+      encodeFrame(FrameType::RenderRequest, W.bytes());
+  for (unsigned I = 0; I < Pipelined; ++I)
+    ASSERT_TRUE(Server.Client->writeAll(Frame.data(), Frame.size()));
+  // Read nothing until every reply is served and one has had to wait.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((Server.Service.statsz().RequestsOk < 1 + Pipelined ||
+          Server.Server->stats().SendWaits == 0) &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (unsigned I = 0; I < Pipelined; ++I) {
+    FrameType Type;
+    std::vector<unsigned char> Payload;
+    ASSERT_TRUE(readFrame(*Server.Client, Type, Payload, &Error)) << Error;
+    ASSERT_EQ(Type, FrameType::RenderReply);
+    ByteReader R(Payload);
+    RenderReply Reply;
+    ASSERT_TRUE(decodeRenderReply(R, Reply, &Error)) << Error;
+    ASSERT_TRUE(Reply.ok()) << Reply.Error;
+    ASSERT_EQ(Reply.Pixels.size(), First->Pixels.size());
+    EXPECT_EQ(std::memcmp(Reply.Pixels.data(), First->Pixels.data(),
+                          Reply.Pixels.size() * sizeof(float)),
+              0)
+        << "reply " << I;
+  }
+  EXPECT_GE(netCounter(*Server.Client, "send_waits"), 1);
 }
 
 TEST(ServiceUnix, CorruptFrameDropsConnection) {

@@ -168,7 +168,7 @@ TEST(SourceLoc, Validity) {
 //===----------------------------------------------------------------------===//
 
 /// The textbook one-byte-per-step CRC-32 (reflected 0xEDB88320), kept
-/// here as the oracle the library's sliced implementation must match.
+/// here as the oracle both of the library's kernels must match.
 uint32_t bytewiseCrc32(const unsigned char *Data, size_t Size,
                        uint32_t Seed = 0) {
   uint32_t C = Seed ^ 0xFFFFFFFFu;
@@ -204,13 +204,37 @@ TEST(Crc32, SeedChainsAtEverySplitPoint) {
         << "split at " << Split;
 }
 
+/// Offsets 0-15 and lengths 0-320 cross the carry-less fold's 64-byte
+/// entry, every 16-byte fold after it and every tail length, from both
+/// a zero and a nonzero seed; the sliced kernel is held to the same.
 TEST(Crc32, MatchesBytewiseReferenceAtEveryAlignment) {
-  std::vector<unsigned char> Buf = randomBytes(8 + 64, 2);
-  for (size_t Offset = 0; Offset < 8; ++Offset)
-    for (size_t Length = 0; Length <= 64; ++Length)
-      ASSERT_EQ(crc32(Buf.data() + Offset, Length),
-                bytewiseCrc32(Buf.data() + Offset, Length))
-          << "offset " << Offset << ", length " << Length;
+  std::vector<unsigned char> Buf = randomBytes(16 + 320, 2);
+  for (uint32_t Seed : {0u, 0x9E3779B9u})
+    for (size_t Offset = 0; Offset < 16; ++Offset)
+      for (size_t Length = 0; Length <= 320; ++Length) {
+        const unsigned char *P = Buf.data() + Offset;
+        uint32_t Expected = bytewiseCrc32(P, Length, Seed);
+        ASSERT_EQ(crc32(P, Length, Seed), Expected)
+            << "offset " << Offset << ", length " << Length << ", seed "
+            << Seed;
+        ASSERT_EQ(detail::crc32Sliced(P, Length, Seed), Expected)
+            << "sliced, offset " << Offset << ", length " << Length
+            << ", seed " << Seed;
+      }
+}
+
+/// A 160x120 reply frame and a perfbench spill arena: on a CPU that folds,
+/// crc32() takes the fold there and this keeps the table path agreeing
+/// with it on long inputs.
+TEST(Crc32, FoldedAndSlicedAgree) {
+  std::mt19937 Rng(4);
+  for (size_t Size : {size_t(230442), size_t(419108)}) {
+    std::vector<unsigned char> Buf = randomBytes(Size, Rng());
+    for (uint32_t Seed : {0u, static_cast<uint32_t>(Rng())})
+      EXPECT_EQ(crc32(Buf.data(), Buf.size(), Seed),
+                detail::crc32Sliced(Buf.data(), Buf.size(), Seed))
+          << Size << " bytes, seed " << Seed;
+  }
 }
 
 TEST(Crc32, MatchesBytewiseReferenceOnLargeBuffers) {
