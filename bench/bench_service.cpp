@@ -315,8 +315,8 @@ void runOpenLoopClient(Transport &T, const RenderRequest &Request,
 
 void runTcpOpenLoopLoad(BenchJson &Json) {
   banner("Open-loop TCP load: 32 concurrent clients at a fixed arrival rate",
-         "the event-loop front end multiplexes every connection on a few "
-         "IO threads; client-observed tail latency is the contract");
+         "the event-loop front end multiplexes every connection on one "
+         "IO thread; client-observed tail latency is the contract");
 
   constexpr unsigned Clients = 32;
   constexpr double RatePerClient = 40.0; // 1280 qps offered
@@ -325,7 +325,6 @@ void runTcpOpenLoopLoad(BenchJson &Json) {
 
   ServiceConfig Cfg;
   NetServerConfig Net;
-  Net.IoThreads = 2;
   TcpBenchServer S(Cfg, Net);
 
   RenderRequest Request;
@@ -410,7 +409,6 @@ void runHotVsFair(BenchJson &Json) {
 
   ServiceConfig Cfg;
   NetServerConfig Net;
-  Net.IoThreads = 2;
   Net.QuotaRps = 50.0; // the hot client's blast is mostly shed
   Net.QuotaBurst = 8.0;
   TcpBenchServer S(Cfg, Net);

@@ -12,13 +12,14 @@
 ///   cold start   parse + specialize + compile, then a loader pass and
 ///                one reader frame — what a fresh process pays without
 ///                a snapshot;
-///   warm start   RenderEngine::fromSnapshot (read + validate + rebuild
-///                the grid and arena) and one reader frame — what a
-///                fresh process pays *with* one.
+///   warm start   readUnitFile under the unit's key (read + validate,
+///                adopt the arena, share the grid), the restore a spill
+///                disk hit runs, and one reader frame — what a fresh
+///                process pays *with* one.
 ///
-/// The snapshot file is written untimed beforehand, and the cold and
-/// warm reader framebuffers are asserted bit-identical, so the two
-/// columns render the same image. Emits BENCH_snapshot.json (or
+/// The unit file is written untimed beforehand by writeUnitFile, and the
+/// cold and warm reader framebuffers are asserted bit-identical, so the
+/// two columns render the same image. Emits BENCH_snapshot.json (or
 /// `--out PATH`) through the shared schema helper. The micro-benchmarks
 /// time the two warm-start halves and CRC-32 throughput
 /// (`--benchmark_filter=BM_Crc32`).
@@ -26,12 +27,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "service/SpillStore.h"
+#include "snapshot/Snapshot.h"
 #include "support/Crc32.h"
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 using namespace dspec;
@@ -60,38 +64,41 @@ bool sameImage(const Framebuffer &A, const Framebuffer &B) {
   return true;
 }
 
-/// Specializes \p Info on its first control and writes a snapshot of the
-/// loader-filled arena to \p Path. Returns false on any failure.
-bool writeShaderSnapshot(const ShaderInfo &Info, const RenderGrid &Grid,
-                         const std::string &Path) {
-  auto Unit = parseUnit(Info.Source);
-  if (!Unit->ok())
-    return false;
-  SpecializerOptions Options;
-  auto Spec =
-      specializeAndCompile(*Unit, Info.Name, {Info.Controls[0].Name}, Options);
+/// Specializes \p Info on its first control, runs the loader over a unit
+/// of \p Grid's size at the default controls, and writes the unit to
+/// \p Path. Returns the key to restore it under, or nullopt on any
+/// failure.
+std::optional<UnitKey> writeShaderUnit(const ShaderInfo &Info,
+                                       const RenderGrid &Grid,
+                                       const std::string &Path) {
+  auto Parsed = parseUnit(Info.Source);
+  if (!Parsed->ok())
+    return std::nullopt;
+  auto Spec = specializeAndCompile(*Parsed, Info.Name, {Info.Controls[0].Name});
   if (!Spec)
-    return false;
+    return std::nullopt;
+  SpecializationUnit Unit(Grid.width(), Grid.height());
+  Unit.Shader = Info.Name;
+  Unit.Varying = {Info.Controls[0].Name};
+  Unit.LoadControls = ShaderLab::defaultControls(Info);
+  Unit.Layout = Spec->Spec.Layout;
+  Unit.Loader = std::move(Spec->LoaderChunk);
+  Unit.Reader = std::move(Spec->ReaderChunk);
   RenderEngine Engine(1);
-  CacheArena Arena;
-  auto Controls = ShaderLab::defaultControls(Info);
-  if (!Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid, Controls,
-                         Arena))
-    return false;
-  SnapshotMeta Meta = SnapshotMeta::fromOptions(Options);
-  Meta.FragmentName = Info.Name;
-  Meta.VaryingParams = {Info.Controls[0].Name};
-  Meta.GridWidth = Grid.width();
-  Meta.GridHeight = Grid.height();
-  Meta.Controls = Controls;
+  if (!Engine.loaderPass(Unit.Loader, Unit.Layout, Unit.Grid,
+                         Unit.LoadControls, Unit.Arena))
+    return std::nullopt;
   std::string Error;
-  if (!RenderEngine::saveSnapshot(Path, Meta, Spec->LoaderChunk,
-                                  Spec->ReaderChunk, Spec->Spec.Layout, Arena,
-                                  &Error)) {
+  if (!writeUnitFile(Path, Unit, &Error)) {
     std::fprintf(stderr, "!! %s: %s\n", Info.Name.c_str(), Error.c_str());
-    return false;
+    return std::nullopt;
   }
-  return true;
+  UnitKey Key;
+  Key.Shader = Info.Name;
+  Key.InvariantHash = invariantHash(Info, Grid.width(), Grid.height(),
+                                    Unit.Varying, Unit.LoadControls);
+  Key.OptionsFingerprint = optionsFingerprint(Unit.Options);
+  return Key;
 }
 
 struct SnapshotRow {
@@ -119,7 +126,8 @@ void printColdVsWarm(const char *OutPath) {
 
   std::vector<SnapshotRow> Rows;
   for (const ShaderInfo &Info : shaderGallery()) {
-    if (!writeShaderSnapshot(Info, Grid, Path)) {
+    std::optional<UnitKey> Key = writeShaderUnit(Info, Grid, Path);
+    if (!Key) {
       std::fprintf(stderr, "!! %s: snapshot setup failed, skipping\n",
                    Info.Name.c_str());
       continue;
@@ -145,13 +153,13 @@ void printColdVsWarm(const char *OutPath) {
           std::abort();
       }));
 
-    // Warm: read + validate the file, rebuild grid/arena, one reader frame.
+    // Warm: read + validate the file, restore the unit, one reader frame.
     Framebuffer WarmFb(W, H);
     std::vector<double> WarmTimes;
     for (unsigned F = 0; F < Frames; ++F)
       WarmTimes.push_back(timeSeconds([&] {
         std::string Error;
-        auto Warm = RenderEngine::fromSnapshot(Path, &Error);
+        auto Warm = readUnitFile(Path, *Key, &Error);
         if (!Warm ||
             !Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
                                Warm->Arena, &WarmFb)) {
@@ -206,27 +214,32 @@ void printColdVsWarm(const char *OutPath) {
 }
 
 // Micro-benchmarks of the two warm-start halves for tracking.
-void BM_FromSnapshot(benchmark::State &State) {
+void BM_ReadUnitFile(benchmark::State &State) {
   RenderGrid Grid(benchWidth(), benchHeight());
   const std::string Path = "bench_snapshot_micro_tmp.dsnap";
-  if (!writeShaderSnapshot(*findShader("marble"), Grid, Path))
+  const ShaderInfo *Info = findShader("marble");
+  std::optional<UnitKey> Key = writeShaderUnit(*Info, Grid, Path);
+  if (!Key)
     std::abort();
   for (auto _ : State) {
-    auto Warm = RenderEngine::fromSnapshot(Path);
+    auto Warm = readUnitFile(Path, *Key);
     benchmark::DoNotOptimize(Warm);
   }
   std::remove(Path.c_str());
 }
-BENCHMARK(BM_FromSnapshot)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ReadUnitFile)->Unit(benchmark::kMicrosecond);
 
 void BM_WarmReaderFrame(benchmark::State &State) {
   RenderGrid Grid(benchWidth(), benchHeight());
   const std::string Path = "bench_snapshot_micro_tmp.dsnap";
   const ShaderInfo *Info = findShader("marble");
-  if (!writeShaderSnapshot(*Info, Grid, Path))
+  std::optional<UnitKey> Key = writeShaderUnit(*Info, Grid, Path);
+  if (!Key)
     std::abort();
-  auto Warm = RenderEngine::fromSnapshot(Path);
+  auto Warm = readUnitFile(Path, *Key);
   std::remove(Path.c_str());
+  if (!Warm)
+    std::abort();
   RenderEngine Engine(1);
   auto Controls = ShaderLab::defaultControls(*Info);
   for (auto _ : State)

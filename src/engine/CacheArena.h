@@ -75,7 +75,8 @@ public:
                      Stride);
   }
 
-  /// A copy of the buffer (what snapshots and spill files persist).
+  /// A copy of the buffer, for tests that compare arenas or restore one.
+  /// Unit files stream the buffer from raw() instead of copying it.
   ArenaBuffer canonicalBytes() const { return Storage; }
 
   /// Decodes one pixel's cache into boxed values, slot by slot (test and

@@ -218,58 +218,3 @@ bool RenderEngine::plainPass(const Chunk &Original, const RenderGrid &Grid,
                              Framebuffer *Out) {
   return runPass(Original, Grid, Controls, nullptr, nullptr, Out);
 }
-
-bool RenderEngine::saveSnapshot(const std::string &Path,
-                                const SnapshotMeta &Meta, const Chunk &Loader,
-                                const Chunk &Reader, const CacheLayout &Layout,
-                                const CacheArena &Arena, std::string *Error) {
-  if (Arena.strideBytes() != Layout.totalBytes() ||
-      Arena.pixelCount() != Meta.GridWidth * Meta.GridHeight) {
-    if (Error)
-      *Error = "snapshot: arena does not match the layout and grid (was "
-               "loaderPass run?)";
-    return false;
-  }
-  // The ARENA section is the arena's pixel-major bytes, verbatim.
-  return writeSnapshotFile(Path,
-                           {Meta, Loader, Reader, Layout, Arena.pixelCount(),
-                            Arena.strideBytes(), Arena.raw(),
-                            Arena.totalBytes()},
-                           Error);
-}
-
-bool RenderEngine::checkCallingConvention(const SpecializationSnapshot &Snap,
-                                          std::string *Error) {
-  if (Snap.Reader.NumParams ==
-      NumPixelParams + static_cast<unsigned>(Snap.Meta.Controls.size()))
-    return true;
-  if (Error)
-    *Error = "snapshot: reader takes " +
-             std::to_string(Snap.Reader.NumParams) +
-             " parameters but the snapshot records " +
-             std::to_string(Snap.Meta.Controls.size()) +
-             " controls (+4 pixel inputs)";
-  return false;
-}
-
-std::optional<RenderEngine::WarmStart>
-RenderEngine::fromSnapshot(const std::string &Path, std::string *Error) {
-  SpecializationSnapshot Snap;
-  if (!readSnapshotFile(Path, Snap, Error) ||
-      !checkCallingConvention(Snap, Error))
-    return std::nullopt;
-
-  std::optional<WarmStart> Warm;
-  Warm.emplace(Snap.Meta.GridWidth, Snap.Meta.GridHeight);
-  Warm->Meta = std::move(Snap.Meta);
-  Warm->Loader = std::move(Snap.Loader);
-  Warm->Reader = std::move(Snap.Reader);
-  Warm->Layout = Snap.Layout;
-  if (!Warm->Arena.restore(Snap.ArenaPixels, Snap.Layout,
-                           std::move(Snap.ArenaBytes))) {
-    if (Error)
-      *Error = "snapshot: arena payload does not match pixels x stride";
-    return std::nullopt;
-  }
-  return Warm;
-}

@@ -23,6 +23,10 @@
 /// like dsc_trace logs land on whichever worker ran the pixel; the
 /// gallery shaders use none.)
 ///
+/// The engine only runs passes. A unit's chunks, layout and loaded arena
+/// go to and from disk through writeUnitFile and readUnitFile
+/// (service/SpillStore.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DATASPEC_ENGINE_RENDERENGINE_H
@@ -32,11 +36,9 @@
 #include "engine/ExecTier.h"
 #include "engine/RenderContext.h"
 #include "engine/ThreadPool.h"
-#include "snapshot/Snapshot.h"
 #include "vm/VM.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,52 +115,6 @@ public:
   /// Trap message of the last failing pass (first trapping pixel in pixel
   /// order, so failures are deterministic too).
   const std::string &lastTrap() const { return LastTrap; }
-
-  //===--------------------------------------------------------------------===//
-  // Warm start: persist a loader pass, resume in a fresh process.
-  //===--------------------------------------------------------------------===//
-
-  /// Everything fromSnapshot restores: the specialization unit plus the
-  /// loader-filled arena, with the grid rebuilt procedurally from the
-  /// snapshot's dimensions. readerPass(Warm.Reader, Warm.Grid, Controls,
-  /// Warm.Arena) then serves frames without ever running the loader.
-  struct WarmStart {
-    SnapshotMeta Meta;
-    Chunk Loader;
-    Chunk Reader;
-    CacheLayout Layout;
-    RenderGrid Grid;
-    CacheArena Arena;
-
-    WarmStart(unsigned Width, unsigned Height) : Grid(Width, Height) {}
-  };
-
-  /// Writes \p Path: the specialization unit (\p Loader, \p Reader,
-  /// \p Layout, provenance in \p Meta) and the loader-filled \p Arena,
-  /// whose bytes are written straight from its buffer. Call after a
-  /// successful loaderPass over a grid whose dimensions are recorded in
-  /// \p Meta. Returns false with \p Error set on inconsistent state or
-  /// I/O failure.
-  static bool saveSnapshot(const std::string &Path, const SnapshotMeta &Meta,
-                           const Chunk &Loader, const Chunk &Reader,
-                           const CacheLayout &Layout, const CacheArena &Arena,
-                           std::string *Error = nullptr);
-
-  /// Validates and loads \p Path (header/version checks, per-section
-  /// CRCs, bytecode verification — a truncated or corrupt file yields a
-  /// diagnostic, never a crash) and rebuilds the grid and arena. Reader
-  /// passes over the result are bit-identical to an in-process
-  /// loader+reader run at any thread count.
-  static std::optional<WarmStart> fromSnapshot(const std::string &Path,
-                                               std::string *Error = nullptr);
-
-  /// Whether \p Snap's chunks fit the engine's calling convention: the
-  /// four per-pixel inputs plus the controls its META records. A file
-  /// read by readSnapshotFile has a loader and a reader of one parameter
-  /// count, so checking the reader checks both. Returns false with
-  /// \p Error set otherwise: every pass over such a unit would trap.
-  static bool checkCallingConvention(const SpecializationSnapshot &Snap,
-                                     std::string *Error = nullptr);
 
 private:
   /// Exactly one of \p MutArena / \p ROArena may be non-null: loader

@@ -199,21 +199,6 @@ inline bool isAssociativeOp(BinaryOp Op) {
   return Op == BinaryOp::BO_Add || Op == BinaryOp::BO_Mul;
 }
 
-/// True for comparison operators (result type bool).
-inline bool isComparisonOp(BinaryOp Op) {
-  switch (Op) {
-  case BinaryOp::BO_Lt:
-  case BinaryOp::BO_Le:
-  case BinaryOp::BO_Gt:
-  case BinaryOp::BO_Ge:
-  case BinaryOp::BO_Eq:
-  case BinaryOp::BO_Ne:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// A binary operation.
 class BinaryExpr : public Expr {
 public:
@@ -331,7 +316,6 @@ public:
   /// Byte offset of the slot in the packed cache buffer, as assigned by
   /// the specialization's CacheLayout (the authoritative runtime layout).
   unsigned byteOffset() const { return ByteOffset; }
-  void setByteOffset(unsigned Offset) { ByteOffset = Offset; }
 
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::EK_CacheRead;
@@ -361,7 +345,6 @@ public:
   /// Byte offset of the slot in the packed cache buffer, as assigned by
   /// the specialization's CacheLayout (the authoritative runtime layout).
   unsigned byteOffset() const { return ByteOffset; }
-  void setByteOffset(unsigned Offset) { ByteOffset = Offset; }
 
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::EK_CacheStore;

@@ -153,8 +153,6 @@ public:
   Stmt *thenStmt() const { return Then; }
   Stmt *elseStmt() const { return Else; }
   void setCond(Expr *E) { Cond = E; }
-  void setThenStmt(Stmt *S) { Then = S; }
-  void setElseStmt(Stmt *S) { Else = S; }
 
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::SK_If; }
 

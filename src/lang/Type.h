@@ -46,26 +46,12 @@ public:
   static Type vec3Ty() { return Type(TypeKind::TK_Vec3); }
   static Type vec4Ty() { return Type(TypeKind::TK_Vec4); }
 
-  /// The vector type with \p Width float components (2..4).
-  static Type vecTy(unsigned Width) {
-    assert(Width >= 2 && Width <= 4 && "invalid vector width");
-    switch (Width) {
-    case 2:
-      return vec2Ty();
-    case 3:
-      return vec3Ty();
-    default:
-      return vec4Ty();
-    }
-  }
-
   TypeKind kind() const { return Kind; }
 
   bool isVoid() const { return Kind == TypeKind::TK_Void; }
   bool isBool() const { return Kind == TypeKind::TK_Bool; }
   bool isInt() const { return Kind == TypeKind::TK_Int; }
   bool isFloat() const { return Kind == TypeKind::TK_Float; }
-  bool isScalar() const { return isBool() || isInt() || isFloat(); }
   bool isNumericScalar() const { return isInt() || isFloat(); }
   bool isVector() const {
     return Kind == TypeKind::TK_Vec2 || Kind == TypeKind::TK_Vec3 ||

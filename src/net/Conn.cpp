@@ -22,9 +22,8 @@
 
 using namespace dspec;
 
-Conn::Conn(NetServer &Server, EventLoop &Loop, size_t LoopIndex, int Fd,
-           uint64_t Id)
-    : Server(Server), Loop(Loop), LoopIndex(LoopIndex), Fd(Fd), Id(Id),
+Conn::Conn(NetServer &Server, EventLoop &Loop, int Fd, uint64_t Id)
+    : Server(Server), Loop(Loop), Fd(Fd), Id(Id),
       QuotaTokens(Server.config().QuotaBurst),
       QuotaRefilled(Clock::now()) {}
 

@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One nonblocking client connection, pinned to one EventLoop: owns the
+/// One nonblocking client connection on the server's EventLoop: owns the
 /// fd, an incremental DSPF frame parser over a read buffer, a write
 /// backlog with EPOLLOUT draining (a unix socket's send buffer grows to
 /// hold any one reply frame), a token-bucket request quota, and a
 /// FIFO of reply slots so pipelined requests are answered strictly in
 /// request order even when the service completes them out of order.
 ///
-/// Threading: every method (and all state) belongs to the connection's
-/// loop thread. The service's completion callbacks hop back onto the
-/// loop via EventLoop::post with a weak_ptr, so a connection that died
-/// mid-render is simply skipped.
+/// Threading: every method (and all state) belongs to the server's one
+/// IO thread, which runs the loop. The service's completion callbacks
+/// hop back onto the loop via EventLoop::post with a weak_ptr, so a
+/// connection that died mid-render is simply skipped.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +40,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
 public:
   using Clock = std::chrono::steady_clock;
 
-  Conn(NetServer &Server, EventLoop &Loop, size_t LoopIndex, int Fd,
-       uint64_t Id);
+  Conn(NetServer &Server, EventLoop &Loop, int Fd, uint64_t Id);
   ~Conn();
   Conn(const Conn &) = delete;
   Conn &operator=(const Conn &) = delete;
@@ -116,7 +115,6 @@ private:
 
   NetServer &Server;
   EventLoop &Loop;
-  size_t LoopIndex = 0;
   int Fd = -1;
   uint64_t Id = 0;
   bool WantWrite = false;

@@ -20,10 +20,7 @@
 using namespace dspec;
 
 NetServer::NetServer(SpecializationService &Service, NetServerConfig InConfig)
-    : Service(Service), Config(std::move(InConfig)) {
-  if (Config.IoThreads == 0)
-    Config.IoThreads = 1;
-}
+    : Service(Service), Config(std::move(InConfig)) {}
 
 NetServer::~NetServer() { shutdownServer(); }
 
@@ -50,37 +47,20 @@ bool NetServer::start(std::string *Error) {
     Acceptors.push_back(std::move(A));
   }
 
-  Loops.reserve(Config.IoThreads);
-  for (unsigned I = 0; I < Config.IoThreads; ++I) {
-    auto L = std::make_unique<IoLoop>();
-    if (!L->Loop.valid()) {
-      if (Error)
-        *Error = "cannot create event loop (epoll/eventfd)";
-      Acceptors.clear();
-      Loops.clear();
-      return false;
-    }
-    Loops.push_back(std::move(L));
+  if (!Loop.valid()) {
+    if (Error)
+      *Error = "cannot create event loop (epoll/eventfd)";
+    Acceptors.clear();
+    return false;
   }
-
-  // Acceptors live on loop 0; fresh connections fan out round-robin.
   for (Acceptor &A : Acceptors)
-    Loops[0]->Loop.registerFd(A.fd(), EPOLLIN,
-                              [this, &A](uint32_t) { onAcceptable(A); });
+    Loop.registerFd(A.fd(), EPOLLIN, [this, &A](uint32_t) { onAcceptable(A); });
+  if (Config.ReadDeadlineMillis > 0)
+    Loop.setPeriodic(
+        std::max(0.01, static_cast<double>(Config.ReadDeadlineMillis) / 4000.0),
+        [this] { sweepDeadlines(); });
 
-  if (Config.ReadDeadlineMillis > 0) {
-    double Sweep =
-        std::max(0.01, static_cast<double>(Config.ReadDeadlineMillis) / 4000.0);
-    for (auto &L : Loops) {
-      IoLoop *Raw = L.get();
-      L->Loop.setPeriodic(Sweep, [this, Raw] { sweepDeadlines(*Raw); });
-    }
-  }
-
-  for (auto &L : Loops) {
-    IoLoop *Raw = L.get();
-    L->Thread = std::thread([Raw] { Raw->Loop.run(); });
-  }
+  IoThread = std::thread([this] { Loop.run(); });
   Started = true;
   return true;
 }
@@ -94,40 +74,35 @@ void NetServer::onAcceptable(Acceptor &A) {
       ::close(Fd); // drain began between the poll and the accept
       continue;
     }
-    adoptConnection(Fd);
-  }
-}
-
-void NetServer::adoptConnection(int Fd) {
-  size_t Index = NextLoop.fetch_add(1) % Loops.size();
-  IoLoop *Target = Loops[Index].get();
-  uint64_t Id = NextConnId.fetch_add(1);
-  ++StatAccepted;
-  ++StatActiveConns;
-  // Connection state belongs to its loop thread; creation happens there.
-  Target->Loop.post([this, Target, Index, Fd, Id] {
-    auto C = std::make_shared<Conn>(*this, Target->Loop, Index, Fd, Id);
+    // The acceptor's handler runs on the loop thread, so the connection
+    // registers right here. accept may hand back a descriptor that a
+    // close earlier in this poll batch freed; mid-batch a connection
+    // closes only in its own event's handler, and epoll reports a
+    // descriptor at most once a batch, so no stale event reaches the new
+    // connection.
+    uint64_t Id = NextConnId++;
+    ++StatAccepted;
+    ++StatActiveConns;
+    auto C = std::make_shared<Conn>(*this, Loop, Fd, Id);
     if (!C->start()) {
       --StatActiveConns;
-      return; // registration failed; ~Conn closes the fd
+      continue; // registration failed; ~Conn closes the fd
     }
-    Target->Conns.emplace(Id, std::move(C));
-  });
+    Conns.emplace(Id, std::move(C));
+  }
 }
 
 void NetServer::removeConn(Conn &C) {
   --StatActiveConns;
-  Loops[C.LoopIndex]->Conns.erase(C.id());
+  Conns.erase(C.id());
 }
 
-void NetServer::sweepDeadlines(IoLoop &L) {
-  if (Config.ReadDeadlineMillis == 0)
-    return;
+void NetServer::sweepDeadlines() {
   Conn::Clock::time_point Cutoff =
       Conn::Clock::now() - std::chrono::milliseconds(Config.ReadDeadlineMillis);
   // Collect first: close() mutates the map we are sweeping.
   std::vector<std::shared_ptr<Conn>> Stalled;
-  for (auto &[Id, C] : L.Conns)
+  for (auto &[Id, C] : Conns)
     if (C->readStalledSince(Cutoff))
       Stalled.push_back(C);
   for (auto &C : Stalled) {
@@ -190,30 +165,26 @@ void NetServer::handleRenderRequest(
 
   uint64_t Seq = C.openRenderSlot();
   // The dispatcher finishes on its own thread; hop back to the loop with
-  // a weak_ptr so a connection that died mid-render is skipped, and hold
-  // the loop by pointer — loops outlive the service drain (see serve's
-  // shutdown order).
+  // a weak_ptr so a connection that died mid-render is skipped. The
+  // loop outlives the service drain (see serve's shutdown order).
   std::weak_ptr<Conn> Weak = C.weak_from_this();
-  EventLoop *Loop = &C.Loop;
-  Service.submitAsync(
-      std::move(Request), [Weak, Loop, Seq](RenderReply Reply) {
-        auto Boxed =
-            std::make_shared<RenderReply>(std::move(Reply));
-        Loop->post([Weak, Seq, Boxed] {
-          if (auto C = Weak.lock())
-            C->completeRender(Seq, std::move(*Boxed));
-        });
-      });
+  Service.submitAsync(std::move(Request), [this, Weak, Seq](RenderReply Reply) {
+    auto Boxed = std::make_shared<RenderReply>(std::move(Reply));
+    Loop.post([Weak, Seq, Boxed] {
+      if (auto C = Weak.lock())
+        C->completeRender(Seq, std::move(*Boxed));
+    });
+  });
 }
 
 void NetServer::beginDrain() {
   if (Draining.exchange(true) || !Started)
     return;
-  // Acceptors are loop-0 state; close them there so no accept races.
-  Loops[0]->Loop.post([this] {
+  // Acceptors are loop state; close them there so no accept races.
+  Loop.post([this] {
     for (Acceptor &A : Acceptors) {
       if (A.listening())
-        Loops[0]->Loop.unregisterFd(A.fd());
+        Loop.unregisterFd(A.fd());
       A.close();
     }
   });
@@ -226,24 +197,18 @@ bool NetServer::quiesce(double TimeoutSeconds) {
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(TimeoutSeconds));
   for (;;) {
-    size_t Busy = 0;
-    for (auto &L : Loops) {
-      // Query connection state on its owning thread.
-      auto Promise = std::make_shared<std::promise<size_t>>();
-      std::future<size_t> Done = Promise->get_future();
-      IoLoop *Raw = L.get();
-      L->Loop.post([Raw, Promise] {
-        size_t Pending = 0;
-        for (auto &[Id, C] : Raw->Conns)
-          Pending += C->pendingSlots() + (C->writeBacklogBytes() > 0 ? 1 : 0);
-        Promise->set_value(Pending);
-      });
-      if (Done.wait_for(std::chrono::seconds(2)) !=
-          std::future_status::ready)
-        return false; // loop wedged; shutdown will tear it down anyway
-      Busy += Done.get();
-    }
-    if (Busy == 0)
+    // Query connection state on the loop thread, which owns it.
+    auto Promise = std::make_shared<std::promise<size_t>>();
+    std::future<size_t> Done = Promise->get_future();
+    Loop.post([this, Promise] {
+      size_t Pending = 0;
+      for (auto &[Id, C] : Conns)
+        Pending += C->pendingSlots() + (C->writeBacklogBytes() > 0 ? 1 : 0);
+      Promise->set_value(Pending);
+    });
+    if (Done.wait_for(std::chrono::seconds(2)) != std::future_status::ready)
+      return false; // loop wedged; shutdown will tear it down anyway
+    if (Done.get() == 0)
       return true;
     if (std::chrono::steady_clock::now() >= Deadline)
       return false;
@@ -255,15 +220,12 @@ void NetServer::shutdownServer() {
   if (!Started || Stopped.exchange(true))
     return;
   beginDrain();
-  for (auto &L : Loops)
-    L->Loop.stop();
-  for (auto &L : Loops)
-    if (L->Thread.joinable())
-      L->Thread.join();
-  // Loop threads are gone; tear down surviving connections directly
+  Loop.stop();
+  if (IoThread.joinable())
+    IoThread.join();
+  // The loop thread is gone; tear down surviving connections directly
   // (their destructors close the fds).
-  for (auto &L : Loops)
-    L->Conns.clear();
+  Conns.clear();
   Acceptors.clear();
 }
 
@@ -282,11 +244,11 @@ NetServerStats NetServer::stats() const {
 std::string NetServer::statsJson() const {
   NetServerStats S = stats();
   return formatString(
-      "{\"io_threads\":%u,\"accepted\":%llu,\"active_conns\":%llu,"
+      "{\"accepted\":%llu,\"active_conns\":%llu,"
       "\"quota_sheds\":%llu,\"deadline_reaps\":%llu,"
       "\"protocol_errors\":%llu,\"backpressure_closes\":%llu,"
       "\"send_waits\":%llu}",
-      Config.IoThreads, static_cast<unsigned long long>(S.Accepted),
+      static_cast<unsigned long long>(S.Accepted),
       static_cast<unsigned long long>(S.ActiveConns),
       static_cast<unsigned long long>(S.QuotaSheds),
       static_cast<unsigned long long>(S.DeadlineReaps),

@@ -5,24 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event-loop network front end for the specialization service: N IO
-/// threads, each running one EventLoop, serving nonblocking TCP and
-/// unix-socket connections speaking the DSPF protocol. It is the
-/// project's only server: `dspec serve`, the service tests and the
-/// benchmarks all run it.
+/// The event-loop network front end for the specialization service: one
+/// IO thread running one EventLoop, which accepts and serves every
+/// nonblocking TCP and unix-socket connection speaking the DSPF
+/// protocol. It is the project's only server: `dspec serve`, the service
+/// tests and the benchmarks all run it.
 ///
 /// Per-client fairness is enforced per connection, before a request ever
 /// reaches the service queue: a token-bucket request quota and an
 /// in-flight cap, both answered with a distinct ShedQuota status so a
 /// greedy client sees *its* requests shed while well-behaved clients'
 /// replies stay untouched. Slow-loris clients — a frame header trickled
-/// byte by byte — are reaped by a per-loop sweep timer when the frame
+/// byte by byte — are reaped by the loop's sweep timer when the frame
 /// they started sending stalls past the read deadline.
 ///
 /// Shutdown is cooperative: beginDrain() closes the acceptors (in-flight
 /// connections keep draining), quiesce() waits for every pending reply
-/// to reach the kernel, shutdown() stops the loops and joins. The stop
-/// signal rides each loop's eventfd wakeup, so a parked epoll_wait wakes
+/// to reach the kernel, shutdown() stops the loop and joins. The stop
+/// signal rides the loop's eventfd wakeup, so a parked epoll_wait wakes
 /// immediately — no polling interval anywhere on the shutdown path.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,8 +52,6 @@ struct NetServerConfig {
   /// TCP listen address ("127.0.0.1:7654", port 0 = ephemeral); empty =
   /// no TCP acceptor. At least one of the two must be set.
   std::string TcpHostPort;
-  /// IO threads (event loops); connections are assigned round-robin.
-  unsigned IoThreads = 2;
   /// A connection whose in-progress frame stalls longer than this is
   /// reaped (the slow-loris defense). 0 disables reaping.
   unsigned ReadDeadlineMillis = 5000;
@@ -90,7 +88,7 @@ public:
   NetServer(const NetServer &) = delete;
   NetServer &operator=(const NetServer &) = delete;
 
-  /// Binds the acceptors and starts the IO threads. False with \p Error
+  /// Binds the acceptors and starts the IO thread. False with \p Error
   /// on bind failure or a config with no listen address.
   bool start(std::string *Error);
 
@@ -106,8 +104,8 @@ public:
   /// the service has drained so no new completions are in flight.
   bool quiesce(double TimeoutSeconds);
 
-  /// beginDrain + stop every loop + join the IO threads. Idempotent;
-  /// called by the destructor. Connections still open are torn down.
+  /// beginDrain + stop the loop + join the IO thread. Idempotent; called
+  /// by the destructor. Connections still open are torn down.
   void shutdownServer();
 
   NetServerStats stats() const;
@@ -119,35 +117,30 @@ public:
 private:
   friend class Conn;
 
-  struct IoLoop {
-    EventLoop Loop;
-    std::thread Thread;
-    /// Owned by the loop thread (created/erased only there).
-    std::unordered_map<uint64_t, std::shared_ptr<Conn>> Conns;
-  };
-
   /// Handles one decoded frame from \p C; false closes the connection
-  /// (protocol violation). Loop thread of \p C.
+  /// (protocol violation). Loop thread.
   bool handleFrame(Conn &C, FrameType Type,
                    const std::vector<unsigned char> &Payload);
   void handleRenderRequest(Conn &C, const std::vector<unsigned char> &Payload);
 
+  /// Accepts every pending connection on \p A and registers each with
+  /// the loop. Loop thread.
   void onAcceptable(Acceptor &A);
-  /// Hands a fresh fd to the next loop (round-robin) for adoption.
-  void adoptConnection(int Fd);
-  /// Sweeps \p L's connections for stalled reads. Loop thread of \p L.
-  void sweepDeadlines(IoLoop &L);
-  /// Drops the server's reference to \p C. Loop thread of \p C.
+  /// Reaps connections whose in-progress frame stalled. Loop thread.
+  void sweepDeadlines();
+  /// Drops the server's reference to \p C. Loop thread.
   void removeConn(Conn &C);
 
   SpecializationService &Service;
   NetServerConfig Config;
 
-  std::vector<std::unique_ptr<IoLoop>> Loops;
+  EventLoop Loop;
+  std::thread IoThread;
+  /// Owned by the loop thread (created and erased only there).
+  std::unordered_map<uint64_t, std::shared_ptr<Conn>> Conns;
   std::vector<Acceptor> Acceptors;
   uint16_t TcpPort = 0;
-  std::atomic<uint64_t> NextConnId{1};
-  std::atomic<size_t> NextLoop{0};
+  uint64_t NextConnId = 1;
   std::atomic<bool> Draining{false};
   std::atomic<bool> Stopped{false};
   bool Started = false;

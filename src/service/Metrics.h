@@ -91,12 +91,6 @@ struct MetricsSnapshot {
   /// (connections, quota sheds, reaps); empty = no "net" section.
   std::string NetJson;
 
-  /// Total sheds (queue-full + deadline + quota), the admission-control
-  /// signal.
-  uint64_t shedTotal() const {
-    return ShedQueueFull + ShedDeadline + ShedQuota;
-  }
-
   /// Hits / (hits + misses); 0 when the cache is untouched.
   double cacheHitRate() const;
 

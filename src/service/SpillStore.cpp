@@ -60,6 +60,85 @@ pid_t tempFileWriter(const std::string &Name) {
 
 } // namespace
 
+bool dspec::writeUnitFile(const std::string &Path,
+                          const SpecializationUnit &Unit, std::string *Error) {
+  SnapshotMeta Meta;
+  Meta.FragmentName = Unit.Shader;
+  Meta.VaryingParams = Unit.Varying;
+  Meta.JoinNormalize = Unit.Options.EnableJoinNormalize;
+  Meta.Reassociate = Unit.Options.EnableReassociate;
+  Meta.Speculation = Unit.Options.AllowSpeculation;
+  Meta.WeightVictimBySize = Unit.Options.WeightVictimBySize;
+  Meta.CacheByteLimit = Unit.Options.CacheByteLimit;
+  Meta.GridWidth = Unit.Grid.width();
+  Meta.GridHeight = Unit.Grid.height();
+  Meta.Controls = Unit.LoadControls;
+  // The ARENA section is the arena's pixel-major bytes, written straight
+  // from its buffer; writeSnapshotFile refuses an arena whose shape does
+  // not match the layout and the grid.
+  const CacheArena &Arena = Unit.Arena;
+  return writeSnapshotFile(Path,
+                           {Meta, Unit.Loader, Unit.Reader, Unit.Layout,
+                            Arena.pixelCount(), Arena.strideBytes(),
+                            Arena.raw(), Arena.totalBytes()},
+                           Error);
+}
+
+std::shared_ptr<SpecializationUnit>
+dspec::readUnitFile(const std::string &Path, const UnitKey &Key,
+                    std::string *Error) {
+  auto Refuse = [&](std::string Why) -> std::shared_ptr<SpecializationUnit> {
+    if (Error)
+      *Error = "snapshot: " + std::move(Why);
+    return nullptr;
+  };
+  SpecializationSnapshot Snap;
+  if (!readSnapshotFile(Path, Snap, Error))
+    return nullptr;
+  // A file that parses can still hold another key's unit (spill files
+  // are named by a hash of the key). The META must reproduce the key's
+  // invariant hash, grid size included: a unit of another size would
+  // render past the end of the request's framebuffer.
+  const SnapshotMeta &Meta = Snap.Meta;
+  if (Meta.FragmentName != Key.Shader)
+    return Refuse("unit names shader '" + Meta.FragmentName +
+                  "', expected '" + Key.Shader + "'");
+  const ShaderInfo *Info = findShader(Key.Shader);
+  if (!Info || Meta.Controls.size() != Info->Controls.size() ||
+      invariantHash(*Info, Meta.GridWidth, Meta.GridHeight,
+                    Meta.VaryingParams, Meta.Controls) != Key.InvariantHash)
+    return Refuse(std::to_string(Meta.GridWidth) + "x" +
+                  std::to_string(Meta.GridHeight) + " '" + Key.Shader +
+                  "' unit does not match its key's invariant inputs");
+  // A unit whose chunks take other arguments would trap on every pass,
+  // and stay cached under the key until evicted. readSnapshotFile made
+  // the loader and the reader agree, so checking the reader checks both.
+  if (Snap.Reader.NumParams !=
+      RenderEngine::NumPixelParams + Meta.Controls.size())
+    return Refuse("reader takes " + std::to_string(Snap.Reader.NumParams) +
+                  " parameters but the file records " +
+                  std::to_string(Meta.Controls.size()) +
+                  " controls (+4 pixel inputs)");
+
+  auto Unit =
+      std::make_shared<SpecializationUnit>(Meta.GridWidth, Meta.GridHeight);
+  if (!Unit->Arena.restore(Snap.ArenaPixels, Snap.Layout,
+                           std::move(Snap.ArenaBytes)))
+    return Refuse("arena payload does not match pixels x stride");
+  Unit->Shader = std::move(Snap.Meta.FragmentName);
+  Unit->Varying = std::move(Snap.Meta.VaryingParams);
+  Unit->LoadControls = std::move(Snap.Meta.Controls);
+  Unit->Layout = std::move(Snap.Layout);
+  Unit->Loader = std::move(Snap.Loader);
+  Unit->Reader = std::move(Snap.Reader);
+  Unit->Options.EnableJoinNormalize = Snap.Meta.JoinNormalize;
+  Unit->Options.EnableReassociate = Snap.Meta.Reassociate;
+  Unit->Options.AllowSpeculation = Snap.Meta.Speculation;
+  Unit->Options.WeightVictimBySize = Snap.Meta.WeightVictimBySize;
+  Unit->Options.CacheByteLimit = Snap.Meta.CacheByteLimit;
+  return Unit;
+}
+
 SpillStore::~SpillStore() {
   {
     std::lock_guard<std::mutex> Lock(M);
@@ -165,19 +244,10 @@ void SpillStore::store(const UnitKey &Key, const UnitPtr &Unit) {
   if (!enabled() || !Unit)
     return;
 
-  SnapshotMeta Meta = SnapshotMeta::fromOptions(Unit->Options);
-  Meta.FragmentName = Unit->Shader;
-  Meta.VaryingParams = Unit->Varying;
-  Meta.GridWidth = Unit->Grid.width();
-  Meta.GridHeight = Unit->Grid.height();
-  Meta.Controls = Unit->LoadControls;
-
   std::string Path = pathFor(Key);
   std::string TmpPath =
       Path + formatString(".tmp.%ld", static_cast<long>(::getpid()));
-  std::string WriteError;
-  if (!RenderEngine::saveSnapshot(TmpPath, Meta, Unit->Loader, Unit->Reader,
-                                  Unit->Layout, Unit->Arena, &WriteError)) {
+  if (!writeUnitFile(TmpPath, *Unit)) {
     ::unlink(TmpPath.c_str());
     std::lock_guard<std::mutex> Lock(M);
     ++Counters.Errors;
@@ -273,62 +343,15 @@ std::shared_ptr<SpecializationUnit> SpillStore::load(const UnitKey &Key,
     }
   }
 
-  // A file that fails a check below is counted as an error and a disk
-  // miss; the caller then builds the unit.
-  auto Reject = [&](std::string Why) -> std::shared_ptr<SpecializationUnit> {
-    std::lock_guard<std::mutex> Lock(M);
+  auto Unit = readUnitFile(Path, Key, Error);
+  std::lock_guard<std::mutex> Lock(M);
+  if (!Unit) {
+    // Counted as an error and a disk miss; the caller builds the unit.
     ++Counters.Errors;
     ++Counters.DiskMisses;
-    if (Error)
-      *Error = std::move(Why);
     return nullptr;
-  };
-
-  SpecializationSnapshot Snap;
-  std::string ReadError;
-  if (!readSnapshotFile(Path, Snap, &ReadError))
-    return Reject("spilled unit unreadable: " + ReadError);
-  // The file name is a hash; verify the contents actually describe this
-  // key's unit before serving it. The META must reproduce the key's
-  // invariant hash, grid size included: a unit of another size would
-  // render past the end of the request's framebuffer.
-  if (Snap.Meta.FragmentName != Key.Shader)
-    return Reject("spilled unit names shader '" + Snap.Meta.FragmentName +
-                  "', expected '" + Key.Shader + "'");
-  const ShaderInfo *Info = findShader(Key.Shader);
-  if (!Info || Snap.Meta.Controls.size() != Info->Controls.size() ||
-      invariantHash(*Info, Snap.Meta.GridWidth, Snap.Meta.GridHeight,
-                    Snap.Meta.VaryingParams,
-                    Snap.Meta.Controls) != Key.InvariantHash)
-    return Reject("spilled " + std::to_string(Snap.Meta.GridWidth) + "x" +
-                  std::to_string(Snap.Meta.GridHeight) + " '" + Key.Shader +
-                  "' unit does not match its key's invariant inputs");
-  // A unit whose chunks take other arguments would trap on every
-  // request, and stay cached under the key until evicted.
-  std::string CallError;
-  if (!RenderEngine::checkCallingConvention(Snap, &CallError))
-    return Reject("spilled " + CallError);
-
-  auto Unit = std::make_shared<SpecializationUnit>(Snap.Meta.GridWidth,
-                                                   Snap.Meta.GridHeight);
-  Unit->Shader = Snap.Meta.FragmentName;
-  Unit->Varying = Snap.Meta.VaryingParams;
-  Unit->LoadControls = Snap.Meta.Controls;
-  Unit->Layout = Snap.Layout;
-  Unit->Loader = std::move(Snap.Loader);
-  Unit->Reader = std::move(Snap.Reader);
-  if (!Unit->Arena.restore(Snap.ArenaPixels, Snap.Layout,
-                           std::move(Snap.ArenaBytes)))
-    return Reject("spilled arena shape does not match its layout");
-  Unit->Options.EnableJoinNormalize = Snap.Meta.JoinNormalize;
-  Unit->Options.EnableReassociate = Snap.Meta.Reassociate;
-  Unit->Options.AllowSpeculation = Snap.Meta.Speculation;
-  Unit->Options.WeightVictimBySize = Snap.Meta.WeightVictimBySize;
-  if (Snap.Meta.CacheByteLimit)
-    Unit->Options.CacheByteLimit = *Snap.Meta.CacheByteLimit;
-
+  }
   // Bump the LRU clock so the cap evicts genuinely cold files first.
-  std::lock_guard<std::mutex> Lock(M);
   auto It = Index.find(Name);
   if (It != Index.end())
     It->second.LastUse = nowSeconds();

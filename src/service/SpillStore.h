@@ -13,14 +13,18 @@
 /// survive the process, a restarted `dspec serve` warm-starts from the
 /// spill directory.
 ///
+/// A unit's file form has one writer and one reader, writeUnitFile and
+/// readUnitFile below; `dspec snapshot save`, the tests and the benches
+/// use the same two.
+///
 /// Layout: one `<key-hash>.dsnp` snapshot per unit, key-hashed over the
 /// shader name, invariant hash and options fingerprint — the full
-/// UnitKey. Writes go through RenderEngine::saveSnapshot, which streams
-/// the unit's arena from its own buffer, into a temp file + rename, so a
-/// crash mid-spill never leaves a half-written snapshot under a valid
-/// name; open() deletes the temp files of writers that died. The byte
-/// cap is enforced by deleting least-recently-used files (by mtime;
-/// loads bump it).
+/// UnitKey. Writes go through writeUnitFile, which streams the unit's
+/// arena from its own buffer, into a temp file + rename, so a crash
+/// mid-spill never leaves a half-written snapshot under a valid name;
+/// open() deletes the temp files of writers that died. The byte cap is
+/// enforced by deleting least-recently-used files (by mtime; loads bump
+/// it).
 ///
 /// Write-behind: no reply depends on a spill write, so the service's
 /// eviction sink calls queueStore, which hands the unit to one writer
@@ -50,6 +54,28 @@
 #include <utility>
 
 namespace dspec {
+
+/// Writes \p Unit to \p Path as a snapshot file: a META section filled
+/// from the unit (shader, varying names, grid size, load controls and
+/// options), its layout and chunks, and its arena streamed from the
+/// unit's own buffer. False with \p Error set on inconsistent state (an
+/// arena that does not match the layout and grid, a chunk that fails
+/// verification) or I/O failure.
+bool writeUnitFile(const std::string &Path, const SpecializationUnit &Unit,
+                   std::string *Error = nullptr);
+
+/// Restores the unit stored at \p Path for \p Key, or null with \p Error
+/// set. Past readSnapshotFile's checks (bounds, CRCs, chunk
+/// verification, shape consistency), and before any grid or arena is
+/// built, the file must describe \p Key's unit: its META names
+/// Key.Shader, has that gallery shader's control count and reproduces
+/// Key.InvariantHash (grid size, varying names and fixed control
+/// values), and its chunks take the four pixel inputs plus those
+/// controls. The unit adopts the file's arena buffer without a copy and
+/// takes its options from the META.
+std::shared_ptr<SpecializationUnit> readUnitFile(const std::string &Path,
+                                                 const UnitKey &Key,
+                                                 std::string *Error = nullptr);
 
 class SpillStore {
 public:
@@ -99,12 +125,9 @@ public:
   /// Waits until every queued write has landed.
   void flush();
 
-  /// Restores the unit spilled under \p Key, or null (a disk miss, or a
-  /// corrupt/mismatched file, with \p Error set). Waits first if \p Key's
-  /// write is still outstanding. A file matches when its META names
-  /// Key.Shader and reproduces Key.InvariantHash (grid size, varying
-  /// names and fixed control values); that is checked before any grid or
-  /// arena is built.
+  /// Restores the unit spilled under \p Key through readUnitFile, or
+  /// null (a disk miss, or a corrupt or mismatched file, with \p Error
+  /// set). Waits first if \p Key's write is still outstanding.
   std::shared_ptr<SpecializationUnit> load(const UnitKey &Key,
                                            std::string *Error);
 

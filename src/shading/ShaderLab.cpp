@@ -17,9 +17,8 @@ static_assert(ShaderInfo::NumPixelParams == RenderEngine::NumPixelParams,
               "parameter convention");
 
 SpecializedShader::SpecializedShader(CompiledSpecialization Compiled,
-                                     const ShaderInfo &Info,
-                                     size_t VaryingIndex)
-    : Compiled(std::move(Compiled)), Info(Info), VaryingIndex(VaryingIndex) {}
+                                     const ShaderInfo &Info)
+    : Compiled(std::move(Compiled)), Info(Info) {}
 
 bool SpecializedShader::load(RenderEngine &Engine, const RenderGrid &Grid,
                              const std::vector<float> &Controls,
@@ -107,7 +106,7 @@ ShaderLab::specializePartition(const ShaderInfo &Info, size_t VaryingIndex,
                 "': " + Unit->Diags.str();
     return std::nullopt;
   }
-  return SpecializedShader(std::move(*Compiled), Info, VaryingIndex);
+  return SpecializedShader(std::move(*Compiled), Info);
 }
 
 namespace {

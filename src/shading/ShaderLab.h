@@ -60,8 +60,7 @@ struct PartitionReport {
 /// across frames; all passes run on a RenderEngine.
 class SpecializedShader {
 public:
-  SpecializedShader(CompiledSpecialization Compiled, const ShaderInfo &Info,
-                    size_t VaryingIndex);
+  SpecializedShader(CompiledSpecialization Compiled, const ShaderInfo &Info);
 
   /// Runs the loader over every pixel (the early phase), filling the
   /// grid's packed cache arena. \p Controls must contain one value per
@@ -81,7 +80,6 @@ public:
                      Framebuffer *Out = nullptr);
 
   const CompiledSpecialization &compiled() const { return Compiled; }
-  size_t varyingIndex() const { return VaryingIndex; }
 
   /// The packed per-pixel cache storage (for inspection in tests).
   const CacheArena &arena() const { return Arena; }
@@ -94,7 +92,6 @@ public:
 private:
   CompiledSpecialization Compiled;
   const ShaderInfo &Info;
-  size_t VaryingIndex;
   CacheArena Arena;
 };
 

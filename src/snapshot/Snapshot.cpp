@@ -282,16 +282,6 @@ const char *dspec::snapshotSectionName(uint32_t Id) {
   return "UNKNOWN";
 }
 
-SnapshotMeta SnapshotMeta::fromOptions(const SpecializerOptions &Options) {
-  SnapshotMeta Meta;
-  Meta.JoinNormalize = Options.EnableJoinNormalize;
-  Meta.Reassociate = Options.EnableReassociate;
-  Meta.Speculation = Options.AllowSpeculation;
-  Meta.WeightVictimBySize = Options.WeightVictimBySize;
-  Meta.CacheByteLimit = Options.CacheByteLimit;
-  return Meta;
-}
-
 std::string SnapshotMeta::optionsSummary() const {
   std::string Out = JoinNormalize ? "phi" : "no-phi";
   if (Reassociate)

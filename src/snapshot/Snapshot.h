@@ -46,7 +46,6 @@
 #define DATASPEC_SNAPSHOT_SNAPSHOT_H
 
 #include "specialize/CacheLayout.h"
-#include "specialize/SpecializerOptions.h"
 #include "support/AlignedBuffer.h"
 #include "vm/Bytecode.h"
 
@@ -103,9 +102,6 @@ struct SnapshotMeta {
   unsigned GridHeight = 0;
   /// Control-parameter values the loader pass ran with.
   std::vector<float> Controls;
-
-  /// Copies the option fields out of \p Options.
-  static SnapshotMeta fromOptions(const SpecializerOptions &Options);
 
   /// One-line provenance summary, e.g. "phi, reassoc, limit=40B".
   std::string optionsSummary() const;

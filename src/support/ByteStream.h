@@ -78,15 +78,8 @@ public:
   /// Grows capacity so the next \p Bytes of writes do not reallocate.
   void reserve(size_t Bytes) { Buffer.reserve(Buffer.size() + Bytes); }
 
-  /// Appends zero bytes until size() is a multiple of \p Alignment.
-  void alignTo(size_t Alignment) {
-    while (Buffer.size() % Alignment != 0)
-      Buffer.push_back(0);
-  }
-
   size_t size() const { return Buffer.size(); }
   const std::vector<unsigned char> &bytes() const { return Buffer; }
-  std::vector<unsigned char> takeBytes() { return std::move(Buffer); }
 
 private:
   std::vector<unsigned char> Buffer;
@@ -176,15 +169,6 @@ public:
     Out.resize(Count);
     std::memcpy(Out.data(), Data + Pos, Bytes);
     Pos += Bytes;
-  }
-
-  /// Copies \p Count bytes out; on truncation returns an empty vector.
-  std::vector<unsigned char> readBytes(size_t Count) {
-    if (!require(Count))
-      return {};
-    std::vector<unsigned char> Out(Data + Pos, Data + Pos + Count);
-    Pos += Count;
-    return Out;
   }
 
 private:

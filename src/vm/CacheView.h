@@ -52,8 +52,6 @@ public:
   bool readOnly() const { return Mut == nullptr && Bytes != nullptr; }
   unsigned sizeInBytes() const { return Size; }
   const unsigned char *data() const { return Bytes; }
-  /// Store-side base pointer; null on read-only views.
-  unsigned char *mutableData() const { return Mut; }
 
   /// True iff a slot of \p Kind at byte \p Offset lies inside the buffer.
   bool inBounds(unsigned Offset, TypeKind Kind) const {

@@ -51,98 +51,6 @@ const char *dspec::fusedOpName(FusedOp Op) {
 
 namespace {
 
-/// Maximum abstract stack depth over every reachable path. The chunk has
-/// already passed verifyChunk, which guarantees consistent depths at join
-/// points and no underflow, so this pass cannot fail.
-unsigned computeMaxStack(const Chunk &C) {
-  const size_t N = C.Code.size();
-  std::vector<int> Depth(N, -1);
-  std::vector<size_t> Worklist;
-  if (N > 0) {
-    Depth[0] = 0;
-    Worklist.push_back(0);
-  }
-  int Max = 0;
-
-  auto Flow = [&](size_t Target, int D) {
-    if (Target >= N)
-      return;
-    if (Depth[Target] == -1) {
-      Depth[Target] = D;
-      Worklist.push_back(Target);
-    }
-  };
-
-  while (!Worklist.empty()) {
-    size_t IP = Worklist.back();
-    Worklist.pop_back();
-    const Instr &In = C.Code[IP];
-    int D = Depth[IP];
-    int After = D;
-    bool Terminal = false;
-    size_t JumpTarget = SIZE_MAX;
-
-    switch (In.Op) {
-    case OpCode::OC_Const:
-    case OpCode::OC_LoadLocal:
-    case OpCode::OC_CacheLoad:
-      After = D + 1;
-      break;
-    case OpCode::OC_StoreLocal:
-    case OpCode::OC_Pop:
-      After = D - 1;
-      break;
-    case OpCode::OC_Convert:
-    case OpCode::OC_Neg:
-    case OpCode::OC_Not:
-    case OpCode::OC_Member:
-    case OpCode::OC_CacheStore:
-      break; // net zero
-    case OpCode::OC_Add:
-    case OpCode::OC_Sub:
-    case OpCode::OC_Mul:
-    case OpCode::OC_Div:
-    case OpCode::OC_Mod:
-    case OpCode::OC_Lt:
-    case OpCode::OC_Le:
-    case OpCode::OC_Gt:
-    case OpCode::OC_Ge:
-    case OpCode::OC_Eq:
-    case OpCode::OC_Ne:
-    case OpCode::OC_And:
-    case OpCode::OC_Or:
-      After = D - 1;
-      break;
-    case OpCode::OC_Select:
-      After = D - 2;
-      break;
-    case OpCode::OC_Jump:
-      JumpTarget = static_cast<size_t>(In.A);
-      Terminal = true;
-      break;
-    case OpCode::OC_JumpIfFalse:
-      After = D - 1;
-      JumpTarget = static_cast<size_t>(In.A);
-      break;
-    case OpCode::OC_CallBuiltin:
-      After = D - In.B + 1;
-      break;
-    case OpCode::OC_Return:
-    case OpCode::OC_ReturnVoid:
-      Terminal = true;
-      break;
-    }
-
-    Max = std::max(Max, D + 1); // peak while executing this instruction
-    Max = std::max(Max, After);
-    if (JumpTarget != SIZE_MAX)
-      Flow(JumpTarget, After);
-    if (!Terminal)
-      Flow(IP + 1, After);
-  }
-  return static_cast<unsigned>(Max);
-}
-
 /// Tries to combine the pair (\p First, \p Second) into one
 /// superinstruction; returns true and fills \p Out on a match.
 bool fusePair(const Instr &First, const Instr &Second, ExecInstr &Out) {
@@ -245,7 +153,7 @@ int32_t *jumpOperand(ExecInstr &In) {
 ExecChunk dspec::buildExecChunk(const Chunk &C) {
   ExecChunk Out;
   std::string Error;
-  if (!verifyChunk(C, Error))
+  if (!verifyChunk(C, Error, &Out.MaxStack))
     return Out; // Valid stays false; the caller falls back to VM::run.
 
   Out.Name = C.Name;
@@ -254,7 +162,6 @@ ExecChunk dspec::buildExecChunk(const Chunk &C) {
   Out.NumParams = C.NumParams;
   Out.CacheSlotCount = C.CacheSlotCount;
   Out.CacheBytes = C.CacheBytes;
-  Out.MaxStack = computeMaxStack(C);
 
   const size_t N = C.Code.size();
 

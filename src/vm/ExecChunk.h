@@ -126,9 +126,9 @@ struct ExecChunk {
   unsigned CacheSlotCount = 0;
   unsigned CacheBytes = 0;
 
-  /// Maximum operand-stack depth over every execution path, computed by
-  /// the same abstract interpretation the serde verifier runs. The
-  /// batched tier pre-sizes its stack rows to this and never
+  /// Maximum operand-stack depth over every execution path, as
+  /// verifyChunk reports it from the walk that checks the source chunk.
+  /// The batched tier pre-sizes its stack rows to this and never
   /// bounds-checks pushes.
   unsigned MaxStack = 0;
 

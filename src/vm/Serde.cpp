@@ -8,6 +8,7 @@
 
 #include "lang/Builtins.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace dspec;
@@ -140,7 +141,8 @@ bool dspec::deserializeChunk(ByteReader &Reader, Chunk &Out,
   return verifyChunk(Out, Error);
 }
 
-bool dspec::verifyChunk(const Chunk &C, std::string &Error) {
+bool dspec::verifyChunk(const Chunk &C, std::string &Error,
+                        unsigned *MaxStack) {
   const size_t N = C.Code.size();
   const size_t NumBuiltins = allBuiltins().size();
 
@@ -162,6 +164,7 @@ bool dspec::verifyChunk(const Chunk &C, std::string &Error) {
     Depth[0] = 0;
     Worklist.push_back(0);
   }
+  int Peak = 0;
 
   auto Flow = [&](size_t Target, int D, size_t From) {
     if (Target > N)
@@ -304,6 +307,7 @@ bool dspec::verifyChunk(const Chunk &C, std::string &Error) {
       return Fail(IP, "stack underflow (depth " + std::to_string(D) +
                           ", pops " + std::to_string(Pops) + ")");
     int After = D - Pops + Pushes;
+    Peak = std::max({Peak, D + 1, After});
 
     if (JumpTarget != SIZE_MAX && !Flow(JumpTarget, After, IP))
       return false;
@@ -311,5 +315,7 @@ bool dspec::verifyChunk(const Chunk &C, std::string &Error) {
       return false;
   }
 
+  if (MaxStack)
+    *MaxStack = static_cast<unsigned>(Peak);
   return true;
 }

@@ -50,8 +50,13 @@ bool deserializeChunk(ByteReader &Reader, Chunk &Out, std::string &Error);
 /// consistent with the chunk's declared CacheBytes, and a consistent
 /// abstract stack depth at every instruction (so Pop never underflows).
 /// Freshly compiled chunks always pass; this exists so chunks decoded
-/// from untrusted bytes are safe to execute.
-bool verifyChunk(const Chunk &C, std::string &Error);
+/// from untrusted bytes are safe to execute. On success, \p MaxStack
+/// (when non-null) receives the peak operand-stack depth over every
+/// reachable instruction: the larger of its depth + 1 and its depth
+/// after it, so one transient push past a binary operation's operands
+/// (the fused cload+add and cload+mul) always fits.
+bool verifyChunk(const Chunk &C, std::string &Error,
+                 unsigned *MaxStack = nullptr);
 
 } // namespace dspec
 

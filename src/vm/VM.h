@@ -116,7 +116,6 @@ public:
 
   /// Values recorded by dsc_trace, in call order.
   const std::vector<float> &traceLog() const { return TraceLog; }
-  void clearTraceLog() { TraceLog.clear(); }
 
   /// Aborts executions that exceed this many instructions.
   uint64_t InstructionBudget = 500'000'000;

@@ -17,6 +17,7 @@
 
 #include "engine/RenderEngine.h"
 #include "lang/Builtins.h"
+#include "service/SpillStore.h"
 #include "shading/ShaderLab.h"
 #include "vm/ExecChunk.h"
 #include "vm/VM.h"
@@ -203,6 +204,48 @@ TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
   EXPECT_EQ(Total, 10u);
   EXPECT_EQ(BatchSafe, 10u) << "all gallery readers are effect-free";
   EXPECT_GE(Branchy, 1u) << "clouds/rings loop over octaves";
+}
+
+TEST(ExecChunk, MaxStackIsPinnedForEveryGalleryPartition) {
+  // runBatch sizes its stack rows by MaxStack and never bounds-checks a
+  // push, so the peak verifyChunk reports is pinned for every gallery
+  // chunk. Per shader: the loader's peak (the same for every partition),
+  // then each partition's reader peak, one digit per control in gallery
+  // order.
+  const struct {
+    const char *Shader;
+    unsigned LoaderMax;
+    const char *ReaderMax;
+  } Pinned[] = {
+      {"plastic", 5, "4544555444"},
+      {"matte", 6, "555555555556"},
+      {"marble", 5, "45455555554444"},
+      {"wood", 5, "454555554555444"},
+      {"granite", 5, "4545555555444"},
+      {"checker", 5, "55454555544"},
+      {"metal", 5, "445554555444"},
+      {"stripes", 5, "55554545555444"},
+      {"clouds", 6, "6666556664445556"},
+      {"rings", 5, "44455554555555"},
+  };
+  ASSERT_EQ(std::size(Pinned), shaderGallery().size());
+  ShaderLab Lab(4, 3);
+  for (const auto &P : Pinned) {
+    const ShaderInfo *Info = findShader(P.Shader);
+    ASSERT_NE(Info, nullptr) << P.Shader;
+    ASSERT_EQ(Info->Controls.size(), std::strlen(P.ReaderMax)) << P.Shader;
+    for (size_t C = 0; C < Info->Controls.size(); ++C) {
+      auto Spec = Lab.specializePartition(*Info, C);
+      ASSERT_TRUE(Spec.has_value()) << Lab.lastError();
+      const std::string Where = Info->Name + "/" + Info->Controls[C].Name;
+      EXPECT_EQ(buildExecChunk(Spec->compiled().LoaderChunk).MaxStack,
+                P.LoaderMax)
+          << Where << " loader";
+      EXPECT_EQ(buildExecChunk(Spec->compiled().ReaderChunk).MaxStack,
+                static_cast<unsigned>(P.ReaderMax[C] - '0'))
+          << Where << " reader";
+    }
+  }
 }
 
 /// A batched run of \p Exec over \p Lanes lanes: each lane takes \p PerLane
@@ -672,34 +715,35 @@ TEST(ExecTiers, SnapshotWarmStartIdenticalAcrossTiers) {
   ASSERT_NE(Info, nullptr);
   RenderGrid Grid(10, 8);
 
-  auto Unit = parseUnit(Info->Source);
-  ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
+  auto Parsed = parseUnit(Info->Source);
+  ASSERT_TRUE(Parsed->ok()) << Parsed->Diags.str();
   auto Spec =
-      specializeAndCompile(*Unit, Info->Name, {Info->Controls[0].Name});
+      specializeAndCompile(*Parsed, Info->Name, {Info->Controls[0].Name});
   ASSERT_TRUE(Spec.has_value());
   auto Controls = ShaderLab::defaultControls(*Info);
 
+  SpecializationUnit Unit(Grid.width(), Grid.height());
+  Unit.Shader = Info->Name;
+  Unit.Varying = {Info->Controls[0].Name};
+  Unit.LoadControls = Controls;
+  Unit.Layout = Spec->Spec.Layout;
+  Unit.Loader = std::move(Spec->LoaderChunk);
+  Unit.Reader = std::move(Spec->ReaderChunk);
   RenderEngine Engine(1);
-  CacheArena Arena;
-  ASSERT_TRUE(Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid,
-                                Controls, Arena))
+  ASSERT_TRUE(Engine.loaderPass(Unit.Loader, Unit.Layout, Unit.Grid, Controls,
+                                Unit.Arena))
       << Engine.lastTrap();
-
-  SnapshotMeta Meta;
-  Meta.FragmentName = Info->Name;
-  Meta.VaryingParams = {Info->Controls[0].Name};
-  Meta.GridWidth = Grid.width();
-  Meta.GridHeight = Grid.height();
-  Meta.Controls = Controls;
   const std::string Path = testing::TempDir() + "dspec_tier.dsnap";
   std::string Error;
-  ASSERT_TRUE(RenderEngine::saveSnapshot(Path, Meta, Spec->LoaderChunk,
-                                         Spec->ReaderChunk, Spec->Spec.Layout,
-                                         Arena, &Error))
-      << Error;
+  ASSERT_TRUE(writeUnitFile(Path, Unit, &Error)) << Error;
 
-  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-  ASSERT_TRUE(Warm.has_value()) << Error;
+  UnitKey Key;
+  Key.Shader = Info->Name;
+  Key.InvariantHash = invariantHash(*Info, Grid.width(), Grid.height(),
+                                    Unit.Varying, Controls);
+  Key.OptionsFingerprint = optionsFingerprint(Unit.Options);
+  auto Warm = readUnitFile(Path, Key, &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
 
   Framebuffer RefImage(Grid.width(), Grid.height());
   bool HaveRef = false;

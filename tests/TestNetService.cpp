@@ -895,16 +895,11 @@ TEST(Spill, RestoreRefusesAUnitWhoseChunksTakeOtherArguments) {
   std::string Error;
   ASSERT_TRUE(Names.open(Dir, /*MaxBytes=*/0, &Error)) << Error;
   const std::string Path = Names.pathFor(serviceKeyOf(Request));
-  SpecializationSnapshot Snap;
-  ASSERT_TRUE(readSnapshotFile(Path, Snap, &Error)) << Error;
-  --Snap.Loader.NumParams;
-  --Snap.Reader.NumParams;
-  ASSERT_TRUE(writeSnapshotFile(
-      Path,
-      {Snap.Meta, Snap.Loader, Snap.Reader, Snap.Layout, Snap.ArenaPixels,
-       Snap.ArenaStride, Snap.ArenaBytes.data(), Snap.ArenaBytes.size()},
-      &Error))
-      << Error;
+  auto Unit = readUnitFile(Path, serviceKeyOf(Request), &Error);
+  ASSERT_NE(Unit, nullptr) << Error;
+  --Unit->Loader.NumParams;
+  --Unit->Reader.NumParams;
+  ASSERT_TRUE(writeUnitFile(Path, *Unit, &Error)) << Error;
   expectRefusedAndRebuilt(Dir, Request);
   clearSpillDir(Dir);
 }

@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The snapshot subsystem's contract, from both sides:
+/// The snapshot subsystem's contract, from both sides. Units are written
+/// by writeUnitFile and restored by readUnitFile under their key, the
+/// writer and the restore the spill store runs:
 ///
 ///  - round-trip property: for every gallery shader, a warm start from a
 ///    snapshot file renders reader frames bit-identical to the
 ///    in-process loader+reader run, at one thread and at several;
 ///  - hostile-input property: truncations at arbitrary lengths, single
 ///    bit flips, future format versions, and garbage files all fail
-///    with a diagnostic — never UB or a crash (CI runs this under
-///    ASan+UBSan);
+///    with a diagnostic, in readSnapshotFile and in the restore — never
+///    UB or a crash (CI runs this under ASan+UBSan);
 ///  - files written by earlier builds (version 1, or with a VARIANTS
 ///    section) still load, warm-start and serve bit-identically.
 ///
@@ -102,42 +104,54 @@ std::vector<unsigned char> withPayloadOrder(
   return Out;
 }
 
-/// Specializes \p Info on its first control, runs the loader over
-/// \p Grid, writes a snapshot to \p Path, and renders the in-process
-/// reader frame into \p ColdOut. Returns the control vector used.
+/// The key of \p Info's unit at \p Grid's size varying its first control,
+/// loaded with \p Controls (one value per control): the unit buildAndSave
+/// writes, and the one the committed marble files hold at 8x6 with the
+/// default controls.
+UnitKey firstControlKey(const ShaderInfo &Info, const RenderGrid &Grid,
+                        const std::vector<float> &Controls) {
+  UnitKey Key;
+  Key.Shader = Info.Name;
+  Key.InvariantHash = invariantHash(Info, Grid.width(), Grid.height(),
+                                    {Info.Controls[0].Name}, Controls);
+  Key.OptionsFingerprint = optionsFingerprint(SpecializerOptions{});
+  return Key;
+}
+
+/// Specializes \p Info on its first control, runs the loader over a unit
+/// of \p Grid's size, writes the unit to \p Path, and renders the
+/// in-process reader frame into \p ColdOut. Returns the control vector
+/// used.
 std::vector<float> buildAndSave(const ShaderInfo &Info, const RenderGrid &Grid,
                                 const std::string &Path, Framebuffer *ColdOut,
                                 const SpecializerOptions &Options = {}) {
-  auto Unit = parseUnit(Info.Source);
-  EXPECT_TRUE(Unit->ok()) << Info.Name;
-  auto Spec =
-      specializeAndCompile(*Unit, Info.Name, {Info.Controls[0].Name}, Options);
+  auto Parsed = parseUnit(Info.Source);
+  EXPECT_TRUE(Parsed->ok()) << Info.Name;
+  auto Spec = specializeAndCompile(*Parsed, Info.Name,
+                                   {Info.Controls[0].Name}, Options);
   EXPECT_TRUE(Spec.has_value()) << Info.Name;
-  auto Controls = ShaderLab::defaultControls(Info);
 
+  SpecializationUnit Unit(Grid.width(), Grid.height());
+  Unit.Shader = Info.Name;
+  Unit.Options = Options;
+  Unit.Varying = {Info.Controls[0].Name};
+  Unit.LoadControls = ShaderLab::defaultControls(Info);
+  Unit.Layout = Spec->Spec.Layout;
+  Unit.Loader = std::move(Spec->LoaderChunk);
+  Unit.Reader = std::move(Spec->ReaderChunk);
   RenderEngine Engine(1);
-  CacheArena Arena;
-  EXPECT_TRUE(Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid,
-                                Controls, Arena))
+  EXPECT_TRUE(Engine.loaderPass(Unit.Loader, Unit.Layout, Unit.Grid,
+                                Unit.LoadControls, Unit.Arena))
       << Engine.lastTrap();
   if (ColdOut) {
-    EXPECT_TRUE(Engine.readerPass(Spec->ReaderChunk, Grid, Controls, Arena,
-                                  ColdOut))
+    EXPECT_TRUE(Engine.readerPass(Unit.Reader, Unit.Grid, Unit.LoadControls,
+                                  Unit.Arena, ColdOut))
         << Engine.lastTrap();
   }
 
-  SnapshotMeta Meta = SnapshotMeta::fromOptions(Options);
-  Meta.FragmentName = Info.Name;
-  Meta.VaryingParams = {Info.Controls[0].Name};
-  Meta.GridWidth = Grid.width();
-  Meta.GridHeight = Grid.height();
-  Meta.Controls = Controls;
   std::string Error;
-  EXPECT_TRUE(RenderEngine::saveSnapshot(Path, Meta, Spec->LoaderChunk,
-                                         Spec->ReaderChunk, Spec->Spec.Layout,
-                                         Arena, &Error))
-      << Error;
-  return Controls;
+  EXPECT_TRUE(writeUnitFile(Path, Unit, &Error)) << Error;
+  return Unit.LoadControls;
 }
 
 //===----------------------------------------------------------------------===//
@@ -152,11 +166,13 @@ TEST(Snapshot, GalleryWarmStartIsBitIdentical) {
     auto Controls = buildAndSave(Info, Grid, Path, &Cold);
 
     std::string Error;
-    auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-    ASSERT_TRUE(Warm.has_value()) << Info.Name << ": " << Error;
-    EXPECT_EQ(Warm->Meta.FragmentName, Info.Name);
-    ASSERT_EQ(Warm->Meta.VaryingParams.size(), 1u);
-    EXPECT_EQ(Warm->Meta.VaryingParams[0], Info.Controls[0].Name);
+    auto Warm = readUnitFile(Path, firstControlKey(Info, Grid, Controls),
+                             &Error);
+    ASSERT_NE(Warm, nullptr) << Info.Name << ": " << Error;
+    EXPECT_EQ(Warm->Shader, Info.Name);
+    ASSERT_EQ(Warm->Varying.size(), 1u);
+    EXPECT_EQ(Warm->Varying[0], Info.Controls[0].Name);
+    EXPECT_EQ(Warm->LoadControls, Controls);
     EXPECT_EQ(Warm->Grid.pixelCount(), Grid.pixelCount());
     EXPECT_EQ(Warm->Arena.strideBytes(), Warm->Layout.totalBytes());
 
@@ -189,8 +205,10 @@ TEST(Snapshot, WarmReaderTracksTheVaryingControl) {
   ASSERT_TRUE(Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid,
                                 Controls, Arena));
 
-  auto Warm = RenderEngine::fromSnapshot(Path);
-  ASSERT_TRUE(Warm.has_value());
+  std::string Error;
+  auto Warm = readUnitFile(Path, firstControlKey(*Info, Grid, Controls),
+                           &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
   for (float V : {0.1f, 0.55f, 0.9f}) {
     Controls[0] = V;
     Framebuffer Cold(Grid.width(), Grid.height());
@@ -243,14 +261,15 @@ TEST(Snapshot, CommittedFileVerifiesAndWarmStartsBitIdentical) {
   EXPECT_EQ(Snap.Meta.GridWidth, 8u);
   EXPECT_EQ(Snap.Meta.GridHeight, 6u);
 
-  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-  ASSERT_TRUE(Warm.has_value()) << Error;
   RenderGrid Grid(8, 6);
   Framebuffer Fresh(Grid.width(), Grid.height());
   const std::string FreshPath = tempPath("committed_fresh.dsnap");
   auto Controls = buildAndSave(*findShader("marble"), Grid, FreshPath, &Fresh);
   std::remove(FreshPath.c_str());
-  ASSERT_EQ(Warm->Meta.Controls, Controls);
+  auto Warm = readUnitFile(
+      Path, firstControlKey(*findShader("marble"), Grid, Controls), &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
+  ASSERT_EQ(Warm->LoadControls, Controls);
 
   RenderEngine Engine(1);
   Framebuffer WarmFb(Grid.width(), Grid.height());
@@ -302,8 +321,9 @@ TEST(Snapshot, ArenaAheadOfTheOtherSectionsLoadsBitIdentically) {
     EXPECT_EQ(WA.bytes(), WB.bytes()) << A->Name;
   }
 
-  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-  ASSERT_TRUE(Warm.has_value()) << Error;
+  auto Warm = readUnitFile(Path, firstControlKey(*Info, Grid, Controls),
+                           &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
   RenderEngine Engine(1);
   Framebuffer WarmFrame(Grid.width(), Grid.height());
   ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
@@ -361,8 +381,9 @@ TEST(Snapshot, VersionOneFilesStillLoad) {
   spit(Path, Image);
 
   std::string Error;
-  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-  ASSERT_TRUE(Warm.has_value()) << Error;
+  auto Warm = readUnitFile(Path, firstControlKey(*Info, Grid, Controls),
+                           &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
   RenderEngine Engine(1);
   Framebuffer WarmFrame(Grid.width(), Grid.height());
   ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
@@ -410,14 +431,6 @@ TEST(Snapshot, VariantsFileLoadsAndServesBitIdentically) {
   Framebuffer Plain(Grid.width(), Grid.height());
   ASSERT_TRUE(Engine.plainPass(*Original, Grid, Controls, &Plain));
 
-  auto Warm = RenderEngine::fromSnapshot(Path, &Error);
-  ASSERT_TRUE(Warm.has_value()) << Error;
-  Framebuffer WarmFrame(Grid.width(), Grid.height());
-  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
-                                Warm->Arena, &WarmFrame))
-      << Engine.lastTrap();
-  expectSameImage(Plain, WarmFrame, "warm start");
-
   RenderRequest Request;
   Request.Shader = Info->Name;
   Request.Width = Grid.width();
@@ -429,6 +442,16 @@ TEST(Snapshot, VariantsFileLoadsAndServesBitIdentically) {
   Key.InvariantHash = invariantHash(*Info, Request.Width, Request.Height,
                                     Request.Varying, Request.Controls);
   Key.OptionsFingerprint = optionsFingerprint(Request.toOptions());
+  EXPECT_EQ(Key, firstControlKey(*Info, Grid, Snap.Meta.Controls));
+
+  auto Warm = readUnitFile(Path, Key, &Error);
+  ASSERT_NE(Warm, nullptr) << Error;
+  Framebuffer WarmFrame(Grid.width(), Grid.height());
+  ASSERT_TRUE(Engine.readerPass(Warm->Reader, Warm->Grid, Controls,
+                                Warm->Arena, &WarmFrame))
+      << Engine.lastTrap();
+  expectSameImage(Plain, WarmFrame, "warm start");
+
   ServiceConfig Config;
   Config.SpillDir = tempPath("variants_spill");
   std::string Filed;
@@ -462,25 +485,29 @@ protected:
                     testing::UnitTest::GetInstance()->current_test_info()
                         ->name() +
                     ".dsnap");
-    buildAndSave(*findShader("marble"), RenderGrid(8, 6), Path, nullptr);
+    const ShaderInfo &Marble = *findShader("marble");
+    const RenderGrid Grid(8, 6);
+    Key = firstControlKey(Marble, Grid,
+                          buildAndSave(Marble, Grid, Path, nullptr));
     Pristine = slurp(Path);
     ASSERT_GT(Pristine.size(), 200u);
   }
   void TearDown() override { std::remove(Path.c_str()); }
 
-  /// Expects both entry points to reject the current file contents.
+  /// Expects both entry points, the file reader and the unit restore
+  /// that spill_revisit runs, to reject the current file contents.
   void expectRejected(const std::string &What) {
     SpecializationSnapshot Snap;
     std::string Error;
     EXPECT_FALSE(readSnapshotFile(Path, Snap, &Error)) << What;
     EXPECT_FALSE(Error.empty()) << What;
-    std::string WarmError;
-    EXPECT_FALSE(RenderEngine::fromSnapshot(Path, &WarmError).has_value())
-        << What;
-    EXPECT_FALSE(WarmError.empty()) << What;
+    std::string RestoreError;
+    EXPECT_EQ(readUnitFile(Path, Key, &RestoreError), nullptr) << What;
+    EXPECT_FALSE(RestoreError.empty()) << What;
   }
 
   std::string Path;
+  UnitKey Key;
   std::vector<unsigned char> Pristine;
 };
 
@@ -615,11 +642,15 @@ TEST(Snapshot, MissingFileIsADiagnostic) {
   EXPECT_FALSE(readSnapshotFile(tempPath("does_not_exist.dsnap"), Snap,
                                 &Error));
   EXPECT_FALSE(Error.empty());
-  std::string WarmError;
-  EXPECT_FALSE(RenderEngine::fromSnapshot(tempPath("does_not_exist.dsnap"),
-                                          &WarmError)
-                   .has_value());
-  EXPECT_FALSE(WarmError.empty());
+  const ShaderInfo &Marble = *findShader("marble");
+  const RenderGrid Grid(8, 6);
+  std::string RestoreError;
+  EXPECT_EQ(readUnitFile(tempPath("does_not_exist.dsnap"),
+                         firstControlKey(Marble, Grid,
+                                         ShaderLab::defaultControls(Marble)),
+                         &RestoreError),
+            nullptr);
+  EXPECT_FALSE(RestoreError.empty());
 }
 
 TEST(Snapshot, WriterRefusesInconsistentState) {

@@ -26,8 +26,8 @@
 /// Service subcommands run the long-lived specialization service and talk
 /// to it over a unix-domain socket or TCP (see docs/SERVICE.md):
 ///
-///   dspec serve (--socket PATH | --listen HOST:PORT) [--io-threads N]
-///         [--threads N] [--tile PIXELS] [--cache-units N] [--queue N]
+///   dspec serve (--socket PATH | --listen HOST:PORT) [--threads N]
+///         [--tile PIXELS] [--cache-units N] [--queue N]
 ///         [--dispatchers N] [--exec-tier switch|batched]
 ///         [--quota-rps R] [--quota-burst B] [--client-queue N]
 ///         [--read-deadline MS] [--spill-dir PATH] [--spill-cap-mb N]
@@ -50,6 +50,7 @@
 #include "net/NetServer.h"
 #include "service/Protocol.h"
 #include "service/Service.h"
+#include "service/SpillStore.h"
 #include "service/Transport.h"
 #include "shading/ShaderGallery.h"
 #include "shading/ShaderLab.h"
@@ -91,12 +92,11 @@ void usage(const char *Argv0) {
       "            [--no-phi] [--speculate]\n"
       "       %s snapshot info SNAP\n"
       "       %s snapshot verify SNAP\n"
-      "       %s serve (--socket PATH | --listen HOST:PORT) [--io-threads N]\n"
-      "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
-      "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
-      "            [--exec-tier switch|batched] [--quota-rps R]\n"
-      "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
-      "            [--spill-dir PATH] [--spill-cap-mb N]\n"
+      "       %s serve (--socket PATH | --listen HOST:PORT) [--threads N]\n"
+      "            [--tile PIXELS] [--cache-units N] [--cache-shards N]\n"
+      "            [--queue N] [--dispatchers N] [--exec-tier switch|batched]\n"
+      "            [--quota-rps R] [--quota-burst B] [--client-queue N]\n"
+      "            [--read-deadline MS] [--spill-dir PATH] [--spill-cap-mb N]\n"
       "       %s request (--socket PATH | --tcp HOST:PORT) --gallery SHADER\n"
       "            [--width W] [--height H] [--vary P1[,P2...]]\n"
       "            [--controls v1,...] [--deadline MS] [--repeat N]\n"
@@ -223,14 +223,14 @@ int snapshotSave(int Argc, char **Argv) {
     }
   }
 
-  auto Unit = parseUnit(Source);
-  if (!Unit->ok()) {
-    std::fprintf(stderr, "%s", Unit->Diags.str().c_str());
+  auto Parsed = parseUnit(Source);
+  if (!Parsed->ok()) {
+    std::fprintf(stderr, "%s", Parsed->Diags.str().c_str());
     return kExitFailure;
   }
-  auto Spec = specializeAndCompile(*Unit, Fragment, Varying, Options);
+  auto Spec = specializeAndCompile(*Parsed, Fragment, Varying, Options);
   if (!Spec) {
-    std::fprintf(stderr, "%s", Unit->Diags.str().c_str());
+    std::fprintf(stderr, "%s", Parsed->Diags.str().c_str());
     return kExitFailure;
   }
 
@@ -257,27 +257,26 @@ int snapshotSave(int Argc, char **Argv) {
     Controls = UserControls;
   }
 
-  RenderGrid Grid(Width, Height);
+  // The unit the service would build for this partition: the loader
+  // fills its arena, and the unit file holds it with its chunks.
+  SpecializationUnit Unit(Width, Height);
+  Unit.Shader = Fragment;
+  Unit.Options = Options;
+  Unit.Varying = Varying;
+  Unit.LoadControls = Controls;
+  Unit.Layout = Spec->Spec.Layout;
+  Unit.Loader = std::move(Spec->LoaderChunk);
+  Unit.Reader = std::move(Spec->ReaderChunk);
   RenderEngine Engine(1);
-  CacheArena Arena;
-  if (!Engine.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, Grid, Controls,
-                         Arena)) {
+  if (!Engine.loaderPass(Unit.Loader, Unit.Layout, Unit.Grid,
+                         Unit.LoadControls, Unit.Arena)) {
     std::fprintf(stderr, "error: loader pass trapped: %s\n",
                  Engine.lastTrap().c_str());
     return kExitFailure;
   }
 
-  SnapshotMeta Meta = SnapshotMeta::fromOptions(Options);
-  Meta.FragmentName = Fragment;
-  Meta.VaryingParams = Varying;
-  Meta.GridWidth = Width;
-  Meta.GridHeight = Height;
-  Meta.Controls = Controls;
-
   std::string Error;
-  if (!RenderEngine::saveSnapshot(OutPath, Meta, Spec->LoaderChunk,
-                                  Spec->ReaderChunk, Spec->Spec.Layout, Arena,
-                                  &Error)) {
+  if (!writeUnitFile(OutPath, Unit, &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return kExitFailure;
   }
@@ -285,9 +284,8 @@ int snapshotSave(int Argc, char **Argv) {
   std::printf("wrote %s: '%s' vary ", OutPath, Fragment.c_str());
   for (size_t I = 0; I < Varying.size(); ++I)
     std::printf("%s%s", I ? "," : "", Varying[I].c_str());
-  std::printf("; %ux%u pixels x %uB cache = %zu arena bytes (%s)\n", Width,
-              Height, Spec->Spec.Layout.totalBytes(), Arena.totalBytes(),
-              Meta.optionsSummary().c_str());
+  std::printf("; %ux%u pixels x %uB cache = %zu arena bytes\n", Width,
+              Height, Unit.Layout.totalBytes(), Unit.Arena.totalBytes());
   return kExitOk;
 }
 
@@ -410,8 +408,6 @@ int serveMain(int Argc, char **Argv) {
       SocketPath = NextValue();
     else if (std::strcmp(Arg, "--listen") == 0)
       ListenHostPort = NextValue();
-    else if (std::strcmp(Arg, "--io-threads") == 0)
-      Net.IoThreads = NextUnsigned();
     else if (std::strcmp(Arg, "--quota-rps") == 0)
       Net.QuotaRps = std::strtod(NextValue(), nullptr);
     else if (std::strcmp(Arg, "--quota-burst") == 0)
@@ -484,11 +480,10 @@ int serveMain(int Argc, char **Argv) {
     Where += "tcp " + std::string(ListenHostPort);
     Where += formatString(" (port %u)", Server.boundTcpPort());
   }
-  std::printf("dspec serve: listening on %s (%u io thread(s), %u "
-              "dispatcher(s) × %u render thread(s), cache %u units, "
-              "queue %u, %s tier%s)\n",
-              Where.c_str(), Server.config().IoThreads,
-              Service.config().Dispatchers, Service.config().RenderThreads,
+  std::printf("dspec serve: listening on %s (%u dispatcher(s) × %u "
+              "render thread(s), cache %u units, queue %u, %s tier%s)\n",
+              Where.c_str(), Service.config().Dispatchers,
+              Service.config().RenderThreads,
               Service.config().CacheUnits,
               Service.config().QueueCapacity,
               execTierName(Service.config().Tier),
@@ -505,7 +500,7 @@ int serveMain(int Argc, char **Argv) {
   }
 
   // Graceful drain: stop accepting, answer everything already queued,
-  // flush every reply to the kernel, then tear the loops down.
+  // flush every reply to the kernel, then tear the loop down.
   std::printf("dspec serve: SIGINT/SIGTERM received, draining\n");
   Server.beginDrain();
   Service.drain();
